@@ -9,27 +9,26 @@ from .assemble import (AssembledForms, CoefficientSet, a_norm, assemble_forms,
                        b_norm, energy_error_vs_exact, example2_coefficients,
                        free_prolongation, interpolate, laplace_coefficients,
                        rayleigh_quotient)
-from .eigen_newton import (Eigenpair, EigenpairSet, coarse_solve,
-                           newton_step_multi, newton_step_single,
+from .eigen_newton import (Eigenpair, EigenpairSet, coarse_solve, newton_step_multi,
                            rayleigh_expansion_check)
-from .linalg import BorderedMatrix, SolverError, dense_gen_eig, solve_bordered, solve_spd
+from .linalg import BorderedMatrix, SolverError, dense_gen_eig, solve_bordered
 from .mesh import (Mesh, MeshHierarchy, Prolongation, build_hierarchy, load_mesh,
                    refine_regular, save_mesh, unit_square_mesh)
-from .multilevel import (ConvergenceRecord, LevelRecord, SolveOptions,
-                         compare_with_direct, run_multilevel)
-from .reference import ExactEigen, direct_solve, exact_laplace, richardson
+from .multilevel import LevelRecord, SolveOptions, run_multilevel
+from .reference import (ConvergenceRecord, ExactEigen, compare_with_direct,
+                        direct_solve, evaluate, exact_laplace, richardson)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssembledForms", "BorderedMatrix", "CoefficientSet", "ConvergenceRecord",
-    "Eigenpair", "EigenpairSet", "ExactEigen", "LevelRecord", "Mesh",
-    "MeshHierarchy", "Prolongation", "SolveOptions", "SolverError",
+    "Eigenpair", "EigenpairSet", "ExactEigen", "LevelRecord",
+    "Mesh", "MeshHierarchy", "Prolongation", "SolveOptions", "SolverError",
     "a_norm", "assemble_forms", "b_norm", "build_hierarchy", "coarse_solve",
     "compare_with_direct", "dense_gen_eig", "direct_solve",
-    "energy_error_vs_exact", "exact_laplace", "example2_coefficients",
+    "energy_error_vs_exact", "evaluate", "exact_laplace", "example2_coefficients",
     "free_prolongation", "interpolate", "laplace_coefficients", "load_mesh",
-    "newton_step_multi", "newton_step_single", "rayleigh_expansion_check",
-    "rayleigh_quotient", "refine_regular", "richardson", "run_multilevel",
-    "save_mesh", "solve_bordered", "solve_spd", "unit_square_mesh",
+    "newton_step_multi", "rayleigh_expansion_check", "rayleigh_quotient",
+    "refine_regular", "richardson", "run_multilevel", "save_mesh",
+    "solve_bordered", "unit_square_mesh",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse as sp
 
 
-class AssemblyError(Exception):
+class AssemblyError(ValueError):
     """Coefficient or quadrature data violates the assembly contract."""
 
 
@@ -113,16 +113,10 @@ def example2_coefficients():
 
 @dataclass(frozen=True)
 class AssembledForms:
-    """Sparse stiffness/mass pencil of a mesh, reduced to free (interior) DOFs.
-
-    ``stiffness_full`` and ``mass_full`` keep the unreduced vertex-indexed
-    matrices (used for elementwise error quadrature and diagnostics).
-    """
+    """Sparse stiffness/mass pencil of a mesh, reduced to free (interior) DOFs."""
 
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
-    stiffness_full: sp.csr_matrix
-    mass_full: sp.csr_matrix
     free_to_full: np.ndarray
     full_to_free: np.ndarray
     n_free: int
@@ -153,6 +147,12 @@ def _triangle_geometry(mesh):
 
 
 def _check_coefficients(dq, rq, wq, points):
+    for name, values in (("diffusion", dq), ("reaction", rq), ("weight", wq)):
+        finite = np.isfinite(values).reshape(len(points), -1).all(axis=1)
+        if not finite.all():
+            i = np.flatnonzero(~finite)[0]
+            raise AssemblyError("{} coefficient is not finite at quadrature point "
+                                "({:.6g}, {:.6g})".format(name, *points[i]))
     sym = np.abs(dq[:, 0, 1] - dq[:, 1, 0])
     tr = dq[:, 0, 0] + dq[:, 1, 1]
     det = dq[:, 0, 0] * dq[:, 1, 1] - dq[:, 0, 1] * dq[:, 1, 0]
@@ -172,20 +172,8 @@ def _check_coefficients(dq, rq, wq, points):
                             "({:.6g}, {:.6g})".format(*points[i]))
 
 
-def assemble_forms(mesh, coeffs, quad_order=2):
-    """Assemble the stiffness/mass pencil of `mesh` for the given coefficients.
-
-    Parameters
-    ----------
-    mesh : Mesh
-    coeffs : CoefficientSet
-    quad_order : {2, 5}
-        Polynomial degree up to which the triangle Gauss rule is exact.
-
-    Returns
-    -------
-    AssembledForms
-    """
+def _assemble_full(mesh, coeffs, quad_order):
+    """Stiffness and mass matrices over all vertices, boundary included."""
     if quad_order not in _QUAD_RULES:
         raise ValueError("quad_order must be one of {}, got {!r}".format(
             sorted(_QUAD_RULES), quad_order))
@@ -199,9 +187,10 @@ def assemble_forms(mesh, coeffs, quad_order=2):
     dsum = np.zeros((nt, 2, 2))
     for q in range(len(weights)):
         xq = np.einsum("j,tjd->td", bary[q], p)
-        dq = np.asarray(coeffs.diffusion(xq[:, 0], xq[:, 1]), dtype=float)
-        rq = np.asarray(coeffs.reaction(xq[:, 0], xq[:, 1]), dtype=float)
-        wq = np.asarray(coeffs.weight(xq[:, 0], xq[:, 1]), dtype=float)
+        with np.errstate(all="ignore"):      # non-finite values are rejected below
+            dq = np.asarray(coeffs.diffusion(xq[:, 0], xq[:, 1]), dtype=float)
+            rq = np.asarray(coeffs.reaction(xq[:, 0], xq[:, 1]), dtype=float)
+            wq = np.asarray(coeffs.weight(xq[:, 0], xq[:, 1]), dtype=float)
         _check_coefficients(dq, rq, wq, xq)
         dq = 0.5 * (dq + dq.transpose(0, 2, 1))
         dsum += weights[q] * dq
@@ -218,17 +207,30 @@ def assemble_forms(mesh, coeffs, quad_order=2):
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
     k_full = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
     m_full = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    k_full = (k_full + k_full.T) * 0.5
-    m_full = (m_full + m_full.T) * 0.5
+    return (k_full + k_full.T) * 0.5, (m_full + m_full.T) * 0.5
 
+
+def assemble_forms(mesh, coeffs, quad_order=2):
+    """Assemble the stiffness/mass pencil of `mesh` for the given coefficients.
+
+    Parameters
+    ----------
+    mesh : Mesh
+    coeffs : CoefficientSet
+    quad_order : {2, 5}
+        Polynomial degree up to which the triangle Gauss rule is exact.
+
+    Returns
+    -------
+    AssembledForms
+    """
+    k_full, m_full = _assemble_full(mesh, coeffs, quad_order)
     free = np.flatnonzero(~mesh.boundary)
-    full_to_free = np.full(nv, -1, dtype=np.int64)
+    full_to_free = np.full(mesh.num_vertices, -1, dtype=np.int64)
     full_to_free[free] = np.arange(len(free))
     return AssembledForms(
         stiffness=k_full[free][:, free].tocsr(),
         mass=m_full[free][:, free].tocsr(),
-        stiffness_full=k_full,
-        mass_full=m_full,
         free_to_full=free,
         full_to_free=full_to_free,
         n_free=len(free),

@@ -9,7 +9,7 @@ eigenvalue).  ``solve`` writes ``<output>_levels.csv`` and
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +19,8 @@ from .expressions import ExpressionError, parse_expression
 from .linalg import SolverError
 from .mesh import (DEFAULT_VERTEX_CAP, MeshError, build_hierarchy, load_mesh,
                    unit_square_mesh)
-from .multilevel import (MultilevelError, SolveOptions, compare_with_direct,
-                         run_multilevel)
+from .multilevel import MultilevelError, SolveOptions, run_multilevel
+from .reference import compare_with_direct, evaluate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,7 +53,6 @@ class RunConfig:
     dense_cap: int = 3000
     max_vertices: int = DEFAULT_VERTEX_CAP
     compare_direct: bool = False
-    benchmark: bool = False
     bench_max_levels: int = 6
     output: str = "run"
     threads: int = 1
@@ -122,7 +121,6 @@ class RunConfig:
             quad_order=self.quad_order or None,
             dense_cap=self.dense_cap,
             solver_tol=self.solver_tol,
-            direct_tol=self.direct_tol,
             threads=self.threads,
         )
 
@@ -210,27 +208,22 @@ def _csv_header(m, compare):
     return ",".join(cols)
 
 
-def _csv_row(rec, m, direct_values=None, value_diffs=None):
-    cells = [_fmt(rec.level), _fmt(rec.h), _fmt(rec.n_free),
-             _fmt(rec.wall_time_assemble), _fmt(rec.wall_time_solve)]
-    for i in range(m):
-        cells += [_fmt(rec.eigenvalues[i]), _fmt(rec.eigenvalue_errors[i]),
-                  _fmt(rec.energy_errors[i])]
-    if direct_values is not None:
-        for i in range(m):
-            cells += [_fmt(direct_values[i]), _fmt(value_diffs[i])]
-    return ",".join(cells)
-
-
-def _write_csv(path, records, m, compare_data=None, aborted_level=None):
+def _write_csv(path, levels, m, record=None, comparison=None, aborted_level=None):
+    """Write one row per level; without an evaluated `record` (an aborted run)
+    the error cells read nan and the energy cells stay empty."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write(_csv_header(m, compare_data is not None) + "\n")
-        for k, rec in enumerate(records):
-            if compare_data is not None:
-                direct_values, value_diffs = compare_data[k]
-                f.write(_csv_row(rec, m, direct_values, value_diffs) + "\n")
-            else:
-                f.write(_csv_row(rec, m) + "\n")
+        f.write(_csv_header(m, comparison is not None) + "\n")
+        for k, rec in enumerate(levels):
+            errors = record.eigenvalue_errors[k] if record else np.full(m, np.nan)
+            energies = record.energy_errors[k] if record else [None] * m
+            cells = [rec.level, rec.h, rec.n_free, rec.wall_time_assemble,
+                     rec.wall_time_solve]
+            for i in range(m):
+                cells += [rec.eigenvalues[i], errors[i], energies[i]]
+            if comparison is not None:
+                for i in range(m):
+                    cells += [comparison.direct_values[k][i], comparison.value_diffs[k][i]]
+            f.write(",".join(_fmt(c) for c in cells) + "\n")
         if aborted_level is not None:
             f.write("# ABORTED level={}\n".format(aborted_level))
 
@@ -271,19 +264,16 @@ def cmd_solve(config):
     m = config.eigen_count
     csv_path = config.output + "_levels.csv"
     try:
-        if config.compare_direct:
-            comparison = compare_with_direct(hierarchy, coeffs, m, config.solve_options())
-            record = comparison.multilevel
-            compare_data = list(zip(comparison.direct_values, comparison.value_diffs))
-            _write_csv(csv_path, record.levels, m, compare_data)
-        else:
-            comparison = None
-            record = run_multilevel(hierarchy, coeffs, m, config.solve_options())
-            _write_csv(csv_path, record.levels, m)
+        levels = run_multilevel(hierarchy, coeffs, m, config.solve_options())
     except MultilevelError as exc:
         _write_csv(csv_path, exc.records, m, aborted_level=exc.level)
         print("error: {}".format(exc), file=sys.stderr)
         return EXIT_SOLVER, None
+    record = evaluate(hierarchy, coeffs, levels, direct_tol=config.direct_tol)
+    comparison = None
+    if config.compare_direct:
+        comparison = compare_with_direct(record, direct_tol=config.direct_tol)
+    _write_csv(csv_path, levels, m, record, comparison)
     _write_summary(config.output + "_summary.txt", config, record, comparison)
     return EXIT_OK, record
 
@@ -305,6 +295,7 @@ class WorkReport:
 def run_bench(config):
     """Benchmark sweep: depths 2..bench_max_levels on the same coarse mesh.
 
+    Only the solve (`run_multilevel`) is timed; no errors are evaluated.
     Every depth is run twice and the warm-up pass is discarded, so the
     recorded wall times do not carry first-touch allocation noise.
     """
@@ -313,15 +304,13 @@ def run_bench(config):
     options = config.solve_options()
     depths = list(range(2, config.bench_max_levels + 1))
     totals, finest = [], []
-    deepest = None
     for n in depths:
         hierarchy = _build_hierarchy(config, n)
         run_multilevel(hierarchy, coeffs, m, options)   # warm-up, discarded
         t0 = time.perf_counter()
-        record = run_multilevel(hierarchy, coeffs, m, options)
+        deepest = run_multilevel(hierarchy, coeffs, m, options)
         totals.append(time.perf_counter() - t0)
-        finest.append(record.levels[-1].n_free)
-        deepest = record
+        finest.append(deepest[-1].n_free)
     if len(depths) >= 3:
         logs = np.polyfit(np.log(finest), np.log(totals), 1, full=True)
         exponent = float(logs[0][0])
@@ -336,9 +325,8 @@ def run_bench(config):
         depths=depths,
         finest_sizes=finest,
         totals=totals,
-        level_sizes=[rec.n_free for rec in deepest.levels],
-        level_times=[(rec.wall_time_assemble, rec.wall_time_solve)
-                     for rec in deepest.levels],
+        level_sizes=[rec.n_free for rec in deepest],
+        level_times=[(rec.wall_time_assemble, rec.wall_time_solve) for rec in deepest],
         exponent=exponent,
         fit_residual=fit_residual,
         note=note,
@@ -399,8 +387,6 @@ def main(argv=None):
             return cmd_meshinfo(args.meshfile)
         config = parse_config(args.config, strict=args.strict)
         if args.command == "bench":
-            if not config.benchmark:
-                config = replace(config, benchmark=True)
             code, _ = cmd_bench(config)
         else:
             code, _ = cmd_solve(config)

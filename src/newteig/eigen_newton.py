@@ -1,13 +1,14 @@
-"""One Newton iteration step for eigenpairs on a refined space.
+"""One Newton iteration step for the first m eigenpairs on a refined space.
 
-The step solves the bordered saddle-point system
+For each previous eigenpair (mu_i, u_i), lifted into the refined space, the
+step solves the bordered saddle-point system
 
-    [[A - mu B, -B U0], [-(B U0)^T, 0]] (u, g) = (-mu B u0, -rhs)
+    [[A - mu_i B, -B U0], [-(B U0)^T, 0]] (w_i, g) = (-mu_i B u_i, -e_i)
 
-where (mu, u0) is the prolonged iterate from the coarser level, then
-b-normalizes and takes the Rayleigh quotient.  For several eigenpairs the m
-solutions span a trial space on which a small Rayleigh-Ritz problem produces
-the new b-orthonormal set.
+where the columns of U0 are all m lifted eigenvectors and e_i is the i-th
+unit vector.  The m solutions span a trial space on which a small
+Rayleigh-Ritz problem produces the new b-normalized, ascending set; for
+m = 1 that reduces to b-normalizing w_1 and taking its Rayleigh quotient.
 """
 
 import warnings
@@ -131,55 +132,29 @@ def _as_operator(prolong, n_fine, n_coarse):
     return prolong
 
 
-def newton_step_single(forms_fine, prev, prolong, tol=1e-10):
-    """One Newton iteration step for a single eigenpair.
-
-    Parameters
-    ----------
-    forms_fine : AssembledForms
-        Pencil on the refined space.
-    prev : Eigenpair
-        Iterate on the coarser space (b-normalized, value = its Rayleigh
-        quotient).
-    prolong : sparse matrix or None
-        Free-DOF prolongation from the coarse to the fine space (see
-        `assemble.free_prolongation`); None means identity (same space).
-    tol : float
-        Relative residual bound for the bordered solve.
-
-    Returns
-    -------
-    Eigenpair on the fine space.
-    """
-    op = _as_operator(prolong, forms_fine.n_free, prev.vector.shape[0])
-    u0 = op @ prev.vector
-    mass_u0 = forms_fine.mass @ u0
-    core = (forms_fine.stiffness - prev.value * forms_fine.mass).tocsr()
-    target = float(u0 @ mass_u0)
-
-    solution, _ = solve_bordered(BorderedMatrix(core, mass_u0[:, None]),
-                                 rhs_top=-prev.value * mass_u0,
-                                 rhs_bottom=np.array([target]), tol=tol)
-    _check_constraints(mass_u0[:, None], solution, np.array([target]))
-
-    vector = solution / b_norm(forms_fine, solution)
-    vector = canonical_sign(vector)
-    value = rayleigh_quotient(forms_fine, vector)
-    if value > prev.value * (1.0 + 1e-10):
-        warnings.warn("Rayleigh quotient rose from {:.12g} to {:.12g}; the coarse "
-                      "mesh is likely outside the basin of attraction".format(
-                          prev.value, value),
-                      BasinWarning, stacklevel=2)
-    return Eigenpair(value=value, vector=vector, level=prev.level + 1)
-
-
 def newton_step_multi(forms_fine, prev_set, prolong, threads=1, tol=1e-10):
     """One Newton iteration step for the first m eigenpairs.
 
     Each eigenpair gets its own bordered solve (independent, optionally
     threaded) constrained against all m previous eigenvectors; the m
     solutions then pass through a Rayleigh-Ritz projection that restores
-    b-orthonormality and ascending order.
+    b-orthonormality and ascending order.  Warns with `BasinWarning` when a
+    new eigenvalue lies above its predecessor.
+
+    Parameters
+    ----------
+    forms_fine : AssembledForms
+        Pencil on the refined space.
+    prev_set : EigenpairSet
+        Iterates on the coarser space (b-normalized, values = their Rayleigh
+        quotients).
+    prolong : sparse matrix or None
+        Free-DOF prolongation from the coarse to the fine space (see
+        `assemble.free_prolongation`); None means identity (same space).
+    threads : int
+        Worker threads for the m bordered solves.
+    tol : float
+        Relative residual bound for the bordered solves.
     """
     m = len(prev_set)
     op = _as_operator(prolong, forms_fine.n_free, prev_set.vectors.shape[0])
@@ -220,6 +195,12 @@ def newton_step_multi(forms_fine, prev_set, prolong, threads=1, tol=1e-10):
         pairs.append(Eigenpair(value=rayleigh_quotient(forms_fine, vector),
                                vector=vector, level=level))
     pairs.sort(key=lambda p: p.value)
+    for prev, new in zip(prev_set, pairs):
+        if new.value > prev.value * (1.0 + 1e-10):
+            warnings.warn("Rayleigh quotient rose from {:.12g} to {:.12g}; the coarse "
+                          "mesh is likely outside the basin of attraction".format(
+                              prev.value, new.value),
+                          BasinWarning, stacklevel=2)
     return EigenpairSet(pairs)
 
 

@@ -116,8 +116,8 @@ def dense_gen_eig(a, b):
     Raises
     ------
     SolverError
-        If `b` is not positive definite (its Cholesky factorization fails),
-        which for assembled pencils signals a mass-matrix bug.
+        If `b` is not positive definite (`scipy.linalg.eigh` cannot factor
+        it), which for assembled pencils signals a mass-matrix bug.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -128,39 +128,7 @@ def dense_gen_eig(a, b):
     if np.abs(b - b.T).max() > 1e-10 * scale_b:
         raise ValueError("matrix b is not symmetric")
     try:
-        np.linalg.cholesky(b)
+        return scipy.linalg.eigh(0.5 * (a + a.T), 0.5 * (b + b.T))
     except np.linalg.LinAlgError as exc:
         raise SolverError("b is not positive definite (mass matrix bug?)") from exc
-    values, vectors = scipy.linalg.eigh(0.5 * (a + a.T), 0.5 * (b + b.T))
-    return values, vectors
 
-
-def solve_spd(matrix, rhs, tol=1e-10, maxiter=None):
-    """Solve an SPD system by conjugate gradients, verifying the residual.
-
-    Raises
-    ------
-    SolverError
-        On non-convergence, carrying the iteration count.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
-        return np.zeros_like(rhs)
-    n = matrix.shape[0]
-    if maxiter is None:
-        maxiter = 20 * n + 1000
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    x, info = spla.cg(matrix, rhs, rtol=0.1 * tol, atol=0.0, maxiter=maxiter,
-                      callback=count)
-    residual = float(np.linalg.norm(matrix @ x - rhs)) / rhs_norm
-    if info != 0 or residual > tol:
-        raise SolverError("conjugate gradients did not reach {:.1e} after {} "
-                          "iterations (residual {:.3e})".format(tol, iterations, residual),
-                          residual=residual, iterations=iterations)
-    return x

@@ -162,22 +162,6 @@ class Prolongation:
             raise MeshError("prolongation row sums must equal 1")
         self.matrix = matrix
 
-    @property
-    def coarse_dim(self):
-        return self.matrix.shape[1]
-
-    @property
-    def fine_dim(self):
-        return self.matrix.shape[0]
-
-    def apply(self, coarse_values):
-        """Map nodal values on the coarse mesh to nodal values on the fine mesh."""
-        coarse_values = np.asarray(coarse_values, dtype=float)
-        if coarse_values.shape[0] != self.coarse_dim:
-            raise ValueError("expected {} coarse values, got {}".format(
-                self.coarse_dim, coarse_values.shape[0]))
-        return self.matrix @ coarse_values
-
 
 def unit_square_mesh(h):
     """Structured criss-cross triangulation of the unit square.

@@ -1,16 +1,11 @@
 """Multilevel driver: coarse eigensolve, one Newton step per refinement level."""
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
-import numpy as np
-
-from . import reference
-from .assemble import (a_norm, assemble_forms, energy_error_vs_exact,
-                       free_prolongation, interpolate, rayleigh_quotient)
-from .eigen_newton import (EigenpairSet, coarse_solve, newton_step_multi,
-                           newton_step_single)
+from .assemble import AssembledForms, assemble_forms, free_prolongation
+from .eigen_newton import EigenpairSet, coarse_solve, newton_step_multi
 
 
 class MultilevelError(Exception):
@@ -30,10 +25,7 @@ class SolveOptions:
     quad_order: Optional[int] = None         # None: 2 for laplace, else 5
     dense_cap: int = 3000
     solver_tol: float = 1e-10
-    direct_tol: float = 1e-12
     threads: int = 1
-    reference_values: Optional[Sequence[float]] = None
-    energy_errors: bool = True
 
     def effective_quad_order(self, coeffs):
         if self.quad_order is not None:
@@ -43,53 +35,19 @@ class SolveOptions:
 
 @dataclass
 class LevelRecord:
-    """Per-level diagnostics of one multilevel run."""
+    """One level of a multilevel run: the eigenpairs, their pencil and timings."""
 
     level: int
     h: float
     n_free: int
-    eigenvalues: np.ndarray
-    eigenvalue_errors: np.ndarray
-    energy_errors: list                      # float or None per eigenvalue
+    pairs: EigenpairSet
+    forms: AssembledForms
     wall_time_assemble: float
     wall_time_solve: float
 
-
-@dataclass
-class ConvergenceRecord:
-    """All level records of a run plus the fitted convergence orders."""
-
-    levels: list
-    observed_orders: list                    # slope of log(err) vs log(h), per eigenvalue
-    energy_orders: list                      # same for energy errors (None if unavailable)
-    final_pairs: object
-    reference_values: np.ndarray
-    m: int
-    preset: str
-    aux: dict = field(default_factory=dict)
-
-
-@dataclass
-class ComparisonRecord:
-    """Multilevel run paired with per-level direct solves on the same pencils."""
-
-    multilevel: ConvergenceRecord
-    direct_values: list                      # (m,) array per level
-    value_diffs: list                        # |lambda_ml - lambda_dir| per level
-    energy_diffs: list                       # sign-aligned a-norm diffs (None for clusters)
-    direct_errors: list                      # |lambda_dir - reference| per level
-
-
-def _fit_order(hs, errors):
-    """Least-squares slope of log(error) against log(h) over the last 3 levels."""
-    pts = [(h, e) for h, e in zip(hs, errors)
-           if e is not None and np.isfinite(e) and e > 0]
-    pts = pts[-3:]
-    if len(pts) < 2:
-        return float("nan")
-    x = np.log([p[0] for p in pts])
-    y = np.log([p[1] for p in pts])
-    return float(np.polyfit(x, y, 1)[0])
+    @property
+    def eigenvalues(self):
+        return self.pairs.values
 
 
 def _assemble_all(hierarchy, coeffs, quad_order):
@@ -102,63 +60,41 @@ def _assemble_all(hierarchy, coeffs, quad_order):
     return forms, times
 
 
-def _reference_values(forms, coeffs, m, options):
-    """Per-eigenvalue reference: exact for the laplace preset, Richardson
-    extrapolation of the two finest direct solves otherwise."""
-    if options.reference_values is not None:
-        ref = np.asarray(options.reference_values, dtype=float)
-        if ref.shape != (m,):
-            raise ValueError("expected {} reference values".format(m))
-        return ref
-    if coeffs.preset == "laplace":
-        return np.array([e.value for e in reference.exact_laplace(m)])
-    if len(forms) < 2:
-        return np.full(m, np.nan)
-    coarse = reference.direct_solve(forms[-2], m, tol=options.direct_tol).values
-    fine = reference.direct_solve(forms[-1], m, tol=options.direct_tol).values
-    return reference.richardson(coarse, fine)
-
-
-def _energy_error_entries(pairs, forms, mesh, coeffs, m, enabled):
-    """Energy errors against exact eigenfunctions; simple laplace modes only."""
-    entries = [None] * m
-    if not enabled or coeffs.preset != "laplace":
-        return entries
-    modes = reference.exact_laplace(m)
-    for i, mode in enumerate(modes):
-        if reference.exact_multiplicity(i, m) != 1:
-            continue
-        entries[i] = energy_error_vs_exact(forms, mesh, pairs[i].vector,
-                                           mode.eigenfunction, mode.gradient)
-    return entries
-
-
 def run_multilevel(hierarchy, coeffs, m=1, options=None):
     """Run the full multilevel Newton iteration over a mesh hierarchy.
 
     Assembles every level, solves the coarse eigenvalue problem once, then
-    performs exactly one Newton step per refinement level.  Steps raise
-    `MultilevelError` carrying the failing level and the records produced
-    so far.
+    performs exactly one Newton step per refinement level.  Errors are not
+    evaluated here (see `reference.evaluate`).
 
     Parameters
     ----------
     hierarchy : MeshHierarchy
     coeffs : CoefficientSet
     m : int
-        Number of eigenpairs to track.
+        Number of eigenpairs to track, at most the coarse free-DOF count.
     options : SolveOptions, optional
 
     Returns
     -------
-    ConvergenceRecord
+    list of LevelRecord, coarsest first
+
+    Raises
+    ------
+    ValueError
+        If `m` is outside 1..n_free of the coarse level.
+    MultilevelError
+        If a level fails; carries the failing level and the records
+        produced so far.
     """
     options = options or SolveOptions()
     quad_order = options.effective_quad_order(coeffs)
     forms, assemble_times = _assemble_all(hierarchy, coeffs, quad_order)
+    if not 1 <= m <= forms[0].n_free:
+        raise ValueError("eigen_count must be between 1 and the {} free DOFs of the "
+                         "coarse mesh, got {}".format(forms[0].n_free, m))
 
     records = []
-    per_level_pairs = []
     pairs = None
     for k in range(len(hierarchy)):
         t0 = time.perf_counter()
@@ -168,13 +104,9 @@ def run_multilevel(hierarchy, coeffs, m=1, options=None):
             else:
                 prolong = free_prolongation(hierarchy.prolongations[k - 1],
                                             forms[k - 1], forms[k])
-                if m == 1:
-                    pairs = EigenpairSet([newton_step_single(
-                        forms[k], pairs[0], prolong, tol=options.solver_tol)])
-                else:
-                    pairs = newton_step_multi(forms[k], pairs, prolong,
-                                              threads=options.threads,
-                                              tol=options.solver_tol)
+                pairs = newton_step_multi(forms[k], pairs, prolong,
+                                          threads=options.threads,
+                                          tol=options.solver_tol)
         except Exception as exc:
             raise MultilevelError(k, exc, records) from exc
         solve_time = time.perf_counter() - t0
@@ -182,81 +114,9 @@ def run_multilevel(hierarchy, coeffs, m=1, options=None):
             level=k,
             h=hierarchy.levels[k].max_diameter(),
             n_free=forms[k].n_free,
-            eigenvalues=pairs.values,
-            eigenvalue_errors=np.full(m, np.nan),
-            energy_errors=[None] * m,
+            pairs=pairs,
+            forms=forms[k],
             wall_time_assemble=assemble_times[k],
             wall_time_solve=solve_time,
         ))
-        per_level_pairs.append(pairs)
-
-    ref = _reference_values(forms, coeffs, m, options)
-    for k, rec in enumerate(records):
-        rec.eigenvalue_errors = np.abs(rec.eigenvalues - ref)
-        rec.energy_errors = _energy_error_entries(per_level_pairs[k], forms[k],
-                                                  hierarchy.levels[k], coeffs, m,
-                                                  options.energy_errors)
-
-    hs = [r.h for r in records]
-    orders = [_fit_order(hs, [r.eigenvalue_errors[i] for r in records])
-              for i in range(m)]
-    energy_orders = [_fit_order(hs, [r.energy_errors[i] for r in records])
-                     for i in range(m)]
-    return ConvergenceRecord(
-        levels=records,
-        observed_orders=orders,
-        energy_orders=energy_orders,
-        final_pairs=pairs,
-        reference_values=ref,
-        m=m,
-        preset=coeffs.preset,
-        aux={"forms": forms, "per_level_pairs": per_level_pairs},
-    )
-
-
-def compare_with_direct(hierarchy, coeffs, m=1, options=None):
-    """Run the multilevel pipeline and per-level direct solves side by side.
-
-    Returns value differences for every eigenvalue and sign-aligned energy
-    (a-norm) vector differences for eigenvalues that are simple (vector
-    comparisons inside a degenerate cluster are basis-dependent and skipped).
-    """
-    options = options or SolveOptions()
-    record = run_multilevel(hierarchy, coeffs, m, options)
-    forms = record.aux["forms"]
-    per_level_pairs = record.aux["per_level_pairs"]
-
-    direct_values = []
-    value_diffs = []
-    energy_diffs = []
-    direct_errors = []
-    for k, rec in enumerate(record.levels):
-        if k == 0:
-            # identical dense solve; reuse it so the coarse level is bit-equal
-            direct = per_level_pairs[0]
-        else:
-            direct = reference.direct_solve(forms[k], m, tol=options.direct_tol)
-        direct_values.append(direct.values)
-        value_diffs.append(np.abs(rec.eigenvalues - direct.values))
-        direct_errors.append(np.abs(direct.values - record.reference_values))
-        diffs = [None] * m
-        for i in range(m):
-            if coeffs.preset == "laplace":
-                simple = reference.exact_multiplicity(i, m) == 1
-            else:
-                simple = i == 0  # the first elliptic eigenvalue is always simple
-            if not simple:
-                continue
-            u_ml = per_level_pairs[k][i].vector
-            u_dir = direct[i].vector
-            if float(u_ml @ (forms[k].mass @ u_dir)) < 0:
-                u_dir = -u_dir
-            diffs[i] = a_norm(forms[k], u_ml - u_dir)
-        energy_diffs.append(diffs)
-    return ComparisonRecord(
-        multilevel=record,
-        direct_values=direct_values,
-        value_diffs=value_diffs,
-        energy_diffs=energy_diffs,
-        direct_errors=direct_errors,
-    )
+    return records

@@ -1,5 +1,5 @@
-"""Reference solutions: per-level direct eigensolves, exact unit-square modes,
-and Richardson extrapolation."""
+"""Evaluation of multilevel runs against reference solutions: per-level direct
+eigensolves, exact unit-square modes and Richardson extrapolation."""
 
 import math
 from dataclasses import dataclass
@@ -8,6 +8,7 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.sparse import linalg as spla
 
+from .assemble import a_norm, energy_error_vs_exact
 from .eigen_newton import Eigenpair, EigenpairSet, canonical_sign
 from .linalg import SolverError, dense_gen_eig
 
@@ -150,3 +151,140 @@ def _as_pairs(values, vectors, level=0):
     pairs = [Eigenpair(value=float(v), vector=canonical_sign(vectors[:, i]), level=level)
              for i, v in enumerate(values)]
     return EigenpairSet(pairs)
+
+
+@dataclass
+class ConvergenceRecord:
+    """Level records of a run with their errors and fitted convergence orders."""
+
+    levels: list                             # LevelRecord per level, coarsest first
+    eigenvalue_errors: list                  # |lambda - reference|, (m,) array per level
+    energy_errors: list                      # float or None per eigenvalue, per level
+    observed_orders: list                    # slope of log(err) vs log(h), per eigenvalue
+    energy_orders: list                      # same for energy errors (nan if unavailable)
+    reference_values: np.ndarray
+    m: int
+    preset: str
+
+
+@dataclass
+class ComparisonRecord:
+    """Evaluated run paired with per-level direct solves on the same pencils."""
+
+    multilevel: ConvergenceRecord
+    direct_values: list                      # (m,) array per level
+    value_diffs: list                        # |lambda_ml - lambda_dir| per level
+    energy_diffs: list                       # sign-aligned a-norm diffs (None for clusters)
+
+
+def _fit_order(hs, errors):
+    """Least-squares slope of log(error) against log(h) over the last 3 levels."""
+    pts = [(h, e) for h, e in zip(hs, errors)
+           if e is not None and np.isfinite(e) and e > 0]
+    pts = pts[-3:]
+    if len(pts) < 2:
+        return float("nan")
+    x = np.log([p[0] for p in pts])
+    y = np.log([p[1] for p in pts])
+    return float(np.polyfit(x, y, 1)[0])
+
+
+def _reference_values(levels, preset, m, direct_tol):
+    """Per-eigenvalue reference: exact for the laplace preset, Richardson
+    extrapolation of the two finest direct solves otherwise."""
+    if preset == "laplace":
+        return np.array([e.value for e in exact_laplace(m)])
+    if len(levels) < 2:
+        return np.full(m, np.nan)
+    coarse = direct_solve(levels[-2].forms, m, tol=direct_tol).values
+    fine = direct_solve(levels[-1].forms, m, tol=direct_tol).values
+    return richardson(coarse, fine)
+
+
+def _energy_error_entries(record, mesh, preset, m):
+    """Energy errors against exact eigenfunctions; simple laplace modes only."""
+    entries = [None] * m
+    if preset != "laplace":
+        return entries
+    for i, mode in enumerate(exact_laplace(m)):
+        if exact_multiplicity(i, m) != 1:
+            continue
+        entries[i] = energy_error_vs_exact(record.forms, mesh, record.pairs[i].vector,
+                                           mode.eigenfunction, mode.gradient)
+    return entries
+
+
+def evaluate(hierarchy, coeffs, levels, direct_tol=1e-12):
+    """Errors and observed convergence orders of a finished multilevel run.
+
+    Parameters
+    ----------
+    hierarchy : MeshHierarchy
+        The hierarchy `levels` was solved on.
+    coeffs : CoefficientSet
+    levels : list of LevelRecord
+        The output of `multilevel.run_multilevel`.
+    direct_tol : float
+        Tolerance of the direct solves behind Richardson references.
+
+    Returns
+    -------
+    ConvergenceRecord
+    """
+    m = len(levels[0].pairs)
+    ref = _reference_values(levels, coeffs.preset, m, direct_tol)
+    errors = [np.abs(rec.eigenvalues - ref) for rec in levels]
+    energies = [_energy_error_entries(rec, hierarchy.levels[k], coeffs.preset, m)
+                for k, rec in enumerate(levels)]
+    hs = [rec.h for rec in levels]
+    return ConvergenceRecord(
+        levels=levels,
+        eigenvalue_errors=errors,
+        energy_errors=energies,
+        observed_orders=[_fit_order(hs, [e[i] for e in errors]) for i in range(m)],
+        energy_orders=[_fit_order(hs, [e[i] for e in energies]) for i in range(m)],
+        reference_values=ref,
+        m=m,
+        preset=coeffs.preset,
+    )
+
+
+def compare_with_direct(record, direct_tol=1e-12):
+    """Pair an evaluated run with per-level direct solves on the same pencils.
+
+    Returns value differences for every eigenvalue and sign-aligned energy
+    (a-norm) vector differences for eigenvalues that are simple (vector
+    comparisons inside a degenerate cluster are basis-dependent and skipped).
+    """
+    m = record.m
+    direct_values = []
+    value_diffs = []
+    energy_diffs = []
+    for k, rec in enumerate(record.levels):
+        if k == 0:
+            # identical dense solve; reuse it so the coarse level is bit-equal
+            direct = rec.pairs
+        else:
+            direct = direct_solve(rec.forms, m, tol=direct_tol)
+        direct_values.append(direct.values)
+        value_diffs.append(np.abs(rec.eigenvalues - direct.values))
+        diffs = [None] * m
+        for i in range(m):
+            if record.preset == "laplace":
+                simple = exact_multiplicity(i, m) == 1
+            else:
+                simple = i == 0  # the first elliptic eigenvalue is always simple
+            if not simple:
+                continue
+            u_ml = rec.pairs[i].vector
+            u_dir = direct[i].vector
+            if float(u_ml @ (rec.forms.mass @ u_dir)) < 0:
+                u_dir = -u_dir
+            diffs[i] = a_norm(rec.forms, u_ml - u_dir)
+        energy_diffs.append(diffs)
+    return ComparisonRecord(
+        multilevel=record,
+        direct_values=direct_values,
+        value_diffs=value_diffs,
+        energy_diffs=energy_diffs,
+    )

@@ -22,9 +22,8 @@ from scipy import sparse as sp
 import newteig as nt
 from newteig.assemble import b_norm, free_prolongation, interpolate, rayleigh_quotient
 from newteig.cli import RunConfig, run_bench
-from newteig.eigen_newton import ClusterGapWarning, Eigenpair
+from newteig.eigen_newton import ClusterGapWarning, Eigenpair, EigenpairSet
 from newteig.linalg import BorderedMatrix, dense_gen_eig, solve_bordered
-from newteig.multilevel import SolveOptions
 from newteig.reference import direct_solve, exact_laplace
 
 EXACT = np.array([e.value for e in exact_laplace(6)])
@@ -41,10 +40,15 @@ def laplace_hierarchy():
     return nt.build_hierarchy(nt.unit_square_mesh(1 / 6), 4)
 
 
+def solve_and_evaluate(hierarchy, coeffs, m):
+    return nt.evaluate(hierarchy, coeffs, nt.run_multilevel(hierarchy, coeffs, m))
+
+
 @pytest.fixture(scope="module")
 def laplace_compare(laplace_hierarchy):
     t0 = time.perf_counter()
-    comparison = nt.compare_with_direct(laplace_hierarchy, nt.laplace_coefficients(), 1)
+    record = solve_and_evaluate(laplace_hierarchy, nt.laplace_coefficients(), 1)
+    comparison = nt.compare_with_direct(record)
     return comparison, time.perf_counter() - t0
 
 
@@ -52,12 +56,13 @@ def laplace_compare(laplace_hierarchy):
 def laplace_run_m6(laplace_hierarchy):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ClusterGapWarning)
-        return nt.run_multilevel(laplace_hierarchy, nt.laplace_coefficients(), 6)
+        return solve_and_evaluate(laplace_hierarchy, nt.laplace_coefficients(), 6)
 
 
 @pytest.fixture(scope="module")
 def example2_compare(laplace_hierarchy):
-    return nt.compare_with_direct(laplace_hierarchy, nt.example2_coefficients(), 6)
+    record = solve_and_evaluate(laplace_hierarchy, nt.example2_coefficients(), 6)
+    return nt.compare_with_direct(record)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +86,7 @@ def test_criterion_1_laplace_convergence(laplace_compare):
 def test_criterion_2_multilevel_equals_direct(laplace_compare, laplace_hierarchy):
     comparison, _ = laplace_compare
     record = comparison.multilevel
-    forms = record.aux["forms"][-1]
+    forms = record.levels[-1].forms
 
     value_gap = comparison.value_diffs[-1][0]
     direct_error = abs(comparison.direct_values[-1][0] - FIRST)
@@ -105,9 +110,8 @@ def test_criterion_2_multilevel_equals_direct(laplace_compare, laplace_hierarchy
 def test_criterion_3_six_eigenvalues(laplace_run_m6):
     record = laplace_run_m6
     orders = np.array(record.observed_orders)
-    finest = record.levels[-1]
-    errors = finest.eigenvalue_errors
-    values = finest.eigenvalues
+    errors = record.eigenvalue_errors[-1]
+    values = record.levels[-1].eigenvalues
     pair_ok = (abs(values[1] - values[2]) <= 2 * max(errors[1], errors[2])
                and abs(values[4] - values[5]) <= 2 * max(errors[4], errors[5]))
     orders_ok = np.all(np.abs(orders - 2.0) <= 0.3)
@@ -137,10 +141,15 @@ def lifted_without_correction(forms_fine, prev, prolong):
                      level=prev.level + 1)
 
 
+def newton_step(forms_fine, prev, prolong):
+    """The Newton step for one eigenpair, through the m-pair step."""
+    return nt.newton_step_multi(forms_fine, EigenpairSet([prev]), prolong)[0]
+
+
 def newton_step_perturbed_shift(forms_fine, prev, prolong):
     """Not a Newton step: the bordered solve with its shift mu raised by 1%."""
     shifted = Eigenpair(value=1.01 * prev.value, vector=prev.vector, level=prev.level)
-    return nt.newton_step_single(forms_fine, shifted, prolong)
+    return newton_step(forms_fine, shifted, prolong)
 
 
 @pytest.fixture(scope="module")
@@ -217,8 +226,7 @@ def test_criterion_5_quadratic_contraction(contraction_references):
     #     bound holds with a level-independent constant);
     # (c) the contraction factor e_new / ||e||_a at least halves per level,
     #     as quadratic convergence with ||e||_a ~ h requires.
-    quadratic, sharp, factor = measure_contraction(contraction_references,
-                                                   nt.newton_step_single)
+    quadratic, sharp, factor = measure_contraction(contraction_references, newton_step)
     clauses, spread = contraction_clauses(quadratic, sharp, factor)
     for k, row in enumerate(zip(quadratic, sharp, factor), start=1):
         print("  level {}: e_new/||e||_a^2 = {:.3e}, e_new/(|dlam| ||e||_b + "

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from newteig.assemble import (AssemblyError, CoefficientSet, a_norm,
+from newteig.assemble import (AssemblyError, CoefficientSet, _assemble_full, a_norm,
                               assemble_forms, b_norm, energy_error_vs_exact,
                               example2_coefficients, free_prolongation,
                               interpolate, laplace_coefficients,
@@ -52,41 +52,41 @@ def sympy_element_matrices():
 
 
 def test_element_stiffness_unit_right_triangle():
-    forms = assemble_forms(single_triangle_mesh(), laplace_coefficients())
+    stiffness, _ = _assemble_full(single_triangle_mesh(), laplace_coefficients(), 2)
     expected = 0.5 * np.array([[2.0, -1.0, -1.0],
                                [-1.0, 1.0, 0.0],
                                [-1.0, 0.0, 1.0]])
-    assert_allclose(forms.stiffness_full.toarray(), expected, rtol=0, atol=1e-14)
+    assert_allclose(stiffness.toarray(), expected, rtol=0, atol=1e-14)
     oracle_k, _ = sympy_element_matrices()
     assert_allclose(expected, oracle_k, rtol=0, atol=1e-15)
 
 
 def test_element_mass_matches_exact_integration():
-    forms = assemble_forms(single_triangle_mesh(), laplace_coefficients())
+    _, mass = _assemble_full(single_triangle_mesh(), laplace_coefficients(), 2)
     area = 0.5
     expected = (area / 12.0) * np.array([[2.0, 1.0, 1.0],
                                          [1.0, 2.0, 1.0],
                                          [1.0, 1.0, 2.0]])
-    assert_allclose(forms.mass_full.toarray(), expected, rtol=0, atol=1e-15)
+    assert_allclose(mass.toarray(), expected, rtol=0, atol=1e-15)
     _, oracle_m = sympy_element_matrices()
     assert_allclose(expected, oracle_m, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("h", [1.0, 1 / 2, 1 / 5])
 def test_mass_sums_to_domain_area(h):
-    forms = assemble_forms(unit_square_mesh(h), laplace_coefficients())
-    assert abs(forms.mass_full.sum() - 1.0) <= 1e-12
+    _, mass = _assemble_full(unit_square_mesh(h), laplace_coefficients(), 2)
+    assert abs(mass.sum() - 1.0) <= 1e-12
 
 
 def test_example2_mass_sums_to_weight_integral():
     # integral of 1 + (x-1/2)(y-1/2) over the unit square is exactly 1
-    forms = assemble_forms(unit_square_mesh(1 / 6), example2_coefficients(), quad_order=5)
-    assert abs(forms.mass_full.sum() - 1.0) <= 1e-12
+    _, mass = _assemble_full(unit_square_mesh(1 / 6), example2_coefficients(), 5)
+    assert abs(mass.sum() - 1.0) <= 1e-12
 
 
 def test_stiffness_row_sums_vanish_without_reaction():
-    forms = assemble_forms(unit_square_mesh(1 / 4), laplace_coefficients())
-    rows = np.asarray(forms.stiffness_full.sum(axis=1)).ravel()
+    stiffness, _ = _assemble_full(unit_square_mesh(1 / 4), laplace_coefficients(), 2)
+    rows = np.asarray(stiffness.sum(axis=1)).ravel()
     assert np.abs(rows).max() <= 1e-13
 
 
@@ -144,6 +144,22 @@ def test_rejects_nonpositive_weight():
         assemble_forms(unit_square_mesh(1 / 2), bad)
 
 
+@pytest.mark.parametrize("name", ["reaction", "weight"])
+def test_rejects_non_finite_coefficients(name):
+    # 0/0 gives nan and 1/0 gives inf; both fail no sign test, so they need
+    # a finiteness check of their own
+    values = {"reaction": lambda x, y: 0.0 / (x - x),      # phi = 0/(x1-x1)
+              "weight": lambda x, y: 1.0 / (x - x)}        # rho = 1/(x1-x1)
+    good = laplace_coefficients()
+    bad = CoefficientSet(
+        diffusion=good.diffusion,
+        reaction=values["reaction"] if name == "reaction" else good.reaction,
+        weight=values["weight"] if name == "weight" else good.weight)
+    with pytest.raises(AssemblyError, match=name + " coefficient is not finite at "
+                       "quadrature point"):
+        assemble_forms(unit_square_mesh(1 / 2), bad)
+
+
 def test_rayleigh_quotient_of_eigenvector():
     forms = assemble_forms(unit_square_mesh(1 / 6), laplace_coefficients())
     values, vectors = dense_gen_eig(forms.stiffness.toarray(), forms.mass.toarray())
@@ -194,7 +210,7 @@ def test_interpolate_zero_and_affine_commute():
     f = lambda x, y: 1.5 * x - 0.25 * y + 0.75
     # prolongating the full nodal interpolant reproduces the fine interpolant,
     # and its free-DOF restriction is exactly interpolate() on the fine mesh
-    prolonged = prolong.apply(f(mesh.vertices[:, 0], mesh.vertices[:, 1]))
+    prolonged = prolong.matrix @ f(mesh.vertices[:, 0], mesh.vertices[:, 1])
     fine_free = np.flatnonzero(~fine.boundary)
     assert_allclose(prolonged[fine_free], interpolate(f, fine), atol=1e-13)
 

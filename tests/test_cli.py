@@ -7,6 +7,7 @@ import pytest
 from scipy.sparse.linalg import splu
 
 import newteig.multilevel
+import newteig.reference
 from newteig.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, ConfigError,
                          RunConfig, cmd_bench, cmd_solve, main, parse_config,
                          run_bench)
@@ -167,15 +168,33 @@ def test_solve_aborts_with_partial_csv(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise SolverError("synthetic failure")
 
-    monkeypatch.setattr(newteig.multilevel, "newton_step_single", boom)
+    monkeypatch.setattr(newteig.multilevel, "newton_step_multi", boom)
     config = parse_config(write_config(
         tmp_path, "mesh_h = 1/4\nlevels = 3\noutput = {}\n".format(tmp_path / "abort")))
     code, record = cmd_solve(config)
     assert code == EXIT_SOLVER
     text = (tmp_path / "abort_levels.csv").read_text()
     assert text.rstrip().endswith("# ABORTED level=1")
-    _, rows = read_csv(tmp_path / "abort_levels.csv")
+    header, rows = read_csv(tmp_path / "abort_levels.csv")
     assert len(rows) == 1      # the coarse level was flushed
+    # an aborted run is not evaluated: no error against a reference
+    assert math.isnan(float(rows[0][header.index("err_lambda_1")]))
+    assert rows[0][header.index("err_energy_1")] == ""
+
+
+def test_solver_runs_no_reference_solves(monkeypatch):
+    import newteig as nt
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the solver called reference.direct_solve")
+
+    monkeypatch.setattr(newteig.reference, "direct_solve", forbidden)
+    hier = nt.build_hierarchy(unit_square_mesh(1 / 4), 3)
+    levels = nt.run_multilevel(hier, nt.example2_coefficients(), 2)
+    assert len(levels) == 3
+    report = run_bench(RunConfig(problem="example2", mesh_h=1 / 4, eigen_count=2,
+                                 bench_max_levels=3, output="unused"))
+    assert report.depths == [2, 3]
 
 
 def test_bench_two_depths_skips_fit(tmp_path):
@@ -197,6 +216,7 @@ def test_bench_work_ratios_with_min_timing():
     # measures 6.8, 6.0 and 5.9 here.  Wall-clock ratios are printed only.
     import newteig as nt
     from newteig.assemble import free_prolongation
+    from newteig.eigen_newton import EigenpairSet
     from newteig.linalg import BorderedMatrix
 
     hier = nt.build_hierarchy(unit_square_mesh(1 / 6), 6)
@@ -211,7 +231,7 @@ def test_bench_work_ratios_with_min_timing():
         lu = splu(bordered.assembled())
         work.append(lu.L.nnz + lu.U.nnz)
         t0 = time.perf_counter()
-        prev = nt.newton_step_single(forms[k], prev, op)
+        prev = nt.newton_step_multi(forms[k], EigenpairSet([prev]), op)[0]
         times.append(time.perf_counter() - t0)
     # W_k is the step work onto 1-based level k; constrain W_{k+1}/W_k, k >= 3
     ratios = [work[i + 1] / work[i] for i in range(1, 4)]
@@ -233,6 +253,27 @@ def test_main_exit_codes(tmp_path):
         tmp_path / "uk"), "unknown.cfg")
     assert main(["--strict", "solve", str(unknown)]) == EXIT_CONFIG
     assert main(["solve", str(unknown)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("line", [
+    "a11 = -1", "a12 = 5", "rho = 0*x1 - 1", "rho = 1/(x1-x1)", "phi = 0/(x1-x1)"])
+def test_main_bad_coefficients_exit_config(tmp_path, capsys, line):
+    path = write_config(tmp_path, "problem = custom\nmesh_h = 1/4\nlevels = 2\n"
+                        "{}\noutput = {}\n".format(line, tmp_path / "bad"))
+    assert main(["solve", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "quadrature point" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_main_eigen_count_above_coarse_space_exit_config(tmp_path, capsys):
+    path = write_config(tmp_path, "mesh_h = 1/2\neigen_count = 2\noutput = {}\n".format(
+        tmp_path / "big"))
+    assert main(["solve", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "free DOFs" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "big_levels.csv").exists()
 
 
 def test_main_meshinfo(tmp_path, capsys):

@@ -9,12 +9,17 @@ from newteig.assemble import (assemble_forms, b_norm, free_prolongation,
                               laplace_coefficients, rayleigh_quotient)
 from newteig.eigen_newton import (BasinWarning, ClusterGapWarning, Eigenpair,
                                   EigenpairSet, coarse_solve, newton_step_multi,
-                                  newton_step_single, rayleigh_expansion_check)
+                                  rayleigh_expansion_check)
 from newteig.linalg import SolverError
 from newteig.mesh import build_hierarchy, refine_regular, unit_square_mesh
 from newteig.reference import direct_solve, exact_laplace
 
 EXACT = [e.value for e in exact_laplace(8)]
+
+
+def newton_step(forms_fine, prev, prolong):
+    """The Newton step for one eigenpair, through the m-pair step."""
+    return newton_step_multi(forms_fine, EigenpairSet([prev]), prolong)[0]
 
 
 def forms_for(h, coeffs=None):
@@ -76,8 +81,7 @@ def test_coarse_solve_warns_on_cluster_split():
 
     diag = sp.diags([1.0, 2.0, 2.0, 3.0]).tocsr()
     eye = sp.identity(4, format="csr")
-    forms = AssembledForms(stiffness=diag, mass=eye, stiffness_full=diag,
-                           mass_full=eye, free_to_full=np.arange(4),
+    forms = AssembledForms(stiffness=diag, mass=eye, free_to_full=np.arange(4),
                            full_to_free=np.arange(4), n_free=4,
                            coeffs=laplace_coefficients(), quad_order=2)
     with pytest.warns(ClusterGapWarning):
@@ -87,7 +91,7 @@ def test_coarse_solve_warns_on_cluster_split():
 def test_newton_fixed_point_single():
     _, ff, _ = two_level(1 / 4)
     pair = direct_solve(ff, 1)[0]
-    stepped = newton_step_single(ff, pair, None)
+    stepped = newton_step(ff, pair, None)
     assert abs(stepped.value - pair.value) <= 1e-9
     assert np.abs(stepped.vector - pair.vector).max() <= 1e-9
 
@@ -103,7 +107,7 @@ def test_newton_two_steps_error_decay():
     errors = [prev.value - EXACT[0]]
     for k in (1, 2):
         op = free_prolongation(hier.prolongations[k - 1], forms[k - 1], forms[k])
-        new = newton_step_single(forms[k], prev, op)
+        new = newton_step(forms[k], prev, op)
         direct = direct_solve(forms[k], 1)[0].value
         gaps.append(abs(new.value - direct))
         errors.append(new.value - EXACT[0])
@@ -122,7 +126,7 @@ def test_newton_contraction_constant_bounded():
     constants = []
     for k in (1, 2, 3):
         op = free_prolongation(hier.prolongations[k - 1], forms[k - 1], forms[k])
-        new = newton_step_single(forms[k], prev, op)
+        new = newton_step(forms[k], prev, op)
         ubar = direct_solve(forms[k], 1)[0].vector
         lifted = op @ prev.vector
         if float(lifted @ (forms[k].mass @ ubar)) < 0:
@@ -140,13 +144,13 @@ def test_newton_contraction_constant_bounded():
 def test_newton_single_invariants():
     cf, ff, op = two_level(1 / 4)
     prev = coarse_solve(cf, 1)[0]
-    new = newton_step_single(ff, prev, op)
+    new = newton_step(ff, prev, op)
     new.check(ff)
     assert new.value >= EXACT[0] - 1e-9
     assert new.value >= direct_solve(ff, 1)[0].value - 1e-9
     # sign flip of the input leaves the value unchanged
     flipped = Eigenpair(prev.value, -prev.vector, prev.level)
-    again = newton_step_single(ff, flipped, op)
+    again = newton_step(ff, flipped, op)
     assert abs(again.value - new.value) <= 1e-12 * new.value
 
 
@@ -157,16 +161,7 @@ def test_newton_warns_outside_basin():
     # quotient above the previous value, which must trigger the diagnostic
     wrong = Eigenpair(15.0, pairs[0].vector, pairs[0].level)
     with pytest.warns(BasinWarning):
-        newton_step_single(ff, wrong, op)
-
-
-def test_newton_multi_reduces_to_single():
-    cf, ff, op = two_level(1 / 4)
-    prev = coarse_solve(cf, 1)
-    single = newton_step_single(ff, prev[0], op)
-    multi = newton_step_multi(ff, prev, op)
-    assert abs(multi[0].value - single.value) <= 1e-12 * single.value
-    assert np.abs(multi[0].vector - single.vector).max() <= 1e-12
+        newton_step(ff, wrong, op)
 
 
 def test_newton_multi_fixed_point():

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from newteig.assemble import assemble_forms, laplace_coefficients
 from newteig.linalg import (BorderedMatrix, SolverError, dense_gen_eig,
-                            solve_bordered, solve_spd)
+                            solve_bordered)
 from newteig.mesh import unit_square_mesh
 
 
@@ -126,33 +126,6 @@ def test_dense_gen_eig_char_poly_oracle():
 def test_dense_gen_eig_rejects_indefinite_b():
     with pytest.raises(SolverError, match="positive definite"):
         dense_gen_eig(np.eye(2), np.diag([1.0, -1.0]))
-
-
-def test_solve_spd_identity():
-    rhs = np.array([1.0, -2.0, 3.0])
-    assert_allclose(solve_spd(sp.identity(3, format="csr"), rhs), rhs, atol=1e-12)
-
-
-def test_solve_spd_diagonal():
-    matrix = sp.diags(np.arange(1.0, 11.0)).tocsr()
-    x = solve_spd(matrix, np.ones(10))
-    assert_allclose(x, 1.0 / np.arange(1.0, 11.0), rtol=1e-10)
-
-
-def test_solve_spd_matches_dense_oracle():
-    rng = np.random.default_rng(4)
-    matrix = random_spd(50, rng)
-    rhs = rng.standard_normal(50)
-    x = solve_spd(sp.csr_matrix(matrix), rhs, tol=1e-12)
-    assert_allclose(x, np.linalg.solve(matrix, rhs), atol=1e-10)
-
-
-def test_solve_spd_reports_iterations_on_failure():
-    rng = np.random.default_rng(5)
-    matrix = sp.csr_matrix(random_spd(40, rng))
-    with pytest.raises(SolverError) as info:
-        solve_spd(matrix, rng.standard_normal(40), tol=1e-14, maxiter=2)
-    assert info.value.iterations is not None
 
 
 def test_core_positive_on_border_complement():

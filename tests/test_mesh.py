@@ -65,7 +65,7 @@ def test_prolongation_reproduces_affine():
         f = lambda x, y: a * x + b * y + c
         coarse_vals = f(mesh.vertices[:, 0], mesh.vertices[:, 1])
         fine_vals = f(fine.vertices[:, 0], fine.vertices[:, 1])
-        assert_allclose(prolong.apply(coarse_vals), fine_vals, rtol=0, atol=1e-13)
+        assert_allclose(prolong.matrix @ coarse_vals, fine_vals, rtol=0, atol=1e-13)
     assert_allclose(np.asarray(prolong.matrix.sum(axis=1)).ravel(), 1.0,
                     rtol=0, atol=1e-14)
 

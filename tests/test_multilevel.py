@@ -9,31 +9,41 @@ from newteig.assemble import (assemble_forms, example2_coefficients,
                               laplace_coefficients, rayleigh_quotient)
 from newteig.eigen_newton import ClusterGapWarning, coarse_solve
 from newteig.mesh import build_hierarchy, unit_square_mesh
-from newteig.multilevel import (MultilevelError, SolveOptions,
-                                compare_with_direct, run_multilevel)
+from newteig.multilevel import MultilevelError, SolveOptions, run_multilevel
+from newteig.reference import compare_with_direct, evaluate
 
 EXACT_FIRST = 2 * math.pi ** 2
+
+
+def solve_and_evaluate(hier, coeffs, m=1, options=None):
+    return evaluate(hier, coeffs, run_multilevel(hier, coeffs, m, options))
 
 
 @pytest.fixture(scope="module")
 def laplace_run_n4():
     hier = build_hierarchy(unit_square_mesh(1 / 6), 4)
-    return run_multilevel(hier, laplace_coefficients(), 1)
+    return solve_and_evaluate(hier, laplace_coefficients())
+
+
+def test_package_exports_resolve():
+    import newteig
+
+    assert [name for name in newteig.__all__ if not hasattr(newteig, name)] == []
 
 
 def test_single_level_equals_coarse_solve():
     coarse = unit_square_mesh(1 / 4)
     hier = build_hierarchy(coarse, 1)
-    record = run_multilevel(hier, laplace_coefficients(), 2)
+    levels = run_multilevel(hier, laplace_coefficients(), 2)
     forms = assemble_forms(coarse, laplace_coefficients())
     direct = coarse_solve(forms, 2)
-    assert_allclose(record.levels[0].eigenvalues, direct.values, rtol=0, atol=0)
-    assert len(record.levels) == 1
+    assert_allclose(levels[0].eigenvalues, direct.values, rtol=0, atol=0)
+    assert len(levels) == 1
 
 
 def test_laplace_first_eigenvalue_rates(laplace_run_n4):
     record = laplace_run_n4
-    errors = [r.eigenvalue_errors[0] for r in record.levels]
+    errors = [e[0] for e in record.eigenvalue_errors]
     for k in range(3):
         assert 3.0 <= errors[k] / errors[k + 1] <= 5.0
     assert record.observed_orders[0] == pytest.approx(2.0, abs=0.2)
@@ -41,7 +51,7 @@ def test_laplace_first_eigenvalue_rates(laplace_run_n4):
 
 def test_laplace_eigenfunction_energy_rate(laplace_run_n4):
     record = laplace_run_n4
-    energies = [r.energy_errors[0] for r in record.levels]
+    energies = [e[0] for e in record.energy_errors]
     assert all(e is not None for e in energies)
     assert record.energy_orders[0] == pytest.approx(1.0, abs=0.15)
 
@@ -53,11 +63,9 @@ def test_eigenvalues_non_increasing_across_levels(laplace_run_n4):
 
 
 def test_recorded_value_is_rayleigh_quotient_of_vector(laplace_run_n4):
-    record = laplace_run_n4
-    forms = record.aux["forms"]
-    for k, pairs in enumerate(record.aux["per_level_pairs"]):
-        rq = rayleigh_quotient(forms[k], pairs[0].vector)
-        assert abs(rq - record.levels[k].eigenvalues[0]) <= 1e-10 * abs(rq)
+    for rec in laplace_run_n4.levels:
+        rq = rayleigh_quotient(rec.forms, rec.pairs[0].vector)
+        assert abs(rq - rec.eigenvalues[0]) <= 1e-10 * abs(rq)
 
 
 def test_dimension_ratio_tends_to_four(laplace_run_n4):
@@ -69,33 +77,26 @@ def test_dimension_ratio_tends_to_four(laplace_run_n4):
 
 def test_compare_with_direct_single_level():
     hier = build_hierarchy(unit_square_mesh(1 / 4), 1)
-    comparison = compare_with_direct(hier, laplace_coefficients(), 1)
+    comparison = compare_with_direct(solve_and_evaluate(hier, laplace_coefficients()))
     assert comparison.value_diffs[0][0] == 0.0
     assert comparison.energy_diffs[0][0] == 0.0
 
 
 def test_compare_with_direct_finest_level_closeness():
     hier = build_hierarchy(unit_square_mesh(1 / 6), 4)
-    comparison = compare_with_direct(hier, laplace_coefficients(), 1)
+    comparison = compare_with_direct(solve_and_evaluate(hier, laplace_coefficients()))
     direct_err = abs(comparison.direct_values[-1][0] - EXACT_FIRST)
     assert comparison.value_diffs[-1][0] <= 0.05 * direct_err
 
 
 def test_example2_richardson_reference_and_rates():
     hier = build_hierarchy(unit_square_mesh(1 / 6), 3)
-    record = run_multilevel(hier, example2_coefficients(), 2)
+    record = solve_and_evaluate(hier, example2_coefficients(), 2)
     assert np.isfinite(record.reference_values).all()
     # first eigenvalue of this operator is near 23.8 (extrapolated)
     assert 20.0 <= record.reference_values[0] <= 28.0
     for order in record.observed_orders:
         assert order == pytest.approx(2.0, abs=0.4)
-
-
-def test_custom_reference_values_override():
-    hier = build_hierarchy(unit_square_mesh(1 / 4), 2)
-    options = SolveOptions(reference_values=[EXACT_FIRST])
-    record = run_multilevel(hier, laplace_coefficients(), 1, options)
-    assert_allclose(record.reference_values, [EXACT_FIRST], rtol=0)
 
 
 def test_errors_propagate_with_level_index():
@@ -107,6 +108,12 @@ def test_errors_propagate_with_level_index():
     assert info.value.records == []
 
 
+def test_eigen_count_above_coarse_space_rejected_before_solving():
+    hier = build_hierarchy(unit_square_mesh(1 / 2), 2)    # one free coarse DOF
+    with pytest.raises(ValueError, match="1 free DOFs of the coarse mesh, got 2"):
+        run_multilevel(hier, laplace_coefficients(), 2)
+
+
 def test_unstructured_mesh_pipeline():
     # union-jack square: 5 vertices, 4 triangles, interior centre vertex
     from newteig.mesh import Mesh
@@ -115,8 +122,8 @@ def test_unstructured_mesh_pipeline():
                   triangles=[[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]],
                   boundary=[True, True, True, True, False])
     hier = build_hierarchy(coarse, 4)
-    record = run_multilevel(hier, laplace_coefficients(), 1)
-    errors = [r.eigenvalue_errors[0] for r in record.levels]
+    record = solve_and_evaluate(hier, laplace_coefficients())
+    errors = [e[0] for e in record.eigenvalue_errors]
     assert record.observed_orders[0] == pytest.approx(2.0, abs=0.25)
     assert all(a > b for a, b in zip(errors, errors[1:]))
 
@@ -125,10 +132,9 @@ def test_multi_eigenvalue_run_records_all_columns():
     hier = build_hierarchy(unit_square_mesh(1 / 6), 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ClusterGapWarning)
-        record = run_multilevel(hier, laplace_coefficients(), 6)
-    finest = record.levels[-1]
-    assert finest.eigenvalues.shape == (6,)
-    assert finest.eigenvalue_errors.shape == (6,)
+        record = solve_and_evaluate(hier, laplace_coefficients(), 6)
+    assert record.levels[-1].eigenvalues.shape == (6,)
+    assert record.eigenvalue_errors[-1].shape == (6,)
     # energy errors only for the simple modes (2 pi^2 and 8 pi^2)
-    present = [e is not None for e in finest.energy_errors]
+    present = [e is not None for e in record.energy_errors[-1]]
     assert present == [True, False, False, True, False, False]
