@@ -73,6 +73,12 @@ class RunConfig:
             raise ConfigError("eigen_count must be at least 1")
         if self.quad_order not in (0, 2, 5):
             raise ConfigError("quad_order must be 2, 5 or auto")
+        for key in ("solver_tol", "direct_tol"):
+            if not getattr(self, key) > 0:
+                raise ConfigError("{} must be positive, got {!r}".format(
+                    key, getattr(self, key)))
+        if self.dense_cap < 1:
+            raise ConfigError("dense_cap must be at least 1")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
         if self.bench_max_levels < 2:

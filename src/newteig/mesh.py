@@ -21,10 +21,25 @@ class MeshFormatError(MeshError):
         self.line = line
 
 
-def _sorted_edges(triangles):
-    """All triangle edges as sorted index pairs, shape (3*T, 2)."""
-    e = triangles[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2)
-    return np.sort(e, axis=1)
+def _edge_topology(triangles, nv):
+    """Unique edges of a triangulation with `nv` vertices.
+
+    Returns
+    -------
+    edges : (E, 2) int array
+        Sorted vertex-index pairs in lexicographic order.
+    triangle_edges : (T, 3) int array
+        Edge index of the local edges (01, 12, 02) of every triangle.
+    counts : (E,) int array
+        Number of triangles sharing each edge (1 = boundary edge).
+    """
+    nxt = triangles[:, [1, 2, 0]]   # other endpoints of the local edges 01, 12, 20
+    # sorted pair (i, j) has j < nv, so ordering the keys i*nv + j orders the
+    # pairs lexicographically
+    keys = np.minimum(triangles, nxt) * nv + np.maximum(triangles, nxt)
+    keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    edges = np.column_stack(np.divmod(keys, nv))
+    return edges, inverse.reshape(-1, 3), counts
 
 
 class Mesh:
@@ -38,30 +53,26 @@ class Mesh:
         Vertex indices per triangle, counterclockwise.
     boundary : (V,) array_like of bool
         True for vertices on the domain boundary.
-    level_index : int, optional
-        Position inside a refinement hierarchy (0 = coarsest).
 
     Raises
     ------
     MeshError
         If a triangle has nonpositive signed area, an index is out of
-        range, boundary flags disagree with the edge topology, a vertex
-        is unused, or two vertices coincide.
+        range, an edge is shared by more than two triangles, boundary
+        flags disagree with the edge topology, a vertex is unused, or two
+        vertices coincide.
     """
 
-    def __init__(self, vertices, triangles, boundary, level_index=0):
+    def __init__(self, vertices, triangles, boundary):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.boundary = np.ascontiguousarray(boundary, dtype=bool)
-        self.level_index = int(level_index)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must have shape (V, 2)")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshError("triangles must have shape (T, 3)")
         if self.boundary.shape != (self.num_vertices,):
             raise MeshError("boundary flags must have shape (V,)")
-        if self.level_index < 0:
-            raise MeshError("level_index must be nonnegative")
         self._validate()
         for arr in (self.vertices, self.triangles, self.boundary):
             arr.flags.writeable = False
@@ -75,8 +86,8 @@ class Mesh:
         return self.triangles.shape[0]
 
     def __repr__(self):
-        return "Mesh({} vertices, {} triangles, level {})".format(
-            self.num_vertices, self.num_triangles, self.level_index)
+        return "Mesh({} vertices, {} triangles)".format(self.num_vertices,
+                                                        self.num_triangles)
 
     def signed_areas(self):
         """Signed area of every triangle (positive for counterclockwise)."""
@@ -88,26 +99,9 @@ class Mesh:
     def area(self):
         return float(self.signed_areas().sum())
 
-    def edges(self):
-        """Unique edges as sorted vertex-index pairs, with triangle counts.
-
-        Returns
-        -------
-        edges : (E, 2) int array
-        counts : (E,) int array
-            Number of triangles sharing each edge (1 = boundary edge).
-        """
-        return np.unique(_sorted_edges(self.triangles), axis=0, return_counts=True)
-
-    def boundary_edges(self):
-        edges, counts = self.edges()
-        return edges[counts == 1]
-
     def max_diameter(self):
         """Largest cell diameter, i.e. the longest edge in the mesh."""
-        edges, _ = self.edges()
-        d = self.vertices[edges[:, 0]] - self.vertices[edges[:, 1]]
-        return float(np.sqrt((d ** 2).sum(axis=1)).max())
+        return self._max_diameter
 
     def domain_diameter(self):
         lo = self.vertices.min(axis=0)
@@ -130,7 +124,7 @@ class Mesh:
         used[self.triangles] = True
         if not used.all():
             raise MeshError("vertex {} belongs to no triangle".format(np.flatnonzero(~used)[0]))
-        edges, counts = self.edges()
+        edges, _, counts = _edge_topology(self.triangles, self.num_vertices)
         if (counts > 2).any():
             raise MeshError("edge shared by more than two triangles (non-manifold)")
         on_bedge = np.zeros(self.num_vertices, dtype=bool)
@@ -144,6 +138,9 @@ class Mesh:
         if pairs:
             i, j = sorted(next(iter(pairs)))
             raise MeshError("vertices {} and {} coincide".format(i, j))
+        self.num_edges = len(edges)
+        d = self.vertices[edges[:, 0]] - self.vertices[edges[:, 1]]
+        self._max_diameter = float(np.sqrt((d ** 2).sum(axis=1)).max())
 
 
 class Prolongation:
@@ -200,7 +197,7 @@ def unit_square_mesh(h):
     boundary = np.zeros(len(vertices), dtype=bool)
     gi, gj = np.meshgrid(np.arange(m + 1), np.arange(m + 1))
     boundary[((gi == 0) | (gi == m) | (gj == 0) | (gj == m)).ravel()] = True
-    return Mesh(vertices, triangles, boundary, level_index=0)
+    return Mesh(vertices, triangles, boundary)
 
 
 def refine_regular(mesh):
@@ -217,11 +214,9 @@ def refine_regular(mesh):
     """
     tris = mesh.triangles
     nv = mesh.num_vertices
-    all_edges = _sorted_edges(tris)
-    edges, edge_of = np.unique(all_edges, axis=0, return_inverse=True)
-    counts = np.bincount(edge_of, minlength=len(edges))
+    edges, edge_of, counts = _edge_topology(tris, nv)
     # midpoint vertex index of local edges (01, 12, 02) per triangle
-    mid = nv + edge_of.reshape(-1, 3)
+    mid = nv + edge_of
 
     vertices = np.vstack([mesh.vertices,
                           0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])])
@@ -233,7 +228,7 @@ def refine_regular(mesh):
         np.column_stack([m01, m12, m02]),
     ])
     boundary = np.concatenate([mesh.boundary, counts == 1])
-    fine = Mesh(vertices, children, boundary, level_index=mesh.level_index + 1)
+    fine = Mesh(vertices, children, boundary)
 
     n_fine = fine.num_vertices
     rows = np.concatenate([np.arange(nv),
@@ -252,26 +247,21 @@ class MeshHierarchy:
     levels : list of Mesh
     prolongations : list of Prolongation
         prolongations[k] maps nodal values from levels[k] to levels[k+1].
-    beta : int
-        Refinement factor; only 2 is supported.
     """
 
-    def __init__(self, levels, prolongations, beta=2):
-        if beta != 2:
-            raise ValueError("only refinement factor 2 is supported")
+    def __init__(self, levels, prolongations):
         if len(levels) < 1 or len(prolongations) != len(levels) - 1:
             raise ValueError("need one prolongation per refinement step")
         for k in range(len(levels) - 1):
-            if levels[k + 1].num_triangles != beta ** 2 * levels[k].num_triangles:
-                raise MeshError("level {} does not have {}x the triangles of "
-                                "level {}".format(k + 1, beta ** 2, k))
+            if levels[k + 1].num_triangles != 4 * levels[k].num_triangles:
+                raise MeshError("level {} does not have 4x the triangles of "
+                                "level {}".format(k + 1, k))
             ratio = levels[k].max_diameter() / levels[k + 1].max_diameter()
-            if abs(ratio - beta) > 1e-12 * beta:
+            if abs(ratio - 2) > 2e-12:
                 raise MeshError("cell diameter is not halved between levels "
                                 "{} and {}".format(k, k + 1))
         self.levels = list(levels)
         self.prolongations = list(prolongations)
-        self.beta = beta
 
     def __len__(self):
         return len(self.levels)
@@ -298,7 +288,7 @@ def build_hierarchy(coarse, n_levels, max_vertices=DEFAULT_VERTEX_CAP):
     # Exact growth projection: every edge splits in two and every triangle
     # contributes three interior edges per refinement.
     v = coarse.num_vertices
-    e = len(coarse.edges()[0])
+    e = coarse.num_edges
     t = coarse.num_triangles
     for _ in range(n_levels - 1):
         v, e, t = v + e, 2 * e + 3 * t, 4 * t
@@ -397,4 +387,4 @@ def load_mesh(path):
                                       "0..{}".format(i, v, nv - 1), lineno)
         triangles[i] = idx
 
-    return Mesh(vertices, triangles, boundary, level_index=0)
+    return Mesh(vertices, triangles, boundary)

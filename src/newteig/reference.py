@@ -45,24 +45,26 @@ class ExactEigen:
 def exact_laplace(m):
     """First `m` exact unit-square Laplace eigenpairs, multiplicities included.
 
-    Sorted by eigenvalue; within a degenerate pair the (p, q) mode with
-    p < q comes first.
+    Sorted by eigenvalue; modes sharing an eigenvalue come in increasing p.
+    Searching p, q <= m suffices: the modes (1, q) with q <= m already give
+    m eigenvalues of at most (1 + m^2) pi^2, and every other mode lies above.
     """
-    if not 1 <= m <= 20:
-        raise ValueError("m must be between 1 and 20")
-    kmax = 8  # p, q <= 8 covers far more than the first 20 modes
+    if m < 1:
+        raise ValueError("m must be at least 1")
     modes = sorted(
-        (ExactEigen(p, q) for p in range(1, kmax + 1) for q in range(1, kmax + 1)),
+        (ExactEigen(p, q) for p in range(1, m + 1) for q in range(1, m + 1)),
         key=lambda e: (e.p ** 2 + e.q ** 2, e.p),
     )
     return modes[:m]
 
 
-def exact_multiplicity(index, count=None):
-    """Multiplicity of the `index`-th (0-based) exact Laplace eigenvalue."""
-    modes = exact_laplace(max(20, count or 0))
-    key = modes[index].p ** 2 + modes[index].q ** 2
-    return sum(1 for e in modes if e.p ** 2 + e.q ** 2 == key)
+def exact_multiplicity(index):
+    """Multiplicity of the `index`-th (0-based) exact Laplace eigenvalue: the
+    number of modes (p, q) with the same p^2 + q^2."""
+    mode = exact_laplace(index + 1)[index]
+    key = mode.p ** 2 + mode.q ** 2
+    return sum(1 for p in range(1, math.isqrt(key - 1) + 1)
+               if math.isqrt(key - p * p) ** 2 == key - p * p)
 
 
 def richardson(lambda_h, lambda_h2):
@@ -207,7 +209,7 @@ def _energy_error_entries(record, mesh, preset, m):
     if preset != "laplace":
         return entries
     for i, mode in enumerate(exact_laplace(m)):
-        if exact_multiplicity(i, m) != 1:
+        if exact_multiplicity(i) != 1:
             continue
         entries[i] = energy_error_vs_exact(record.forms, mesh, record.pairs[i].vector,
                                            mode.eigenfunction, mode.gradient)
@@ -271,7 +273,7 @@ def compare_with_direct(record, direct_tol=1e-12):
         diffs = [None] * m
         for i in range(m):
             if record.preset == "laplace":
-                simple = exact_multiplicity(i, m) == 1
+                simple = exact_multiplicity(i) == 1
             else:
                 simple = i == 0  # the first elliptic eigenvalue is always simple
             if not simple:

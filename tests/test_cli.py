@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
+import newteig.cli
 import newteig.multilevel
 import newteig.reference
 from newteig.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, ConfigError,
@@ -274,6 +275,33 @@ def test_main_eigen_count_above_coarse_space_exit_config(tmp_path, capsys):
     assert err.startswith("error: ") and "free DOFs" in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "big_levels.csv").exists()
+
+
+@pytest.mark.parametrize("line", [
+    "solver_tol = 0", "solver_tol = -1", "direct_tol = 0", "dense_cap = 0"])
+def test_main_bad_tolerance_or_dense_cap_exit_config(tmp_path, capsys, monkeypatch, line):
+    def no_hierarchy(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(newteig.cli, "build_hierarchy", no_hierarchy)
+    path = write_config(tmp_path, "mesh_h = 1/4\nlevels = 2\n{}\noutput = {}\n".format(
+        line, tmp_path / "bad"))
+    assert main(["solve", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and line.split()[0] in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "bad_levels.csv").exists()
+
+
+def test_main_laplace_beyond_twenty_eigenvalues(tmp_path):
+    path = write_config(tmp_path, "mesh_h = 1/8\nlevels = 2\neigen_count = 21\n"
+                        "output = {}\n".format(tmp_path / "many"))
+    assert main(["solve", str(path)]) == EXIT_OK
+    header, rows = read_csv(tmp_path / "many_levels.csv")
+    assert len(rows) == 2
+    col = header.index("err_energy_21")
+    assert all(row[col] == "" for row in rows)
+    assert all(row[header.index("err_energy_20")] != "" for row in rows)  # (4, 4), simple
 
 
 def test_main_meshinfo(tmp_path, capsys):

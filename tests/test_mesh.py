@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from newteig.mesh import (Mesh, MeshError, MeshFormatError, build_hierarchy,
-                          load_mesh, refine_regular, save_mesh, unit_square_mesh,
-                          MeshHierarchy)
+import newteig.mesh
+from newteig.assemble import laplace_coefficients
+from newteig.mesh import (Mesh, MeshError, MeshFormatError, _edge_topology,
+                          build_hierarchy, load_mesh, refine_regular, save_mesh,
+                          unit_square_mesh)
+from newteig.multilevel import run_multilevel
 
 
 def test_unit_square_counts_h_half():
@@ -73,8 +77,10 @@ def test_prolongation_reproduces_affine():
 def test_refined_boundary_edges_nest_in_coarse_boundary():
     mesh = unit_square_mesh(1 / 2)
     fine, _ = refine_regular(mesh)
-    coarse_edges = mesh.boundary_edges()
-    for i, j in fine.boundary_edges():
+    edges, _, counts = _edge_topology(mesh.triangles, mesh.num_vertices)
+    coarse_edges = edges[counts == 1]
+    fine_edges, _, fine_counts = _edge_topology(fine.triangles, fine.num_vertices)
+    for i, j in fine_edges[fine_counts == 1]:
         a, b = fine.vertices[i], fine.vertices[j]
         inside = False
         for ci, cj in coarse_edges:
@@ -124,11 +130,56 @@ def test_hierarchy_memory_guard():
         build_hierarchy(unit_square_mesh(1 / 6), 8, max_vertices=10_000)
 
 
-def test_hierarchy_rejects_other_beta():
-    coarse = unit_square_mesh(1 / 2)
-    fine, prolong = refine_regular(coarse)
-    with pytest.raises(ValueError):
-        MeshHierarchy([coarse, fine], [prolong], beta=3)
+def _renumbered_square(cells, seed):
+    """Unit-square mesh with vertices and triangles renumbered at random and
+    every triangle's vertex list rotated cyclically (orientation kept)."""
+    mesh = unit_square_mesh(1 / cells)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(mesh.num_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[perm] = mesh.vertices
+    boundary = np.empty_like(mesh.boundary)
+    boundary[perm] = mesh.boundary
+    tris = perm[mesh.triangles][rng.permutation(mesh.num_triangles)]
+    shifts = rng.integers(0, 3, size=len(tris))
+    tris = tris[np.arange(len(tris))[:, None], (np.arange(3) + shifts[:, None]) % 3]
+    return Mesh(vertices, tris, boundary)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_edge_topology_matches_lexicographic_unique(cells, seed):
+    mesh = _renumbered_square(cells, seed)
+    for m in (mesh, refine_regular(mesh)[0]):
+        pairs = np.sort(m.triangles[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
+        ref_edges, ref_inverse, ref_counts = np.unique(
+            pairs, axis=0, return_inverse=True, return_counts=True)
+        edges, triangle_edges, counts = _edge_topology(m.triangles, m.num_vertices)
+        assert np.array_equal(edges, ref_edges)
+        assert np.array_equal(triangle_edges, ref_inverse.reshape(-1, 3))
+        assert np.array_equal(counts, ref_counts)
+        assert m.num_edges == len(ref_edges)
+
+
+def test_edge_topology_once_per_validation_and_refinement(monkeypatch):
+    calls = []
+
+    def counting(triangles, nv):
+        calls.append(nv)
+        return _edge_topology(triangles, nv)
+
+    monkeypatch.setattr(newteig.mesh, "_edge_topology", counting)
+    hier = build_hierarchy(unit_square_mesh(1 / 4), 4)
+    run_multilevel(hier, laplace_coefficients(), 1)
+    # one pass per validated mesh (4) and one per refinement (3)
+    assert len(calls) == 7
+
+
+def test_mesh_rejects_non_manifold_edge():
+    with pytest.raises(MeshError, match="non-manifold"):
+        Mesh(vertices=[[0, 0], [1, 0], [0.5, 1], [0.5, 2], [0.5, 3]],
+             triangles=[[0, 1, 2], [0, 1, 3], [0, 1, 4]],
+             boundary=[True] * 5)
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -9,7 +9,7 @@ from newteig.assemble import assemble_forms, b_norm, interpolate, laplace_coeffi
 from newteig.linalg import SolverError, dense_gen_eig
 from newteig.mesh import refine_regular, unit_square_mesh
 from newteig.reference import (ExactEigen, direct_solve, exact_laplace,
-                               richardson)
+                               exact_multiplicity, richardson)
 
 PI2 = math.pi ** 2
 
@@ -27,7 +27,19 @@ def test_exact_laplace_tie_order():
     assert (modes[1].p, modes[1].q) == (1, 2)
     assert (modes[2].p, modes[2].q) == (2, 1)
     with pytest.raises(ValueError):
-        exact_laplace(21)
+        exact_laplace(0)
+
+
+def test_exact_laplace_beyond_twenty_modes():
+    brute = sorted(((p, q) for p in range(1, 60) for q in range(1, 60)),
+                   key=lambda pq: (pq[0] ** 2 + pq[1] ** 2, pq[0]))
+    assert [(e.p, e.q) for e in exact_laplace(40)] == brute[:40]
+
+
+def test_exact_multiplicity_counts_every_mode_of_the_eigenvalue():
+    # the 21st mode (3, 5) pairs with (5, 3), the 22nd; 50 = 1+49 = 25+25 = 49+1
+    assert [exact_multiplicity(i) for i in (0, 1, 3, 19, 20, 21)] == [1, 2, 1, 1, 2, 2]
+    assert exact_multiplicity([e.p ** 2 + e.q ** 2 for e in exact_laplace(60)].index(50)) == 3
 
 
 def test_exact_eigenfunction_b_normalized():
