@@ -77,6 +77,11 @@ class RunConfig:
             if not getattr(self, key) > 0:
                 raise ConfigError("{} must be positive, got {!r}".format(
                     key, getattr(self, key)))
+        eps = float(np.finfo(float).eps)
+        if self.solver_tol < eps:
+            raise ConfigError("solver_tol {!r} is below machine epsilon {:.3g}; no "
+                              "double-precision residual can reach it".format(
+                                  self.solver_tol, eps))
         if self.dense_cap < 1:
             raise ConfigError("dense_cap must be at least 1")
         if self.threads < 1:
@@ -295,6 +300,7 @@ class WorkReport:
     level_times: list                   # (assemble, solve) per level of deepest run
     exponent: float                     # fit of log(total) vs log(N_n)
     fit_residual: float
+    local_exponent: float               # slope over the last two doublings of N
     note: str = ""
 
 
@@ -335,6 +341,8 @@ def run_bench(config):
         level_times=[(rec.wall_time_assemble, rec.wall_time_solve) for rec in deepest],
         exponent=exponent,
         fit_residual=fit_residual,
+        local_exponent=float(np.log(totals[-1] / totals[-2])
+                             / np.log(finest[-1] / finest[-2])),
         note=note,
     )
 
@@ -350,12 +358,15 @@ def cmd_bench(config):
     for size, (ta, ts) in zip(report.level_sizes, report.level_times):
         lines.append("{:>10} {:>12.4f} {:>12.4f}".format(size, ta, ts))
     lines.append("")
+    lines.append("local exponent over the last two doublings of N: N^{:.3f}".format(
+        report.local_exponent))
     if report.note:
         lines.append(report.note)
     else:
-        lines.append("total time ~ N^{:.3f} (fit residual {:.3e}); linear-work "
-                     "scaling corresponds to exponent 1.0 and is conditional on "
-                     "an optimal inner solver".format(report.exponent, report.fit_residual))
+        lines.append("whole-sweep fit: total time ~ N^{:.3f} (fit residual {:.3e}); "
+                     "linear-work scaling corresponds to exponent 1.0 and is "
+                     "conditional on an optimal inner solver".format(
+                         report.exponent, report.fit_residual))
     lines.append("")
     with open(config.output + "_work.txt", "w", encoding="utf-8") as f:
         f.write("\n".join(lines))

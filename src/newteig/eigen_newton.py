@@ -19,7 +19,8 @@ import numpy as np
 from scipy import sparse as sp
 
 from .assemble import b_norm, rayleigh_quotient
-from .linalg import BorderedMatrix, SolverError, dense_gen_eig, solve_bordered
+from .linalg import (BorderedMatrix, SolverError, dense_gen_eig,
+                     nested_dissection_order, solve_bordered)
 
 DENSE_SOLVE_CAP = 3000
 CONSTRAINT_TOL = 1e-8
@@ -110,7 +111,8 @@ def coarse_solve(forms, m, dense_cap=DENSE_SOLVE_CAP, level=0):
                           "cap of {}".format(n, dense_cap))
     if not 1 <= m <= n:
         raise ValueError("m must be between 1 and {}, got {}".format(n, m))
-    values, vectors = dense_gen_eig(forms.stiffness.toarray(), forms.mass.toarray())
+    values, vectors = dense_gen_eig(forms.stiffness.toarray(), forms.mass.toarray(),
+                                    count=m + 1)
     if m < n and values[m] - values[m - 1] < 1e-8 * abs(values[m - 1]):
         warnings.warn("eigenvalues {} and {} differ by less than 1e-8 relative; "
                       "m={} splits a degenerate cluster".format(m, m + 1, m),
@@ -136,7 +138,8 @@ def newton_step_multi(forms_fine, prev_set, prolong, threads=1, tol=1e-10):
     """One Newton iteration step for the first m eigenpairs.
 
     Each eigenpair gets its own bordered solve (independent, optionally
-    threaded) constrained against all m previous eigenvectors; the m
+    threaded) constrained against all m previous eigenvectors, all factored
+    in one nested-dissection order of the free DOFs; the m
     solutions then pass through a Rayleigh-Ritz projection that restores
     b-orthonormality and ascending order.  Warns with `BasinWarning` when a
     new eigenvalue lies above its predecessor.
@@ -160,12 +163,16 @@ def newton_step_multi(forms_fine, prev_set, prolong, threads=1, tol=1e-10):
     op = _as_operator(prolong, forms_fine.n_free, prev_set.vectors.shape[0])
     basis = op @ prev_set.vectors                   # (n_fine, m)
     mass_basis = forms_fine.mass @ basis
+    # the union of both patterns: the stiffness matrix alone can drop edges
+    # (exact zeros on criss-cross diagonals) that the shifted core keeps
+    order = nested_dissection_order(forms_fine.points,
+                                    abs(forms_fine.stiffness) + abs(forms_fine.mass))
 
     def solve_one(i):
         core = (forms_fine.stiffness - prev_set[i].value * forms_fine.mass).tocsr()
         rhs_bottom = np.zeros(m)
         rhs_bottom[i] = 1.0
-        solution, _ = solve_bordered(BorderedMatrix(core, mass_basis),
+        solution, _ = solve_bordered(BorderedMatrix(core, mass_basis, order),
                                      rhs_top=-prev_set[i].value * mass_basis[:, i],
                                      rhs_bottom=rhs_bottom, tol=tol)
         _check_constraints(mass_basis, solution, rhs_bottom)

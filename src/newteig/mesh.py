@@ -21,6 +21,17 @@ class MeshFormatError(MeshError):
         self.line = line
 
 
+def _edge_keys(triangles, nv):
+    """Integer key ``i*nv + j`` of the sorted vertex pair (i, j) of the local
+    edges (01, 12, 20) of every triangle, shape (T, 3).
+
+    j < nv, so ordering the keys orders the pairs lexicographically, and
+    ``np.divmod(key, nv)`` recovers the pair.
+    """
+    nxt = triangles[:, [1, 2, 0]]
+    return np.minimum(triangles, nxt) * nv + np.maximum(triangles, nxt)
+
+
 def _edge_topology(triangles, nv):
     """Unique edges of a triangulation with `nv` vertices.
 
@@ -33,11 +44,8 @@ def _edge_topology(triangles, nv):
     counts : (E,) int array
         Number of triangles sharing each edge (1 = boundary edge).
     """
-    nxt = triangles[:, [1, 2, 0]]   # other endpoints of the local edges 01, 12, 20
-    # sorted pair (i, j) has j < nv, so ordering the keys i*nv + j orders the
-    # pairs lexicographically
-    keys = np.minimum(triangles, nxt) * nv + np.maximum(triangles, nxt)
-    keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    keys, inverse, counts = np.unique(_edge_keys(triangles, nv), return_inverse=True,
+                                      return_counts=True)
     edges = np.column_stack(np.divmod(keys, nv))
     return edges, inverse.reshape(-1, 3), counts
 
@@ -124,7 +132,9 @@ class Mesh:
         used[self.triangles] = True
         if not used.all():
             raise MeshError("vertex {} belongs to no triangle".format(np.flatnonzero(~used)[0]))
-        edges, _, counts = _edge_topology(self.triangles, self.num_vertices)
+        keys, counts = np.unique(_edge_keys(self.triangles, self.num_vertices),
+                                 return_counts=True)
+        edges = np.column_stack(np.divmod(keys, self.num_vertices))
         if (counts > 2).any():
             raise MeshError("edge shared by more than two triangles (non-manifold)")
         on_bedge = np.zeros(self.num_vertices, dtype=bool)

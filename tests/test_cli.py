@@ -4,7 +4,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
 
 import newteig.cli
 import newteig.multilevel
@@ -55,6 +54,13 @@ def test_parse_config_example2(tmp_path):
 def test_parse_config_rejects_zero_levels(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(write_config(tmp_path, "levels = 0\n"))
+
+
+def test_validate_rejects_solver_tol_below_machine_epsilon():
+    eps = float(np.finfo(float).eps)
+    with pytest.raises(ConfigError, match="solver_tol"):
+        RunConfig(solver_tol=0.5 * eps).validate()
+    RunConfig(solver_tol=eps).validate()
 
 
 def test_parse_config_fraction_and_comments(tmp_path):
@@ -183,6 +189,15 @@ def test_solve_aborts_with_partial_csv(tmp_path, monkeypatch):
     assert rows[0][header.index("err_energy_1")] == ""
 
 
+def test_main_coarse_space_above_dense_cap_aborts_at_level_zero(tmp_path):
+    path = write_config(tmp_path, "problem = example2\nlevels = 3\ndense_cap = 10\n"
+                        "output = {}\n".format(tmp_path / "cap"))
+    assert main(["solve", str(path)]) == EXIT_SOLVER
+    text = (tmp_path / "cap_levels.csv").read_text()
+    assert text.rstrip().endswith("# ABORTED level=0")
+    assert read_csv(tmp_path / "cap_levels.csv")[1] == []
+
+
 def test_solver_runs_no_reference_solves(monkeypatch):
     import newteig as nt
 
@@ -205,35 +220,35 @@ def test_bench_two_depths_skips_fit(tmp_path):
     code, report = cmd_bench(config)
     assert code == EXIT_OK
     assert math.isnan(report.exponent)
-    assert "skipped" in (tmp_path / "bench_work.txt").read_text()
+    assert math.isfinite(report.local_exponent)
+    text = (tmp_path / "bench_work.txt").read_text()
+    assert "skipped" in text
+    assert "last two doublings of N: N^{:.3f}".format(report.local_exponent) in text
 
 
-def test_bench_work_ratios_with_min_timing():
+def test_bench_work_ratios_with_min_timing(bordered_factors):
     # Per-level Newton step work ratios.  The work of a step is dominated by
-    # the sparse LU of its bordered matrix, so it is measured by the factor
-    # size L.nnz + U.nnz of that matrix, which does not drift with the host's
-    # speed as wall-clock time does.  The N-ratio of 4 times sparse-LU
-    # superlinearity predicts ratios of 4..8; SuperLU with COLAMD ordering
-    # measures 6.8, 6.0 and 5.9 here.  Wall-clock ratios are printed only.
+    # the sparse LU of its bordered matrix, so it is measured by the size
+    # L.nnz + U.nnz of the factor that `solve_bordered` builds, which does not
+    # drift with the host's speed as wall-clock time does.  The N-ratio of 4
+    # times the log factor of nested-dissection fill (N log N) predicts
+    # ratios of 4..6.  Wall-clock ratios are printed only.
     import newteig as nt
     from newteig.assemble import free_prolongation
     from newteig.eigen_newton import EigenpairSet
-    from newteig.linalg import BorderedMatrix
 
     hier = nt.build_hierarchy(unit_square_mesh(1 / 6), 6)
     coeffs = nt.laplace_coefficients()
     forms = [nt.assemble_forms(m, coeffs) for m in hier.levels]
     prev = nt.coarse_solve(forms[0], 1)[0]
-    work, times = [], []
+    times = []
     for k in range(1, 6):
         op = free_prolongation(hier.prolongations[k - 1], forms[k - 1], forms[k])
-        core = (forms[k].stiffness - prev.value * forms[k].mass).tocsr()
-        bordered = BorderedMatrix(core, forms[k].mass @ (op @ prev.vector))
-        lu = splu(bordered.assembled())
-        work.append(lu.L.nnz + lu.U.nnz)
         t0 = time.perf_counter()
         prev = nt.newton_step_multi(forms[k], EigenpairSet([prev]), op)[0]
         times.append(time.perf_counter() - t0)
+    work = [fill for _, fill in bordered_factors]
+    assert len(work) == 5                       # one bordered factor per step
     # W_k is the step work onto 1-based level k; constrain W_{k+1}/W_k, k >= 3
     ratios = [work[i + 1] / work[i] for i in range(1, 4)]
     print("factor nnz ratios {}; wall-clock ratios {} (not asserted)".format(
@@ -278,7 +293,8 @@ def test_main_eigen_count_above_coarse_space_exit_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", [
-    "solver_tol = 0", "solver_tol = -1", "direct_tol = 0", "dense_cap = 0"])
+    "solver_tol = 0", "solver_tol = -1", "solver_tol = 1e-30", "direct_tol = 0",
+    "dense_cap = 0"])
 def test_main_bad_tolerance_or_dense_cap_exit_config(tmp_path, capsys, monkeypatch, line):
     def no_hierarchy(*args, **kwargs):
         raise AssertionError("a mesh was built")

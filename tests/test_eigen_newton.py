@@ -83,7 +83,8 @@ def test_coarse_solve_warns_on_cluster_split():
     eye = sp.identity(4, format="csr")
     forms = AssembledForms(stiffness=diag, mass=eye, free_to_full=np.arange(4),
                            full_to_free=np.arange(4), n_free=4,
-                           coeffs=laplace_coefficients(), quad_order=2)
+                           points=np.zeros((4, 2)), coeffs=laplace_coefficients(),
+                           quad_order=2)
     with pytest.warns(ClusterGapWarning):
         coarse_solve(forms, 2)
 

@@ -2,14 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import sparse as sp
 from scipy.optimize import brentq
+from scipy.sparse.linalg import splu
 
-from newteig.assemble import assemble_forms, laplace_coefficients
+from newteig.assemble import (assemble_forms, interpolate, laplace_coefficients,
+                              rayleigh_quotient)
 from newteig.linalg import (BorderedMatrix, SolverError, dense_gen_eig,
-                            solve_bordered)
-from newteig.mesh import unit_square_mesh
+                            nested_dissection_order, solve_bordered)
+from newteig.mesh import build_hierarchy, refine_regular, unit_square_mesh
+from newteig.multilevel import run_multilevel
+
+from meshgen import renumbered_square
 
 
 def random_spd(n, rng, shift=0.0):
@@ -82,6 +88,67 @@ def test_bordered_reports_singular_system():
         solve_bordered(matrix, np.array([0.0, 1.0]), np.array([0.0]))
 
 
+def test_bordered_unreachable_tolerance_names_both_causes():
+    rng = np.random.default_rng(5)
+    core = sp.csr_matrix(random_spd(30, rng))
+    matrix = BorderedMatrix(core, rng.standard_normal((30, 1)))
+    with pytest.raises(SolverError, match="double precision") as info:
+        solve_bordered(matrix, rng.standard_normal(30), np.ones(1), tol=1e-30)
+    assert "coarse mesh" in str(info.value)
+
+
+def test_bordered_rejects_order_that_is_not_a_permutation():
+    with pytest.raises(ValueError, match="permutation"):
+        BorderedMatrix(sp.identity(3, format="csr"), np.ones((3, 1)), np.array([0, 1, 1]))
+
+
+def _shifted_pencil(mesh):
+    """Newton-step-shaped bordered system on `mesh`: the core shifted by the
+    Rayleigh quotient of the interpolated first mode, bordered by its mass."""
+    forms = assemble_forms(mesh, laplace_coefficients())
+    u0 = interpolate(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), mesh)
+    mu = rayleigh_quotient(forms, u0)
+    return forms, (forms.stiffness - mu * forms.mass).tocsr(), forms.mass @ u0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+def test_nested_dissection_solve_matches_dense(cells, seed):
+    coarse = renumbered_square(cells, seed, jitter=0.15)
+    rng = np.random.default_rng(seed)
+    for mesh in (coarse, refine_regular(coarse)[0]):
+        if mesh.boundary.all():          # one cell per side: no free DOF
+            continue
+        forms, core, border = _shifted_pencil(mesh)
+        n = forms.n_free
+        order = nested_dissection_order(forms.points,
+                                        abs(forms.stiffness) + abs(forms.mass))
+        assert np.array_equal(np.sort(order), np.arange(n))
+        rhs_top = rng.standard_normal(n)
+        w, g = solve_bordered(BorderedMatrix(core, border, order), rhs_top, np.ones(1))
+        dense = np.block([[core.toarray(), -border[:, None]],
+                          [-border[None, :], np.zeros((1, 1))]])
+        z = np.linalg.solve(dense, np.concatenate([rhs_top, -np.ones(1)]))
+        scale = max(1.0, float(np.abs(z).max()))
+        assert np.abs(np.concatenate([w, g]) - z).max() <= 1e-10 * scale
+
+
+def test_nested_dissection_fill_on_finest_level(bordered_factors):
+    # finest level of a 6-level laplace hierarchy from h = 1/8: 65,025 free
+    # DOFs.  Separators from the stiffness pattern alone miss the criss-cross
+    # diagonals of the shifted core and roughly triple the fill.
+    hierarchy = build_hierarchy(unit_square_mesh(1 / 8), 6)
+    levels = run_multilevel(hierarchy, laplace_coefficients(), 1)
+    assert levels[-1].n_free == 65025
+    matrix, fill = bordered_factors[-1]
+    colamd = splu(matrix)
+    colamd_fill = colamd.L.nnz + colamd.U.nnz
+    print("finest bordered factor nnz: nested dissection {}, COLAMD {}".format(
+        fill, colamd_fill))
+    assert fill <= 7_100_000
+    assert fill < colamd_fill
+
+
 def test_dense_gen_eig_diagonal():
     values, vectors = dense_gen_eig(np.diag([2.0, 4.0]), np.eye(2))
     assert_allclose(values, [2.0, 4.0], atol=1e-14)
@@ -121,6 +188,19 @@ def test_dense_gen_eig_char_poly_oracle():
     assert np.abs(vectors.T @ b @ vectors - np.eye(n)).max() <= 1e-10
     assert np.abs(vectors.T @ a @ vectors - np.diag(values)).max() \
         <= 1e-10 * np.abs(a).max()
+
+
+def test_dense_gen_eig_leading_subset_matches_full():
+    rng = np.random.default_rng(4)
+    a = random_spd(12, rng)
+    b = random_spd(12, rng)
+    values, vectors = dense_gen_eig(a, b)
+    for count in (1, 5, 12, 20):
+        sub_values, sub_vectors = dense_gen_eig(a, b, count=count)
+        k = min(count, 12)
+        assert sub_values.shape == (k,) and sub_vectors.shape == (12, k)
+        assert_allclose(sub_values, values[:k], rtol=1e-12)
+        assert_allclose(np.abs(sub_vectors.T @ b @ vectors[:, :k]), np.eye(k), atol=1e-8)
 
 
 def test_dense_gen_eig_rejects_indefinite_b():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,10 +7,12 @@ from numpy.testing import assert_allclose
 
 import newteig.mesh
 from newteig.assemble import laplace_coefficients
-from newteig.mesh import (Mesh, MeshError, MeshFormatError, _edge_topology,
+from newteig.mesh import (Mesh, MeshError, MeshFormatError, _edge_keys, _edge_topology,
                           build_hierarchy, load_mesh, refine_regular, save_mesh,
                           unit_square_mesh)
 from newteig.multilevel import run_multilevel
+
+from meshgen import renumbered_square
 
 
 def test_unit_square_counts_h_half():
@@ -130,26 +134,10 @@ def test_hierarchy_memory_guard():
         build_hierarchy(unit_square_mesh(1 / 6), 8, max_vertices=10_000)
 
 
-def _renumbered_square(cells, seed):
-    """Unit-square mesh with vertices and triangles renumbered at random and
-    every triangle's vertex list rotated cyclically (orientation kept)."""
-    mesh = unit_square_mesh(1 / cells)
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(mesh.num_vertices)
-    vertices = np.empty_like(mesh.vertices)
-    vertices[perm] = mesh.vertices
-    boundary = np.empty_like(mesh.boundary)
-    boundary[perm] = mesh.boundary
-    tris = perm[mesh.triangles][rng.permutation(mesh.num_triangles)]
-    shifts = rng.integers(0, 3, size=len(tris))
-    tris = tris[np.arange(len(tris))[:, None], (np.arange(3) + shifts[:, None]) % 3]
-    return Mesh(vertices, tris, boundary)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
 def test_edge_topology_matches_lexicographic_unique(cells, seed):
-    mesh = _renumbered_square(cells, seed)
+    mesh = renumbered_square(cells, seed)
     for m in (mesh, refine_regular(mesh)[0]):
         pairs = np.sort(m.triangles[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
         ref_edges, ref_inverse, ref_counts = np.unique(
@@ -166,13 +154,26 @@ def test_edge_topology_once_per_validation_and_refinement(monkeypatch):
 
     def counting(triangles, nv):
         calls.append(nv)
-        return _edge_topology(triangles, nv)
+        return _edge_keys(triangles, nv)
 
-    monkeypatch.setattr(newteig.mesh, "_edge_topology", counting)
+    monkeypatch.setattr(newteig.mesh, "_edge_keys", counting)
     hier = build_hierarchy(unit_square_mesh(1 / 4), 4)
     run_multilevel(hier, laplace_coefficients(), 1)
     # one pass per validated mesh (4) and one per refinement (3)
     assert len(calls) == 7
+
+
+def test_hierarchy_build_memory_peak():
+    # validation keeps only the unique edge keys and their counts; the
+    # per-triangle edge index is built only where refinement needs it
+    coarse = unit_square_mesh(1 / 8)
+    tracemalloc.start()
+    try:
+        build_hierarchy(coarse, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2 ** 20
 
 
 def test_mesh_rejects_non_manifold_edge():
