@@ -341,8 +341,9 @@ def run_bench(config):
         level_times=[(rec.wall_time_assemble, rec.wall_time_solve) for rec in deepest],
         exponent=exponent,
         fit_residual=fit_residual,
-        local_exponent=float(np.log(totals[-1] / totals[-2])
-                             / np.log(finest[-1] / finest[-2])),
+        local_exponent=(float(np.log(totals[-1] / totals[-2])
+                              / np.log(finest[-1] / finest[-2]))
+                        if len(depths) >= 2 else float("nan")),
         note=note,
     )
 
@@ -358,8 +359,11 @@ def cmd_bench(config):
     for size, (ta, ts) in zip(report.level_sizes, report.level_times):
         lines.append("{:>10} {:>12.4f} {:>12.4f}".format(size, ta, ts))
     lines.append("")
-    lines.append("local exponent over the last two doublings of N: N^{:.3f}".format(
-        report.local_exponent))
+    if np.isnan(report.local_exponent):
+        lines.append("local exponent skipped (needs >= 2 depths)")
+    else:
+        lines.append("local exponent over the last two doublings of N: N^{:.3f}".format(
+            report.local_exponent))
     if report.note:
         lines.append(report.note)
     else:

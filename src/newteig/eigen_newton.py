@@ -162,17 +162,19 @@ def newton_step_multi(forms_fine, prev_set, prolong, threads=1, tol=1e-10):
     m = len(prev_set)
     op = _as_operator(prolong, forms_fine.n_free, prev_set.vectors.shape[0])
     basis = op @ prev_set.vectors                   # (n_fine, m)
-    mass_basis = forms_fine.mass @ basis
-    # the union of both patterns: the stiffness matrix alone can drop edges
-    # (exact zeros on criss-cross diagonals) that the shifted core keeps
-    order = nested_dissection_order(forms_fine.points,
-                                    abs(forms_fine.stiffness) + abs(forms_fine.mass))
+    # the bordered systems are solved with the free DOFs renumbered into
+    # `order`.  Separators come from the mass matrix, which holds the whole
+    # mesh graph; the stiffness drops the criss-cross diagonals as exact zeros.
+    order = nested_dissection_order(forms_fine.points, forms_fine.mass)
+    stiffness = forms_fine.stiffness[order][:, order]
+    mass = forms_fine.mass[order][:, order]
+    mass_basis = (forms_fine.mass @ basis)[order]
 
     def solve_one(i):
-        core = (forms_fine.stiffness - prev_set[i].value * forms_fine.mass).tocsr()
+        core = (stiffness - prev_set[i].value * mass).tocsr()
         rhs_bottom = np.zeros(m)
         rhs_bottom[i] = 1.0
-        solution, _ = solve_bordered(BorderedMatrix(core, mass_basis, order),
+        solution, _ = solve_bordered(BorderedMatrix(core, mass_basis),
                                      rhs_top=-prev_set[i].value * mass_basis[:, i],
                                      rhs_bottom=rhs_bottom, tol=tol)
         _check_constraints(mass_basis, solution, rhs_bottom)
@@ -183,7 +185,8 @@ def newton_step_multi(forms_fine, prev_set, prolong, threads=1, tol=1e-10):
             columns = list(pool.map(solve_one, range(m)))
     else:
         columns = [solve_one(i) for i in range(m)]
-    trial = np.column_stack(columns)
+    trial = np.empty((forms_fine.n_free, m))
+    trial[order] = np.column_stack(columns)
 
     gram = trial.T @ (forms_fine.mass @ trial)
     gram = 0.5 * (gram + gram.T)

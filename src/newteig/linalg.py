@@ -81,13 +81,10 @@ class BorderedMatrix:
 
     ``core`` is the (possibly indefinite) shifted pencil over the free DOFs
     and ``border`` holds one dense constraint column per Lagrange multiplier.
-    ``order`` is the elimination order of the free DOFs (identity by
-    default); the multiplier rows always come last.
     """
 
     core: sp.spmatrix
     border: np.ndarray
-    order: np.ndarray = None
 
     def __post_init__(self):
         border = np.atleast_2d(np.asarray(self.border, dtype=float))
@@ -98,10 +95,6 @@ class BorderedMatrix:
         if (np.abs(border).max(axis=0) == 0).any():
             raise ValueError("border columns must be nonzero")
         object.__setattr__(self, "border", border)
-        order = np.arange(self.n) if self.order is None else np.asarray(self.order)
-        if not np.array_equal(np.sort(order), np.arange(self.n)):
-            raise ValueError("order must be a permutation of the core rows")
-        object.__setattr__(self, "order", order)
 
     @property
     def n(self):
@@ -112,20 +105,18 @@ class BorderedMatrix:
         return self.border.shape[1]
 
     def assembled(self):
-        """The full symmetric (n+m) x (n+m) sparse matrix, rows and columns
-        of the core permuted into `order`."""
-        core = sp.csr_matrix(self.core)[self.order][:, self.order]
-        border = self.border[self.order]
-        return sp.bmat([[core, -border], [-border.T, None]], format="csc")
+        """The full symmetric (n+m) x (n+m) sparse matrix."""
+        return sp.bmat([[self.core, -self.border], [-self.border.T, None]], format="csc")
 
 
 def solve_bordered(matrix, rhs_top, rhs_bottom, tol=1e-10):
     """Solve [[core, -border], [-border.T, 0]] (w, g) = (rhs_top, -rhs_bottom).
 
-    The matrix is factored by sparse LU with partial pivoting in the
-    elimination order ``matrix.order`` (multipliers last), and the residual
-    is re-verified by an explicit matrix-vector product, blockwise against
-    the right-hand side norm.
+    The matrix is factored by sparse LU with partial pivoting in the given
+    numbering, multipliers last, with no fill-reducing reordering: callers
+    number the free DOFs in a fill-reducing order first (see
+    `nested_dissection_order`).  The residual is re-verified by an explicit
+    matrix-vector product, blockwise against the right-hand side norm.
 
     Returns
     -------
@@ -146,7 +137,7 @@ def solve_bordered(matrix, rhs_top, rhs_bottom, tol=1e-10):
     rhs_bottom = np.atleast_1d(np.asarray(rhs_bottom, dtype=float))
     if rhs_top.shape != (n,) or rhs_bottom.shape != (m,):
         raise ValueError("right-hand side blocks must have shapes ({},) and ({},)".format(n, m))
-    rhs = np.concatenate([rhs_top[matrix.order], -rhs_bottom])
+    rhs = np.concatenate([rhs_top, -rhs_bottom])
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return np.zeros(n), np.zeros(m)
@@ -171,9 +162,7 @@ def solve_bordered(matrix, rhs_top, rhs_bottom, tol=1e-10):
                           "than double precision reaches at {} unknowns".format(
                               achieved, tol * rhs_norm, n + m),
                           residual=achieved)
-    w = np.empty(n)
-    w[matrix.order] = z[:n]
-    return w, z[n:]
+    return z[:n], z[n:]
 
 
 def dense_gen_eig(a, b, count=None):

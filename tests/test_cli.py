@@ -226,6 +226,15 @@ def test_bench_two_depths_skips_fit(tmp_path):
     assert "last two doublings of N: N^{:.3f}".format(report.local_exponent) in text
 
 
+def test_bench_one_depth_skips_both_exponents(tmp_path):
+    path = write_config(tmp_path, "mesh_h = 1/4\nbench_max_levels = 2\noutput = {}\n".format(
+        tmp_path / "bench"))
+    assert main(["bench", str(path)]) == EXIT_OK
+    text = (tmp_path / "bench_work.txt").read_text()
+    assert "local exponent skipped" in text
+    assert "exponent fit skipped" in text
+
+
 def test_bench_work_ratios_with_min_timing(bordered_factors):
     # Per-level Newton step work ratios.  The work of a step is dominated by
     # the sparse LU of its bordered matrix, so it is measured by the size
