@@ -9,8 +9,7 @@ from .assemble import (AssembledForms, CoefficientSet, a_norm, assemble_forms,
                        b_norm, energy_error_vs_exact, example2_coefficients,
                        free_prolongation, interpolate, laplace_coefficients,
                        rayleigh_quotient)
-from .eigen_newton import (Eigenpair, EigenpairSet, coarse_solve, newton_step_multi,
-                           rayleigh_expansion_check)
+from .eigen_newton import Eigenpair, EigenpairSet, coarse_solve, newton_step_multi
 from .linalg import BorderedMatrix, SolverError, dense_gen_eig, solve_bordered
 from .mesh import (Mesh, MeshHierarchy, Prolongation, build_hierarchy, load_mesh,
                    refine_regular, save_mesh, unit_square_mesh)
@@ -28,7 +27,7 @@ __all__ = [
     "compare_with_direct", "dense_gen_eig", "direct_solve",
     "energy_error_vs_exact", "evaluate", "exact_laplace", "example2_coefficients",
     "free_prolongation", "interpolate", "laplace_coefficients", "load_mesh",
-    "newton_step_multi", "rayleigh_expansion_check", "rayleigh_quotient",
+    "newton_step_multi", "rayleigh_quotient",
     "refine_regular", "richardson", "run_multilevel", "save_mesh",
     "solve_bordered", "unit_square_mesh",
 ]

@@ -120,7 +120,6 @@ class AssembledForms:
     free_to_full: np.ndarray
     full_to_free: np.ndarray
     n_free: int
-    points: np.ndarray                       # (n_free, 2) free-vertex coordinates
     coeffs: CoefficientSet = field(repr=False)
     quad_order: int = 2
 
@@ -235,7 +234,6 @@ def assemble_forms(mesh, coeffs, quad_order=2):
         free_to_full=free,
         full_to_free=full_to_free,
         n_free=len(free),
-        points=mesh.vertices[free],
         coeffs=coeffs,
         quad_order=quad_order,
     )

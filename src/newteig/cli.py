@@ -252,6 +252,12 @@ def _write_summary(path, config, record, comparison=None):
             rec.level, rec.h, rec.n_free,
             " ".join("{:.12g}".format(v) for v in rec.eigenvalues)))
     lines.append("")
+    lines.append("level, per eigenpair: MINRES iterations ; verified relative residuals")
+    for rec in record.levels[1:]:
+        lines.append("{:>5} {} ; {}".format(
+            rec.level, " ".join(str(c) for c in rec.pairs.iterations),
+            " ".join("{:.2e}".format(r) for r in rec.pairs.residuals)))
+    lines.append("")
     lines.append("reference values: " + " ".join(
         "{:.12g}".format(v) for v in record.reference_values))
     lines.append("observed eigenvalue orders (log err vs log h, last 3 levels): "
@@ -298,6 +304,7 @@ class WorkReport:
     totals: list                        # wall-clock total per run
     level_sizes: list                   # N_k of the deepest run
     level_times: list                   # (assemble, solve) per level of deepest run
+    level_iterations: list              # MINRES iterations per eigenpair, per level
     exponent: float                     # fit of log(total) vs log(N_n)
     fit_residual: float
     local_exponent: float               # slope over the last two doublings of N
@@ -339,6 +346,7 @@ def run_bench(config):
         totals=totals,
         level_sizes=[rec.n_free for rec in deepest],
         level_times=[(rec.wall_time_assemble, rec.wall_time_solve) for rec in deepest],
+        level_iterations=[rec.pairs.iterations for rec in deepest],
         exponent=exponent,
         fit_residual=fit_residual,
         local_exponent=(float(np.log(totals[-1] / totals[-2])
@@ -355,9 +363,11 @@ def cmd_bench(config):
     for n, size, total in zip(report.depths, report.finest_sizes, report.totals):
         lines.append("{:>3} {:>10} {:>12.4f}".format(n, size, total))
     lines.append("")
-    lines.append("deepest run per level (N_k, assemble s, solve s)")
-    for size, (ta, ts) in zip(report.level_sizes, report.level_times):
-        lines.append("{:>10} {:>12.4f} {:>12.4f}".format(size, ta, ts))
+    lines.append("deepest run per level (N_k, assemble s, solve s, MINRES iterations)")
+    for size, (ta, ts), counts in zip(report.level_sizes, report.level_times,
+                                      report.level_iterations):
+        lines.append("{:>10} {:>12.4f} {:>12.4f}  {}".format(
+            size, ta, ts, "-" if counts is None else " ".join(str(c) for c in counts)))
     lines.append("")
     if np.isnan(report.local_exponent):
         lines.append("local exponent skipped (needs >= 2 depths)")
@@ -368,8 +378,9 @@ def cmd_bench(config):
         lines.append(report.note)
     else:
         lines.append("whole-sweep fit: total time ~ N^{:.3f} (fit residual {:.3e}); "
-                     "linear-work scaling corresponds to exponent 1.0 and is "
-                     "conditional on an optimal inner solver".format(
+                     "linear-work scaling corresponds to exponent 1.0, which the "
+                     "multigrid-preconditioned MINRES of the Newton steps allows "
+                     "while its iteration counts stay flat in N".format(
                          report.exponent, report.fit_residual))
     lines.append("")
     with open(config.output + "_work.txt", "w", encoding="utf-8") as f:

@@ -16,11 +16,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse as sp
 
 from .assemble import b_norm, rayleigh_quotient
-from .linalg import (BorderedMatrix, SolverError, dense_gen_eig,
-                     nested_dissection_order, solve_bordered)
+from .linalg import (BorderedMatrix, SolverError, VCycle, block_preconditioner,
+                     dense_gen_eig, solve_bordered)
 
 DENSE_SOLVE_CAP = 3000
 CONSTRAINT_TOL = 1e-8
@@ -51,21 +50,15 @@ class Eigenpair:
     vector: np.ndarray
     level: int = 0
 
-    def check(self, forms, tol=1e-10):
-        """Assert the normalization and Rayleigh-quotient invariants."""
-        nb = b_norm(forms, self.vector)
-        if abs(nb - 1.0) > tol:
-            raise AssertionError("eigenvector b-norm is {} (expected 1)".format(nb))
-        rq = rayleigh_quotient(forms, self.vector)
-        if abs(rq - self.value) > tol * max(abs(self.value), 1.0):
-            raise AssertionError("stored value {} disagrees with Rayleigh quotient {}".format(
-                self.value, rq))
-
 
 class EigenpairSet:
-    """Ascending, pairwise b-orthogonal eigenpairs on a common level."""
+    """Ascending, pairwise b-orthogonal eigenpairs on a common level.
 
-    def __init__(self, pairs):
+    A Newton step's set keeps the MINRES iterations and verified relative
+    residual of its bordered solve i, for each previous eigenpair i.
+    """
+
+    def __init__(self, pairs, iterations=None, residuals=None):
         pairs = list(pairs)
         if not pairs:
             raise ValueError("empty eigenpair set")
@@ -74,6 +67,8 @@ class EigenpairSet:
         if any(pairs[i + 1].value < pairs[i].value for i in range(len(pairs) - 1)):
             raise ValueError("eigenvalues must be ascending")
         self.pairs = pairs
+        self.iterations = iterations
+        self.residuals = residuals
 
     def __len__(self):
         return len(self.pairs)
@@ -123,26 +118,16 @@ def coarse_solve(forms, m, dense_cap=DENSE_SOLVE_CAP, level=0):
     return EigenpairSet(pairs)
 
 
-def _as_operator(prolong, n_fine, n_coarse):
-    if prolong is None:
-        if n_fine != n_coarse:
-            raise ValueError("prolongation required between spaces of different size")
-        return sp.identity(n_fine, format="csr")
-    if prolong.shape != (n_fine, n_coarse):
-        raise ValueError("prolongation shape {} does not map {} -> {} free DOFs".format(
-            prolong.shape, n_coarse, n_fine))
-    return prolong
-
-
-def newton_step_multi(forms_fine, prev_set, prolong, threads=1, tol=1e-10):
+def newton_step_multi(forms_fine, prev_set, prolong, threads=1, tol=1e-10, cycle=None):
     """One Newton iteration step for the first m eigenpairs.
 
     Each eigenpair gets its own bordered solve (independent, optionally
-    threaded) constrained against all m previous eigenvectors, all factored
-    in one nested-dissection order of the free DOFs; the m
-    solutions then pass through a Rayleigh-Ritz projection that restores
-    b-orthonormality and ascending order.  Warns with `BasinWarning` when a
-    new eigenvalue lies above its predecessor.
+    threaded) constrained against all m previous eigenvectors, by MINRES
+    preconditioned with a multigrid cycle for the stiffness and the
+    border's Schur estimate; the m solutions then pass through a
+    Rayleigh-Ritz projection that restores b-orthonormality and ascending
+    order.  Warns with `BasinWarning` when a new eigenvalue lies above its
+    predecessor.
 
     Parameters
     ----------
@@ -151,42 +136,43 @@ def newton_step_multi(forms_fine, prev_set, prolong, threads=1, tol=1e-10):
     prev_set : EigenpairSet
         Iterates on the coarser space (b-normalized, values = their Rayleigh
         quotients).
-    prolong : sparse matrix or None
+    prolong : sparse matrix
         Free-DOF prolongation from the coarse to the fine space (see
-        `assemble.free_prolongation`); None means identity (same space).
+        `assemble.free_prolongation`).
     threads : int
         Worker threads for the m bordered solves.
     tol : float
         Relative residual bound for the bordered solves.
+    cycle : VCycle, optional
+        Multigrid cycle for ``forms_fine.stiffness``; by default a two-level
+        cycle with the Galerkin coarse operator ``prolong.T A prolong``.
     """
     m = len(prev_set)
-    op = _as_operator(prolong, forms_fine.n_free, prev_set.vectors.shape[0])
-    basis = op @ prev_set.vectors                   # (n_fine, m)
-    # the bordered systems are solved with the free DOFs renumbered into
-    # `order`.  Separators come from the mass matrix, which holds the whole
-    # mesh graph; the stiffness drops the criss-cross diagonals as exact zeros.
-    order = nested_dissection_order(forms_fine.points, forms_fine.mass)
-    stiffness = forms_fine.stiffness[order][:, order]
-    mass = forms_fine.mass[order][:, order]
-    mass_basis = (forms_fine.mass @ basis)[order]
+    if cycle is None:
+        stiffness = forms_fine.stiffness
+        cycle = VCycle(stiffness, prolong, VCycle(prolong.T @ stiffness @ prolong))
+    basis = prolong @ prev_set.vectors              # (n_fine, m)
+    mass_basis = forms_fine.mass @ basis
+    preconditioner = block_preconditioner(cycle, mass_basis)
 
     def solve_one(i):
-        core = (stiffness - prev_set[i].value * mass).tocsr()
+        core = (forms_fine.stiffness - prev_set[i].value * forms_fine.mass).tocsr()
         rhs_bottom = np.zeros(m)
         rhs_bottom[i] = 1.0
+        stats = {}
         solution, _ = solve_bordered(BorderedMatrix(core, mass_basis),
                                      rhs_top=-prev_set[i].value * mass_basis[:, i],
-                                     rhs_bottom=rhs_bottom, tol=tol)
+                                     rhs_bottom=rhs_bottom, tol=tol,
+                                     preconditioner=preconditioner, stats=stats)
         _check_constraints(mass_basis, solution, rhs_bottom)
-        return solution
+        return solution, stats
 
     if threads > 1 and m > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            columns = list(pool.map(solve_one, range(m)))
+            solves = list(pool.map(solve_one, range(m)))
     else:
-        columns = [solve_one(i) for i in range(m)]
-    trial = np.empty((forms_fine.n_free, m))
-    trial[order] = np.column_stack(columns)
+        solves = [solve_one(i) for i in range(m)]
+    trial = np.column_stack([solution for solution, _ in solves])
 
     gram = trial.T @ (forms_fine.mass @ trial)
     gram = 0.5 * (gram + gram.T)
@@ -211,7 +197,8 @@ def newton_step_multi(forms_fine, prev_set, prolong, threads=1, tol=1e-10):
                           "mesh is likely outside the basin of attraction".format(
                               prev.value, new.value),
                           BasinWarning, stacklevel=2)
-    return EigenpairSet(pairs)
+    return EigenpairSet(pairs, iterations=[stats["iterations"] for _, stats in solves],
+                        residuals=[stats["residual"] for _, stats in solves])
 
 
 def _check_constraints(mass_basis, solution, targets):
@@ -220,24 +207,3 @@ def _check_constraints(mass_basis, solution, targets):
     if err > CONSTRAINT_TOL:
         raise SolverError("constraint rows violated by {:.3e} after the bordered "
                           "solve".format(err), residual=err)
-
-
-def rayleigh_expansion_check(forms, psi, exact):
-    """Residual of the exact Rayleigh-quotient error expansion.
-
-    For a converged discrete eigenpair (value, vector) and any nonzero trial
-    function psi, the identity
-
-        RQ(psi) - value = a(e, e)/b(psi, psi) - value * b(e, e)/b(psi, psi)
-
-    with e = vector - psi holds exactly; the returned residual is pure
-    round-off plus the eigenpair's own convergence error.
-    """
-    psi = np.asarray(psi, dtype=float)
-    lam_hat = rayleigh_quotient(forms, psi)
-    err = exact.vector - psi
-    b_psi = float(psi @ (forms.mass @ psi))
-    lhs = lam_hat - exact.value
-    rhs = (float(err @ (forms.stiffness @ err))
-           - exact.value * float(err @ (forms.mass @ err))) / b_psi
-    return abs(lhs - rhs)

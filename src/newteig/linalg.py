@@ -5,9 +5,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy import sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, minres, splu
 
-ND_LEAF_SIZE = 64
+JACOBI_WEIGHT = 0.8
+SMOOTHING_STEPS = 2
+MINRES_MAX_ITERATIONS = 500
+# scipy's MINRES stops on a backward-error estimate, not on the gated residual
+MINRES_RTOL_FACTOR = 1e-4
 
 
 class SolverError(Exception):
@@ -17,62 +21,6 @@ class SolverError(Exception):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
-
-
-def nested_dissection_order(points, pattern):
-    """Geometric nested-dissection order of the nodes of a mesh graph.
-
-    Works in rounds over all parts at once.  Each round splits every part
-    with more than `ND_LEAF_SIZE` nodes at the median of its longer
-    coordinate extent; the nodes of the lower half with a graph edge into
-    the upper half form the part's separator, which is ordered after both
-    halves.  Removing the separator disconnects the halves, so every edge
-    between two nodes still being split joins nodes of one part.
-
-    Parameters
-    ----------
-    points : (n, 2) array_like
-        Node coordinates.
-    pattern : (n, n) sparse matrix
-        Symmetric graph; its stored entries are the edges.
-
-    Returns
-    -------
-    (n,) int ndarray
-        Permutation: position k of the order holds node ``order[k]``.
-    """
-    x, y = np.asarray(points, dtype=float).T.copy()
-    n = len(x)
-    graph = sp.csr_matrix(pattern, dtype=float, copy=True)
-    graph.data[:] = 1.0
-    # one base-3 digit per round (0 lower, 1 upper, 2 separator); halving
-    # parts keeps the round count near log2(n / ND_LEAF_SIZE), far below the
-    # 39 digits an int64 holds
-    key = np.zeros(n, dtype=np.int64)
-    nodes = np.arange(n)            # nodes still being split, parts contiguous
-    while len(nodes):
-        first = np.flatnonzero(np.diff(key[nodes], prepend=-1))
-        sizes = np.diff(first, append=len(nodes))
-        part = np.repeat(np.arange(len(first)), sizes)
-        xn, yn = x[nodes], y[nodes]
-        wide = (np.maximum.reduceat(xn, first) - np.minimum.reduceat(xn, first)
-                >= np.maximum.reduceat(yn, first) - np.minimum.reduceat(yn, first))
-        nodes = nodes[np.lexsort((np.where(wide[part], xn, yn), part))]
-        split = sizes[part] > ND_LEAF_SIZE
-        half = np.arange(len(nodes)) - first[part] < sizes[part] // 2
-        lower = np.zeros(n, dtype=bool)
-        upper = np.zeros(n, dtype=bool)
-        lower[nodes[split & half]] = True
-        upper[nodes[split & ~half]] = True
-        separator = lower & (graph @ upper > 0)
-
-        key *= 3
-        key[upper] += 1
-        key[separator] += 2
-        # lower halves precede upper halves within a part, so the survivors
-        # stay grouped by part in key order
-        nodes = nodes[split & ~separator[nodes]]
-    return np.argsort(key, kind="stable")
 
 
 @dataclass(frozen=True)
@@ -108,15 +56,68 @@ class BorderedMatrix:
         """The full symmetric (n+m) x (n+m) sparse matrix."""
         return sp.bmat([[self.core, -self.border], [-self.border.T, None]], format="csc")
 
+    def apply(self, z):
+        """Product with an (n+m,) vector, without assembling the matrix."""
+        w, g = z[:self.n], z[self.n:]
+        return np.concatenate([self.core @ w - self.border @ g, -(self.border.T @ w)])
 
-def solve_bordered(matrix, rhs_top, rhs_bottom, tol=1e-10):
+
+class VCycle:
+    """Symmetric multigrid V-cycle, an SPD approximation of ``matrix^-1``.
+
+    Without a coarser cycle it is an exact sparse LU solve.  Otherwise it
+    takes `SMOOTHING_STEPS` damped Jacobi steps, a coarse correction through
+    ``prolong`` and ``coarser``, and as many Jacobi steps again, which keeps
+    it symmetric.  It holds no mutable state, so threads may share it.
+    """
+
+    def __init__(self, matrix, prolong=None, coarser=None):
+        self.matrix = sp.csr_matrix(matrix)
+        self.prolong = prolong
+        self.coarser = coarser
+        if coarser is None:
+            self._lu = splu(self.matrix.tocsc())
+        else:
+            self._weights = JACOBI_WEIGHT / self.matrix.diagonal()
+
+    def __call__(self, residual):
+        if self.coarser is None:
+            return self._lu.solve(residual)
+        x = self._weights * residual
+        for _ in range(SMOOTHING_STEPS - 1):
+            x += self._weights * (residual - self.matrix @ x)
+        x += self.prolong @ self.coarser(self.prolong.T @ (residual - self.matrix @ x))
+        for _ in range(SMOOTHING_STEPS):
+            x += self._weights * (residual - self.matrix @ x)
+        return x
+
+
+def block_preconditioner(cycle, border):
+    """diag(cycle, S^-1) with the border's Schur estimate S = border.T cycle(border).
+
+    Built once per border, it serves every core near the SPD matrix that
+    `cycle` approximately inverts, from any thread.
+    """
+    n = border.shape[0]
+    schur = border.T @ np.column_stack([cycle(column) for column in border.T])
+    try:
+        factor = scipy.linalg.cho_factor(0.5 * (schur + schur.T))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("border Schur estimate is not positive definite") from exc
+    return lambda z: np.concatenate([cycle(z[:n]), scipy.linalg.cho_solve(factor, z[n:])])
+
+
+def solve_bordered(matrix, rhs_top, rhs_bottom, tol=1e-10, preconditioner=None, stats=None):
     """Solve [[core, -border], [-border.T, 0]] (w, g) = (rhs_top, -rhs_bottom).
 
-    The matrix is factored by sparse LU with partial pivoting in the given
-    numbering, multipliers last, with no fill-reducing reordering: callers
-    number the free DOFs in a fill-reducing order first (see
-    `nested_dissection_order`).  The residual is re-verified by an explicit
-    matrix-vector product, blockwise against the right-hand side norm.
+    Given a `preconditioner` (an SPD map of (n+m,) vectors, see
+    `block_preconditioner`) the system is solved by MINRES, restarted from
+    its iterate on the explicit residual until that meets the tolerance or
+    `MINRES_MAX_ITERATIONS` iterations are spent; without one, by sparse LU
+    (the oracle of the tests).  Either way the residual is verified by an
+    explicit product, blockwise against the right-hand side norm.  `stats`,
+    a dict, receives ``iterations`` (0 for the LU) and ``residual``, the
+    verified residual over the right-hand side norm.
 
     Returns
     -------
@@ -126,11 +127,12 @@ def solve_bordered(matrix, rhs_top, rhs_bottom, tol=1e-10):
     Raises
     ------
     SolverError
-        On factorization breakdown or when the verified residual exceeds
-        ``tol`` times the right-hand side norm.  The latter signals either
-        an iterate too inaccurate for the bordered system to be safely
-        nonsingular (coarse mesh too coarse) or a ``tol`` tighter than
-        double precision reaches at this size.
+        On factorization or MINRES breakdown, or when the verified residual
+        exceeds ``tol`` times the right-hand side norm (``iterations`` is
+        then set for MINRES).  The latter signals either an iterate too
+        inaccurate for the bordered system to be safely nonsingular (coarse
+        mesh too coarse) or a ``tol`` tighter than double precision reaches
+        at this size.
     """
     n, m = matrix.n, matrix.m
     rhs_top = np.asarray(rhs_top, dtype=float)
@@ -140,28 +142,46 @@ def solve_bordered(matrix, rhs_top, rhs_bottom, tol=1e-10):
     rhs = np.concatenate([rhs_top, -rhs_bottom])
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
+        if stats is not None:
+            stats.update(iterations=0, residual=0.0)
         return np.zeros(n), np.zeros(m)
 
-    assembled = matrix.assembled()
+    def residual_norm(z):
+        residual = matrix.apply(z) - rhs
+        return max(float(np.linalg.norm(residual[:n])), float(np.linalg.norm(residual[n:])))
+
+    target = tol * rhs_norm
+    iterations = None
     try:
-        z = splu(assembled, permc_spec="NATURAL").solve(rhs)
+        if preconditioner is None:
+            z = splu(matrix.assembled()).solve(rhs)
+        else:
+            z, iterations = np.zeros(n + m), 0
+            operator = LinearOperator((n + m, n + m), matvec=matrix.apply, dtype=float)
+            inverse = LinearOperator((n + m, n + m), matvec=preconditioner, dtype=float)
+            ticks = []
+            while residual_norm(z) > target and iterations < MINRES_MAX_ITERATIONS:
+                z, _ = minres(operator, rhs, x0=z, rtol=MINRES_RTOL_FACTOR * tol, M=inverse,
+                              maxiter=MINRES_MAX_ITERATIONS - iterations,
+                              callback=lambda _: ticks.append(None))
+                iterations = len(ticks)
     except (RuntimeError, ValueError) as exc:
-        raise SolverError("bordered factorization failed: {}".format(exc)) from exc
+        raise SolverError("bordered solve failed: {}".format(exc)) from exc
     if not np.isfinite(z).all():
         raise SolverError("bordered solve produced non-finite values (singular system; "
                           "the coarse iterate may be outside the basin of attraction)")
-
-    residual = assembled @ z - rhs
-    top = float(np.linalg.norm(residual[:n]))
-    bottom = float(np.linalg.norm(residual[n:]))
-    achieved = max(top, bottom)
-    if achieved > tol * rhs_norm:
-        raise SolverError("bordered solve residual {:.3e} exceeds {:.3e}; either the "
+    achieved = residual_norm(z)
+    if achieved > target:
+        raise SolverError("bordered solve residual {:.3e} exceeds {:.3e}{}; either the "
                           "coarse mesh is too coarse for this eigenvalue (the iterate is "
                           "outside the basin of attraction) or the tolerance is tighter "
                           "than double precision reaches at {} unknowns".format(
-                              achieved, tol * rhs_norm, n + m),
-                          residual=achieved)
+                              achieved, target,
+                              "" if iterations is None else
+                              " after {} MINRES iterations".format(iterations), n + m),
+                          residual=achieved, iterations=iterations)
+    if stats is not None:
+        stats.update(iterations=iterations or 0, residual=achieved / rhs_norm)
     return z[:n], z[n:]
 
 

@@ -6,6 +6,7 @@ from typing import Optional
 
 from .assemble import AssembledForms, assemble_forms, free_prolongation
 from .eigen_newton import EigenpairSet, coarse_solve, newton_step_multi
+from .linalg import VCycle
 
 
 class MultilevelError(Exception):
@@ -64,8 +65,9 @@ def run_multilevel(hierarchy, coeffs, m=1, options=None):
     """Run the full multilevel Newton iteration over a mesh hierarchy.
 
     Assembles every level, solves the coarse eigenvalue problem once, then
-    performs exactly one Newton step per refinement level.  Errors are not
-    evaluated here (see `reference.evaluate`).
+    performs exactly one Newton step per refinement level, whose multigrid
+    cycle extends the previous level's.  Errors are not evaluated here (see
+    `reference.evaluate`).
 
     Parameters
     ----------
@@ -95,18 +97,20 @@ def run_multilevel(hierarchy, coeffs, m=1, options=None):
                          "coarse mesh, got {}".format(forms[0].n_free, m))
 
     records = []
-    pairs = None
+    pairs = cycle = None
     for k in range(len(hierarchy)):
         t0 = time.perf_counter()
         try:
             if k == 0:
                 pairs = coarse_solve(forms[0], m, dense_cap=options.dense_cap, level=0)
+                cycle = VCycle(forms[0].stiffness)
             else:
                 prolong = free_prolongation(hierarchy.prolongations[k - 1],
                                             forms[k - 1], forms[k])
+                cycle = VCycle(forms[k].stiffness, prolong, cycle)
                 pairs = newton_step_multi(forms[k], pairs, prolong,
                                           threads=options.threads,
-                                          tol=options.solver_tol)
+                                          tol=options.solver_tol, cycle=cycle)
         except Exception as exc:
             raise MultilevelError(k, exc, records) from exc
         solve_time = time.perf_counter() - t0

@@ -25,3 +25,21 @@ def renumbered_square(cells, seed, jitter=0.0):
     offsets = rng.uniform(-jitter / cells, jitter / cells, vertices.shape)
     vertices += offsets * ~boundary[:, None]
     return Mesh(vertices, tris, boundary)
+
+
+def l_shaped_mesh(cells):
+    """The unit square without its upper-right quadrant, cut from the
+    criss-cross mesh with ``cells`` (even) cells per side of the square.
+
+    The re-entrant corner sits at (1/2, 1/2); the two edges that meet there
+    are boundary edges.
+    """
+    square = unit_square_mesh(1 / cells)
+    centroids = square.vertices[square.triangles].mean(axis=1)
+    kept = square.triangles[~((centroids[:, 0] > 0.5) & (centroids[:, 1] > 0.5))]
+    used = np.unique(kept)
+    renumber = np.full(square.num_vertices, -1)
+    renumber[used] = np.arange(len(used))
+    x, y = square.vertices[used].T
+    cut = ((x == 0.5) & (y >= 0.5)) | ((y == 0.5) & (x >= 0.5))
+    return Mesh(square.vertices[used], renumber[kept], square.boundary[used] | cut)

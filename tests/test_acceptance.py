@@ -26,6 +26,8 @@ from newteig.eigen_newton import ClusterGapWarning, Eigenpair, EigenpairSet
 from newteig.linalg import BorderedMatrix, dense_gen_eig, solve_bordered
 from newteig.reference import direct_solve, exact_laplace
 
+from invariants import rayleigh_expansion_check
+
 EXACT = np.array([e.value for e in exact_laplace(6)])
 FIRST = EXACT[0]
 
@@ -261,7 +263,7 @@ def test_criterion_6_rayleigh_expansion_identity():
     worst = 0.0
     for _ in range(100):
         psi = exact_pair.vector + 1e-3 * rng.standard_normal(forms.n_free)
-        worst = max(worst, nt.rayleigh_expansion_check(forms, psi, exact_pair))
+        worst = max(worst, rayleigh_expansion_check(forms, psi, exact_pair))
     bound = 1e-10 * abs(exact_pair.value)
     check(6, worst <= bound,
           "max expansion residual {:.3e} over 100 perturbations (<= {:.3e})".format(

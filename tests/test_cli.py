@@ -1,7 +1,5 @@
 import math
 
-import time
-
 import numpy as np
 import pytest
 
@@ -128,6 +126,16 @@ def test_solve_six_eigenvalues_shrinking_errors(tmp_path):
     assert rows[-1][header.index("err_energy_1")] != ""
     assert rows[-1][header.index("err_energy_2")] == ""
     assert rows[-1][header.index("err_energy_4")] != ""
+    # the summary reports each level's bordered solves, one entry per eigenpair
+    summary = (tmp_path / "six_summary.txt").read_text().splitlines()
+    start = next(i for i, l in enumerate(summary) if "MINRES iterations" in l) + 1
+    for k, line in enumerate(summary[start:start + 3], start=1):
+        head, residuals = line.split(";")
+        level, *counts = head.split()
+        assert int(level) == k
+        assert counts == [str(c) for c in record.levels[k].pairs.iterations]
+        assert len(residuals.split()) == 6
+        assert all(float(r) <= config.solver_tol for r in residuals.split())
 
 
 def test_solve_compare_direct_columns(tmp_path):
@@ -224,6 +232,12 @@ def test_bench_two_depths_skips_fit(tmp_path):
     text = (tmp_path / "bench_work.txt").read_text()
     assert "skipped" in text
     assert "last two doublings of N: N^{:.3f}".format(report.local_exponent) in text
+    # per-level table: no MINRES on the coarse level, one count per step after
+    assert report.level_iterations[0] is None
+    rows = text.split("deepest run per level")[1].splitlines()[1:4]
+    assert rows[0].split()[-1] == "-"
+    assert [row.split()[-1] for row in rows[1:]] == [
+        str(counts[0]) for counts in report.level_iterations[1:]]
 
 
 def test_bench_one_depth_skips_both_exponents(tmp_path):
@@ -235,36 +249,22 @@ def test_bench_one_depth_skips_both_exponents(tmp_path):
     assert "exponent fit skipped" in text
 
 
-def test_bench_work_ratios_with_min_timing(bordered_factors):
-    # Per-level Newton step work ratios.  The work of a step is dominated by
-    # the sparse LU of its bordered matrix, so it is measured by the size
-    # L.nnz + U.nnz of the factor that `solve_bordered` builds, which does not
-    # drift with the host's speed as wall-clock time does.  The N-ratio of 4
-    # times the log factor of nested-dissection fill (N log N) predicts
-    # ratios of 4..6.  Wall-clock ratios are printed only.
+def test_bench_work_ratios_with_min_timing():
+    # Per-level Newton step work.  A step costs its MINRES iterations times
+    # O(N) work each, so with an optimal multigrid preconditioner the
+    # iteration counts stay flat as N grows four-fold per level.  The counts
+    # are deterministic, unlike wall-clock times on a shared host, which are
+    # printed only.
     import newteig as nt
-    from newteig.assemble import free_prolongation
-    from newteig.eigen_newton import EigenpairSet
 
     hier = nt.build_hierarchy(unit_square_mesh(1 / 6), 6)
-    coeffs = nt.laplace_coefficients()
-    forms = [nt.assemble_forms(m, coeffs) for m in hier.levels]
-    prev = nt.coarse_solve(forms[0], 1)[0]
-    times = []
-    for k in range(1, 6):
-        op = free_prolongation(hier.prolongations[k - 1], forms[k - 1], forms[k])
-        t0 = time.perf_counter()
-        prev = nt.newton_step_multi(forms[k], EigenpairSet([prev]), op)[0]
-        times.append(time.perf_counter() - t0)
-    work = [fill for _, fill in bordered_factors]
-    assert len(work) == 5                       # one bordered factor per step
-    # W_k is the step work onto 1-based level k; constrain W_{k+1}/W_k, k >= 3
-    ratios = [work[i + 1] / work[i] for i in range(1, 4)]
-    print("factor nnz ratios {}; wall-clock ratios {} (not asserted)".format(
-        [round(r, 2) for r in ratios],
-        [round(times[i + 1] / times[i], 2) for i in range(1, 4)]))
-    for ratio in ratios:
-        assert 3.0 <= ratio <= 9.0
+    levels = nt.run_multilevel(hier, nt.laplace_coefficients(), 1)
+    counts = [rec.pairs.iterations[0] for rec in levels[1:]]
+    times = [rec.wall_time_solve for rec in levels[1:]]
+    print("MINRES iterations on levels 1-5 {}; wall-clock ratios {} (not asserted)".format(
+        counts, [round(times[i + 1] / times[i], 2) for i in range(len(times) - 1)]))
+    assert all(8 <= count <= 20 for count in counts)
+    assert counts[-1] <= 1.25 * counts[1]
 
 
 def test_main_exit_codes(tmp_path):

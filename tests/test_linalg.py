@@ -6,14 +6,12 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import sparse as sp
 from scipy.optimize import brentq
-from scipy.sparse.linalg import splu
 
-from newteig.assemble import (assemble_forms, interpolate, laplace_coefficients,
-                              rayleigh_quotient)
-from newteig.linalg import (BorderedMatrix, SolverError, dense_gen_eig,
-                            nested_dissection_order, solve_bordered)
-from newteig.mesh import build_hierarchy, refine_regular, unit_square_mesh
-from newteig.multilevel import run_multilevel
+from newteig.assemble import (assemble_forms, free_prolongation, interpolate,
+                              laplace_coefficients, rayleigh_quotient)
+from newteig.linalg import (BorderedMatrix, SolverError, VCycle, block_preconditioner,
+                            dense_gen_eig, solve_bordered)
+from newteig.mesh import refine_regular, unit_square_mesh
 
 from meshgen import renumbered_square
 
@@ -97,6 +95,22 @@ def test_bordered_unreachable_tolerance_names_both_causes():
     assert "coarse mesh" in str(info.value)
 
 
+def test_minres_iteration_cap_raises_with_count(monkeypatch):
+    import newteig.linalg
+
+    forms, core, border = _shifted_pencil(unit_square_mesh(1 / 8))
+    matrix = BorderedMatrix(core, border)
+    rhs_top = np.random.default_rng(7).standard_normal(forms.n_free)
+    stats = {}
+    solve_bordered(matrix, rhs_top, np.ones(1), stats=stats)       # the LU oracle
+    assert stats["iterations"] == 0 and stats["residual"] <= 1e-10
+    monkeypatch.setattr(newteig.linalg, "MINRES_MAX_ITERATIONS", 3)
+    with pytest.raises(SolverError, match="after 3 MINRES iterations") as info:
+        solve_bordered(matrix, rhs_top, np.ones(1), preconditioner=lambda z: z)
+    assert info.value.iterations == 3
+    assert info.value.residual > 1e-10 * np.linalg.norm(np.append(rhs_top, 1.0))
+
+
 def _shifted_pencil(mesh):
     """Newton-step-shaped bordered system on `mesh`: the core shifted by the
     Rayleigh quotient of the interpolated first mode, bordered by its mass."""
@@ -108,41 +122,35 @@ def _shifted_pencil(mesh):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
-def test_nested_dissection_solve_matches_dense(cells, seed):
+def test_preconditioned_solve_matches_dense(cells, seed):
+    # the coarse mesh gets an exact cycle, its refinement a two-level one
     coarse = renumbered_square(cells, seed, jitter=0.15)
+    fine, prolongation = refine_regular(coarse)
     rng = np.random.default_rng(seed)
-    for mesh in (coarse, refine_regular(coarse)[0]):
+    coarse_forms = None
+    for mesh in (coarse, fine):
         if mesh.boundary.all():          # one cell per side: no free DOF
             continue
         forms, core, border = _shifted_pencil(mesh)
+        if coarse_forms is None:
+            cycle = VCycle(forms.stiffness)
+        else:
+            cycle = VCycle(forms.stiffness,
+                           free_prolongation(prolongation, coarse_forms, forms),
+                           VCycle(coarse_forms.stiffness))
+        coarse_forms = forms
         n = forms.n_free
-        order = nested_dissection_order(forms.points, forms.mass)
-        assert np.array_equal(np.sort(order), np.arange(n))
         rhs_top = rng.standard_normal(n)
-        w = np.empty(n)
-        w[order], g = solve_bordered(
-            BorderedMatrix(core[order][:, order], border[order]), rhs_top[order], np.ones(1))
+        stats = {}
+        w, g = solve_bordered(BorderedMatrix(core, border), rhs_top, np.ones(1),
+                              preconditioner=block_preconditioner(cycle, border[:, None]),
+                              stats=stats)
         dense = np.block([[core.toarray(), -border[:, None]],
                           [-border[None, :], np.zeros((1, 1))]])
         z = np.linalg.solve(dense, np.concatenate([rhs_top, -np.ones(1)]))
         scale = max(1.0, float(np.abs(z).max()))
         assert np.abs(np.concatenate([w, g]) - z).max() <= 1e-10 * scale
-
-
-def test_nested_dissection_fill_on_finest_level(bordered_factors):
-    # finest level of a 6-level laplace hierarchy from h = 1/8: 65,025 free
-    # DOFs.  Separators from the stiffness pattern alone miss the criss-cross
-    # diagonals of the shifted core and roughly triple the fill.
-    hierarchy = build_hierarchy(unit_square_mesh(1 / 8), 6)
-    levels = run_multilevel(hierarchy, laplace_coefficients(), 1)
-    assert levels[-1].n_free == 65025
-    matrix, fill = bordered_factors[-1]
-    colamd = splu(matrix)
-    colamd_fill = colamd.L.nnz + colamd.U.nnz
-    print("finest bordered factor nnz: nested dissection {}, COLAMD {}".format(
-        fill, colamd_fill))
-    assert fill <= 7_100_000
-    assert fill < colamd_fill
+        assert 1 <= stats["iterations"] <= 40 and stats["residual"] <= 1e-10
 
 
 def test_dense_gen_eig_diagonal():
