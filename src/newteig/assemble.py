@@ -118,17 +118,9 @@ class AssembledForms:
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
     free_to_full: np.ndarray
-    full_to_free: np.ndarray
     n_free: int
     coeffs: CoefficientSet = field(repr=False)
     quad_order: int = 2
-
-    def scatter(self, x):
-        """Embed a free-DOF vector into the full vertex numbering (zeros on the boundary)."""
-        x = np.asarray(x, dtype=float)
-        full = np.zeros(self.full_to_free.shape[0])
-        full[self.free_to_full] = x
-        return full
 
 
 def _triangle_geometry(mesh):
@@ -226,13 +218,10 @@ def assemble_forms(mesh, coeffs, quad_order=2):
     """
     k_full, m_full = _assemble_full(mesh, coeffs, quad_order)
     free = np.flatnonzero(~mesh.boundary)
-    full_to_free = np.full(mesh.num_vertices, -1, dtype=np.int64)
-    full_to_free[free] = np.arange(len(free))
     return AssembledForms(
         stiffness=k_full[free][:, free].tocsr(),
         mass=m_full[free][:, free].tocsr(),
         free_to_full=free,
-        full_to_free=full_to_free,
         n_free=len(free),
         coeffs=coeffs,
         quad_order=quad_order,
@@ -302,14 +291,13 @@ def interpolate(f, mesh):
 
 
 def free_prolongation(prolongation, coarse_forms, fine_forms):
-    """Restriction of a nodal Prolongation to free DOFs on both levels.
+    """Restriction of a nodal prolongation matrix to free DOFs on both levels.
 
     Exact for homogeneous Dirichlet data: a coarse function vanishing on the
     coarse boundary prolongates to a fine function vanishing on the fine
     boundary, so dropping boundary rows and columns loses nothing.
     """
-    mat = prolongation.matrix
-    return mat[fine_forms.free_to_full][:, coarse_forms.free_to_full].tocsr()
+    return prolongation[fine_forms.free_to_full][:, coarse_forms.free_to_full].tocsr()
 
 
 def energy_error_vs_exact(forms, mesh, x, u_exact, grad_exact):
@@ -340,7 +328,8 @@ def energy_error_vs_exact(forms, mesh, x, u_exact, grad_exact):
 
     bary, weights = _QUAD_RULES[forms.quad_order]
     p, area, grads = _triangle_geometry(mesh)
-    full = forms.scatter(x)
+    full = np.zeros(mesh.num_vertices)
+    full[forms.free_to_full] = x
     tri_vals = full[mesh.triangles]                       # (T, 3)
     uh_grad = np.einsum("tj,tjd->td", tri_vals, grads)    # constant per triangle
 

@@ -55,7 +55,6 @@ class RunConfig:
     compare_direct: bool = False
     bench_max_levels: int = 6
     output: str = "run"
-    threads: int = 1
     a11: str = ""
     a12: str = ""
     a22: str = ""
@@ -78,14 +77,13 @@ class RunConfig:
                 raise ConfigError("{} must be positive, got {!r}".format(
                     key, getattr(self, key)))
         eps = float(np.finfo(float).eps)
-        if self.solver_tol < eps:
-            raise ConfigError("solver_tol {!r} is below machine epsilon {:.3g}; no "
-                              "double-precision residual can reach it".format(
-                                  self.solver_tol, eps))
+        if not eps <= self.solver_tol < 1:
+            raise ConfigError("solver_tol must lie in [{:.3g}, 1), got {!r}: no "
+                              "double-precision residual reaches one below machine "
+                              "epsilon, and one of 1 or more accepts the zero "
+                              "iterate".format(eps, self.solver_tol))
         if self.dense_cap < 1:
             raise ConfigError("dense_cap must be at least 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
         if self.bench_max_levels < 2:
             raise ConfigError("bench_max_levels must be at least 2")
         if not self.mesh_file:
@@ -132,7 +130,6 @@ class RunConfig:
             quad_order=self.quad_order or None,
             dense_cap=self.dense_cap,
             solver_tol=self.solver_tol,
-            threads=self.threads,
         )
 
 

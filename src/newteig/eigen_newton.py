@@ -12,7 +12,6 @@ m = 1 that reduces to b-normalizing w_1 and taking its Rayleigh quotient.
 """
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ from .linalg import (BorderedMatrix, SolverError, VCycle, block_preconditioner,
                      dense_gen_eig, solve_bordered)
 
 DENSE_SOLVE_CAP = 3000
-CONSTRAINT_TOL = 1e-8
 
 
 class ClusterGapWarning(RuntimeWarning):
@@ -118,16 +116,15 @@ def coarse_solve(forms, m, dense_cap=DENSE_SOLVE_CAP, level=0):
     return EigenpairSet(pairs)
 
 
-def newton_step_multi(forms_fine, prev_set, prolong, threads=1, tol=1e-10, cycle=None):
+def newton_step_multi(forms_fine, prev_set, prolong, tol=1e-10, cycle=None):
     """One Newton iteration step for the first m eigenpairs.
 
-    Each eigenpair gets its own bordered solve (independent, optionally
-    threaded) constrained against all m previous eigenvectors, by MINRES
-    preconditioned with a multigrid cycle for the stiffness and the
-    border's Schur estimate; the m solutions then pass through a
-    Rayleigh-Ritz projection that restores b-orthonormality and ascending
-    order.  Warns with `BasinWarning` when a new eigenvalue lies above its
-    predecessor.
+    Each eigenpair gets its own bordered solve, constrained against all m
+    previous eigenvectors, by MINRES preconditioned with a multigrid cycle
+    for the stiffness and the border's Schur estimate; the m solutions then
+    pass through a Rayleigh-Ritz projection that restores b-orthonormality
+    and ascending order.  Warns with `BasinWarning` when a new eigenvalue
+    lies above its predecessor.
 
     Parameters
     ----------
@@ -139,8 +136,6 @@ def newton_step_multi(forms_fine, prev_set, prolong, threads=1, tol=1e-10, cycle
     prolong : sparse matrix
         Free-DOF prolongation from the coarse to the fine space (see
         `assemble.free_prolongation`).
-    threads : int
-        Worker threads for the m bordered solves.
     tol : float
         Relative residual bound for the bordered solves.
     cycle : VCycle, optional
@@ -155,24 +150,16 @@ def newton_step_multi(forms_fine, prev_set, prolong, threads=1, tol=1e-10, cycle
     mass_basis = forms_fine.mass @ basis
     preconditioner = block_preconditioner(cycle, mass_basis)
 
-    def solve_one(i):
+    trial = np.empty((forms_fine.n_free, m))
+    stats = [{} for _ in range(m)]
+    for i in range(m):
         core = (forms_fine.stiffness - prev_set[i].value * forms_fine.mass).tocsr()
         rhs_bottom = np.zeros(m)
         rhs_bottom[i] = 1.0
-        stats = {}
-        solution, _ = solve_bordered(BorderedMatrix(core, mass_basis),
-                                     rhs_top=-prev_set[i].value * mass_basis[:, i],
-                                     rhs_bottom=rhs_bottom, tol=tol,
-                                     preconditioner=preconditioner, stats=stats)
-        _check_constraints(mass_basis, solution, rhs_bottom)
-        return solution, stats
-
-    if threads > 1 and m > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solves = list(pool.map(solve_one, range(m)))
-    else:
-        solves = [solve_one(i) for i in range(m)]
-    trial = np.column_stack([solution for solution, _ in solves])
+        trial[:, i], _ = solve_bordered(BorderedMatrix(core, mass_basis),
+                                        rhs_top=-prev_set[i].value * mass_basis[:, i],
+                                        rhs_bottom=rhs_bottom, tol=tol,
+                                        preconditioner=preconditioner, stats=stats[i])
 
     gram = trial.T @ (forms_fine.mass @ trial)
     gram = 0.5 * (gram + gram.T)
@@ -197,13 +184,5 @@ def newton_step_multi(forms_fine, prev_set, prolong, threads=1, tol=1e-10, cycle
                           "mesh is likely outside the basin of attraction".format(
                               prev.value, new.value),
                           BasinWarning, stacklevel=2)
-    return EigenpairSet(pairs, iterations=[stats["iterations"] for _, stats in solves],
-                        residuals=[stats["residual"] for _, stats in solves])
-
-
-def _check_constraints(mass_basis, solution, targets):
-    achieved = mass_basis.T @ solution
-    err = float(np.abs(achieved - targets).max())
-    if err > CONSTRAINT_TOL:
-        raise SolverError("constraint rows violated by {:.3e} after the bordered "
-                          "solve".format(err), residual=err)
+    return EigenpairSet(pairs, iterations=[solve["iterations"] for solve in stats],
+                        residuals=[solve["residual"] for solve in stats])

@@ -68,7 +68,7 @@ class VCycle:
     Without a coarser cycle it is an exact sparse LU solve.  Otherwise it
     takes `SMOOTHING_STEPS` damped Jacobi steps, a coarse correction through
     ``prolong`` and ``coarser``, and as many Jacobi steps again, which keeps
-    it symmetric.  It holds no mutable state, so threads may share it.
+    it symmetric.
     """
 
     def __init__(self, matrix, prolong=None, coarser=None):
@@ -96,7 +96,7 @@ def block_preconditioner(cycle, border):
     """diag(cycle, S^-1) with the border's Schur estimate S = border.T cycle(border).
 
     Built once per border, it serves every core near the SPD matrix that
-    `cycle` approximately inverts, from any thread.
+    `cycle` approximately inverts.
     """
     n = border.shape[0]
     schur = border.T @ np.column_stack([cycle(column) for column in border.T])

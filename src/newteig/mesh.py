@@ -153,23 +153,6 @@ class Mesh:
         self._max_diameter = float(np.sqrt((d ** 2).sum(axis=1)).max())
 
 
-class Prolongation:
-    """Nodal-value transfer from a coarse mesh to its regular refinement.
-
-    Surviving coarse vertices carry weight 1; edge midpoints average the
-    two edge endpoints with weight 1/2 each.  Row sums are therefore 1,
-    and coarse piecewise-linear functions are reproduced exactly on the
-    fine mesh.
-    """
-
-    def __init__(self, matrix):
-        matrix = sp.csr_matrix(matrix)
-        rows = np.asarray(matrix.sum(axis=1)).ravel()
-        if not np.allclose(rows, 1.0, rtol=0, atol=1e-12):
-            raise MeshError("prolongation row sums must equal 1")
-        self.matrix = matrix
-
-
 def unit_square_mesh(h):
     """Structured criss-cross triangulation of the unit square.
 
@@ -219,8 +202,11 @@ def refine_regular(mesh):
 
     Returns
     -------
-    (Mesh, Prolongation)
-        The refined mesh and the nodal-value transfer onto it.
+    (Mesh, csr_matrix)
+        The refined mesh and the nodal-value transfer onto it: surviving
+        vertices carry weight 1, edge midpoints average the two endpoints
+        with weight 1/2 each, so coarse piecewise-linear functions are
+        reproduced exactly.
     """
     tris = mesh.triangles
     nv = mesh.num_vertices
@@ -245,8 +231,7 @@ def refine_regular(mesh):
                            np.repeat(nv + np.arange(len(edges)), 2)])
     cols = np.concatenate([np.arange(nv), edges.ravel()])
     vals = np.concatenate([np.ones(nv), np.full(2 * len(edges), 0.5)])
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n_fine, nv))
-    return fine, Prolongation(matrix)
+    return fine, sp.csr_matrix((vals, (rows, cols)), shape=(n_fine, nv))
 
 
 class MeshHierarchy:
@@ -255,7 +240,7 @@ class MeshHierarchy:
     Attributes
     ----------
     levels : list of Mesh
-    prolongations : list of Prolongation
+    prolongations : list of csr_matrix
         prolongations[k] maps nodal values from levels[k] to levels[k+1].
     """
 

@@ -26,7 +26,6 @@ class SolveOptions:
     quad_order: Optional[int] = None         # None: 2 for laplace, else 5
     dense_cap: int = 3000
     solver_tol: float = 1e-10
-    threads: int = 1
 
     def effective_quad_order(self, coeffs):
         if self.quad_order is not None:
@@ -109,7 +108,6 @@ def run_multilevel(hierarchy, coeffs, m=1, options=None):
                                             forms[k - 1], forms[k])
                 cycle = VCycle(forms[k].stiffness, prolong, cycle)
                 pairs = newton_step_multi(forms[k], pairs, prolong,
-                                          threads=options.threads,
                                           tol=options.solver_tol, cycle=cycle)
         except Exception as exc:
             raise MultilevelError(k, exc, records) from exc

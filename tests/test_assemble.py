@@ -210,7 +210,7 @@ def test_interpolate_zero_and_affine_commute():
     f = lambda x, y: 1.5 * x - 0.25 * y + 0.75
     # prolongating the full nodal interpolant reproduces the fine interpolant,
     # and its free-DOF restriction is exactly interpolate() on the fine mesh
-    prolonged = prolong.matrix @ f(mesh.vertices[:, 0], mesh.vertices[:, 1])
+    prolonged = prolong @ f(mesh.vertices[:, 0], mesh.vertices[:, 1])
     fine_free = np.flatnonzero(~fine.boundary)
     assert_allclose(prolonged[fine_free], interpolate(f, fine), atol=1e-13)
 

@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,7 +81,7 @@ def test_parse_config_unknown_key_strict_vs_lenient(tmp_path, capsys):
 
 
 def test_parse_config_reports_bad_value_line(tmp_path):
-    path = write_config(tmp_path, "levels = 3\nthreads = many\n")
+    path = write_config(tmp_path, "levels = 3\neigen_count = many\n")
     with pytest.raises(ConfigError, match="line 2"):
         parse_config(path)
 
@@ -302,8 +305,8 @@ def test_main_eigen_count_above_coarse_space_exit_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", [
-    "solver_tol = 0", "solver_tol = -1", "solver_tol = 1e-30", "direct_tol = 0",
-    "dense_cap = 0"])
+    "solver_tol = 0", "solver_tol = -1", "solver_tol = 1e-30", "solver_tol = 1",
+    "direct_tol = 0", "dense_cap = 0"])
 def test_main_bad_tolerance_or_dense_cap_exit_config(tmp_path, capsys, monkeypatch, line):
     def no_hierarchy(*args, **kwargs):
         raise AssertionError("a mesh was built")
@@ -316,6 +319,35 @@ def test_main_bad_tolerance_or_dense_cap_exit_config(tmp_path, capsys, monkeypat
     assert err.startswith("config error: ") and line.split()[0] in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "bad_levels.csv").exists()
+
+
+def test_main_loose_solver_tol_is_the_only_gate(tmp_path):
+    # the verified residual's bottom block is the constraint error, so a loose
+    # tolerance gates the constraint rows too, with no tighter second check
+    path = write_config(tmp_path, "levels = 4\nsolver_tol = 1e-3\noutput = {}\n".format(
+        tmp_path / "loose"))
+    assert main(["solve", str(path)]) == EXIT_OK
+    summary = (tmp_path / "loose_summary.txt").read_text().splitlines()
+    start = next(i for i, l in enumerate(summary) if "MINRES iterations" in l) + 1
+    residuals = [float(r) for line in summary[start:start + 3]
+                 for r in line.split(";")[1].split()]
+    assert len(residuals) == 3 and all(r <= 1e-3 for r in residuals)
+
+
+def test_benchmark_configs_still_parse(tmp_path, capsys, monkeypatch):
+    # the benchmark's input writer needs only numpy; a config key it writes
+    # that the program drops may only draw the unknown-key warning
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    for name, workload in sorted(inputs.WORKLOADS.items()):
+        (tmp_path / name).mkdir()
+        parse_config(inputs.write_inputs(workload, 1, str(tmp_path / name), levels=2))
+        for line in capsys.readouterr().err.splitlines():
+            assert re.fullmatch(r"warning: unknown key 'threads' \(line \d+\)", line)
+    monkeypatch.chdir(tmp_path / "laplace_deep")
+    assert main(["solve", "run.cfg"]) == EXIT_OK
 
 
 def test_main_laplace_beyond_twenty_eigenvalues(tmp_path):

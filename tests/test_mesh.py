@@ -12,7 +12,7 @@ from newteig.mesh import (Mesh, MeshError, MeshFormatError, _edge_keys, _edge_to
                           unit_square_mesh)
 from newteig.multilevel import run_multilevel
 
-from meshgen import renumbered_square
+from meshgen import l_shaped_mesh, renumbered_square
 
 
 def test_unit_square_counts_h_half():
@@ -64,18 +64,20 @@ def test_refine_preserves_area_and_quadruples_triangles():
         mesh = fine
 
 
-def test_prolongation_reproduces_affine():
-    mesh = unit_square_mesh(1 / 3)
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.builds(renumbered_square, st.integers(1, 8), st.integers(0, 2 ** 32 - 1),
+                           st.floats(0.0, 0.15)),
+                 st.builds(l_shaped_mesh, st.sampled_from([2, 4, 6, 8]))),
+       st.integers(0, 2 ** 32 - 1))
+def test_prolongation_reproduces_affine(mesh, seed):
     fine, prolong = refine_regular(mesh)
-    rng = np.random.default_rng(7)
-    for _ in range(12):
-        a, b, c = rng.standard_normal(3)
-        f = lambda x, y: a * x + b * y + c
-        coarse_vals = f(mesh.vertices[:, 0], mesh.vertices[:, 1])
-        fine_vals = f(fine.vertices[:, 0], fine.vertices[:, 1])
-        assert_allclose(prolong.matrix @ coarse_vals, fine_vals, rtol=0, atol=1e-13)
-    assert_allclose(np.asarray(prolong.matrix.sum(axis=1)).ravel(), 1.0,
-                    rtol=0, atol=1e-14)
+    assert prolong.format == "csr" and prolong.shape == (fine.num_vertices, mesh.num_vertices)
+    assert (np.asarray(prolong.sum(axis=1)).ravel() == 1.0).all()
+    assert np.isin(prolong.data, [0.5, 1.0]).all()
+    a, b, c = np.random.default_rng(seed).standard_normal((3, 4))
+    coarse_vals = np.outer(mesh.vertices[:, 0], a) + np.outer(mesh.vertices[:, 1], b) + c
+    fine_vals = np.outer(fine.vertices[:, 0], a) + np.outer(fine.vertices[:, 1], b) + c
+    assert_allclose(prolong @ coarse_vals, fine_vals, rtol=0, atol=1e-13)
 
 
 def test_refined_boundary_edges_nest_in_coarse_boundary():
