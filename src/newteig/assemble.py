@@ -18,6 +18,8 @@ from typing import Callable
 import numpy as np
 from scipy import sparse as sp
 
+from .mesh import _edge_topology
+
 
 class AssemblyError(ValueError):
     """Coefficient or quadrature data violates the assembly contract."""
@@ -39,9 +41,7 @@ _QUAD_RULES = {
         np.array(
             [[1 / 3, 1 / 3, 1 / 3]]
             + [np.roll([1 - 2 * a, a, a], s).tolist()
-               for a in ((6 - _W15) / 21,) for s in range(3)]
-            + [np.roll([1 - 2 * a, a, a], s).tolist()
-               for a in ((6 + _W15) / 21,) for s in range(3)]
+               for a in ((6 - _W15) / 21, (6 + _W15) / 21) for s in range(3)]
         ),
         np.array([9 / 40]
                  + [(155 - _W15) / 1200] * 3
@@ -79,8 +79,7 @@ def laplace_coefficients():
     """Identity diffusion, no reaction, unit weight."""
     def diffusion(x, y):
         out = np.zeros((len(x), 2, 2))
-        out[:, 0, 0] = 1.0
-        out[:, 1, 1] = 1.0
+        out[:, 0, 0] = out[:, 1, 1] = 1.0
         return out
 
     return CoefficientSet(diffusion=diffusion,
@@ -96,12 +95,10 @@ def example2_coefficients():
     reaction exp((x-1/2)(y-1/2)) and weight 1 + (x-1/2)(y-1/2).
     """
     def diffusion(x, y):
-        u = x - 0.5
-        v = y - 0.5
+        u, v = x - 0.5, y - 0.5
         out = np.empty((len(x), 2, 2))
         out[:, 0, 0] = 1.0 + u ** 2
-        out[:, 0, 1] = u * v
-        out[:, 1, 0] = u * v
+        out[:, 0, 1] = out[:, 1, 0] = u * v
         out[:, 1, 1] = 1.0 + v ** 2
         return out
 
@@ -123,83 +120,97 @@ class AssembledForms:
     quad_order: int = 2
 
 
-def _triangle_geometry(mesh):
-    p = mesh.vertices[mesh.triangles]          # (T, 3, 2)
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    # grad of barycentric i = perp(p[i+2] - p[i+1]) / (2 area)
-    grads = np.empty_like(p)
-    for i in range(3):
-        d = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-        grads[:, i, 0] = -d[:, 1]
-        grads[:, i, 1] = d[:, 0]
-    grads /= (2.0 * area)[:, None, None]
-    return p, area, grads
+def _triangle_geometry(p):
+    """Edge vectors ``e_i = p[i+2] - p[i+1]`` opposite each vertex and the area of
+    every triangle of the (T, 3, 2) coordinates `p`.  The gradient of barycentric
+    coordinate i is ``perp(e_i) / (2 area)`` with ``perp(x, y) = (-y, x)``."""
+    edges = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
+    return edges, 0.5 * (edges[:, 1, 0] * edges[:, 2, 1] - edges[:, 1, 1] * edges[:, 2, 0])
 
 
 def _check_coefficients(dq, rq, wq, points):
-    for name, values in (("diffusion", dq), ("reaction", rq), ("weight", wq)):
-        finite = np.isfinite(values).reshape(len(points), -1).all(axis=1)
-        if not finite.all():
-            i = np.flatnonzero(~finite)[0]
-            raise AssemblyError("{} coefficient is not finite at quadrature point "
-                                "({:.6g}, {:.6g})".format(name, *points[i]))
-    sym = np.abs(dq[:, 0, 1] - dq[:, 1, 0])
-    tr = dq[:, 0, 0] + dq[:, 1, 1]
-    det = dq[:, 0, 0] * dq[:, 1, 1] - dq[:, 0, 1] * dq[:, 1, 0]
-    scale = np.maximum(np.abs(dq).max(axis=(1, 2)), 1e-300)
-    bad = (sym > 1e-12 * scale) | (tr <= 0) | (det <= 0)
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        raise AssemblyError("diffusion matrix is not symmetric positive definite at "
-                            "quadrature point ({:.6g}, {:.6g})".format(*points[i]))
-    if (rq < 0).any():
-        i = np.flatnonzero(rq < 0)[0]
-        raise AssemblyError("reaction coefficient is negative at quadrature point "
-                            "({:.6g}, {:.6g})".format(*points[i]))
-    if (wq <= 0).any():
-        i = np.flatnonzero(wq <= 0)[0]
-        raise AssemblyError("weight coefficient is not positive at quadrature point "
-                            "({:.6g}, {:.6g})".format(*points[i]))
+    d00, d01, d10, d11 = dq[:, 0, 0], dq[:, 0, 1], dq[:, 1, 0], dq[:, 1, 1]
+    with np.errstate(all="ignore"):
+        tr, det = d00 + d11, d00 * d11 - d01 * d10
+        # one cheap pass first: a finite sum means finite entries, NaN fails all
+        if (np.isfinite(dq.sum()) and (d01 == d10).all() and tr.min() > 0 and det.min() > 0
+                and 0 <= rq.min() and rq.max() < np.inf and 0 < wq.min() and wq.max() < np.inf):
+            return
+        checks = [("{} coefficient is not finite".format(name),
+                   ~np.isfinite(values).reshape(len(points), -1).all(axis=1))
+                  for name, values in (("diffusion", dq), ("reaction", rq), ("weight", wq))]
+        scale = np.maximum(np.abs(dq).max(axis=(1, 2)), 1e-300)
+        checks += [("diffusion matrix is not symmetric positive definite",
+                    (np.abs(d01 - d10) > 1e-12 * scale) | (tr <= 0) | (det <= 0)),
+                   ("reaction coefficient is negative", rq < 0),
+                   ("weight coefficient is not positive", wq <= 0)]
+    for message, bad in checks:
+        if bad.any():
+            raise AssemblyError("{} at quadrature point ({:.6g}, {:.6g})".format(
+                message, *points[np.flatnonzero(bad)[0]]))
 
 
-def _assemble_full(mesh, coeffs, quad_order):
-    """Stiffness and mass matrices over all vertices, boundary included."""
+def _element_entries(mesh, coeffs, quad_order):
+    """Stiffness and mass entries (T, 6) of every element matrix: the diagonal
+    ones of local vertices 0, 1, 2, then those of local edges 01, 12, 20."""
     if quad_order not in _QUAD_RULES:
         raise ValueError("quad_order must be one of {}, got {!r}".format(
             sorted(_QUAD_RULES), quad_order))
     bary, weights = _QUAD_RULES[quad_order]
-    p, area, grads = _triangle_geometry(mesh)
-    nt = mesh.num_triangles
-    nv = mesh.num_vertices
-
-    ke = np.zeros((nt, 3, 3))
-    me = np.zeros((nt, 3, 3))
-    dsum = np.zeros((nt, 2, 2))
-    for q in range(len(weights)):
+    p = mesh.vertices[mesh.triangles]          # (T, 3, 2)
+    edge_vectors, area = _triangle_geometry(p)
+    d00, d01, d11 = np.zeros((3, len(p)))      # weight-averaged symmetric part of D
+    reaction, weight = np.empty((2, len(p), len(weights)))
+    for q, w in enumerate(weights):
         xq = np.einsum("j,tjd->td", bary[q], p)
         with np.errstate(all="ignore"):      # non-finite values are rejected below
             dq = np.asarray(coeffs.diffusion(xq[:, 0], xq[:, 1]), dtype=float)
             rq = np.asarray(coeffs.reaction(xq[:, 0], xq[:, 1]), dtype=float)
             wq = np.asarray(coeffs.weight(xq[:, 0], xq[:, 1]), dtype=float)
         _check_coefficients(dq, rq, wq, xq)
-        dq = 0.5 * (dq + dq.transpose(0, 2, 1))
-        dsum += weights[q] * dq
-        outer = np.outer(bary[q], bary[q])
-        ke += (weights[q] * rq)[:, None, None] * outer
-        me += (weights[q] * wq)[:, None, None] * outer
-    # P1 gradients are constant per triangle, so the diffusion term needs a
-    # single contraction against the weight-averaged matrix.
-    ke += np.einsum("tid,tde,tje->tij", grads, dsum, grads)
-    ke *= area[:, None, None]
-    me *= area[:, None, None]
+        d00 += w * dq[:, 0, 0]
+        d01 += w * (0.5 * (dq[:, 0, 1] + dq[:, 1, 0]))
+        d11 += w * dq[:, 1, 1]
+        reaction[:, q], weight[:, q] = w * rq, w * wq
+    outer = bary[:, [0, 1, 2, 0, 1, 2]] * bary[:, [0, 1, 2, 1, 2, 0]]
+    k_entries, m_entries = (reaction @ outer) * area[:, None], (weight @ outer) * area[:, None]
+    # P1 gradients are constant: area grad_i . D grad_j = perp(e_i) . D perp(e_j) / (4 area)
+    nx, ny = -edge_vectors[:, :, 1], edge_vectors[:, :, 0]
+    dnx, dny = d00[:, None] * nx + d01[:, None] * ny, d01[:, None] * nx + d11[:, None] * ny
+    quarter = 0.25 / area[:, None]
+    k_entries[:, :3] += (nx * dnx + ny * dny) * quarter
+    k_entries[:, 3:] += (nx * dnx[:, [1, 2, 0]] + ny * dny[:, [1, 2, 0]]) * quarter
+    return k_entries, m_entries
 
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    k_full = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    m_full = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    return (k_full + k_full.T) * 0.5, (m_full + m_full.T) * 0.5
+
+def _assemble_pencil(mesh, coeffs, quad_order, keep):
+    """Stiffness and mass CSR matrices over the vertices flagged in `keep`.
+
+    `np.bincount` sums the `_element_entries` per vertex and per edge (one
+    `_edge_topology` pass) onto one CSR pattern shared by both matrices; an
+    edge's sum fills both mirror slots, so both are exactly symmetric.  The
+    stiffness drops its exact zeros (e.g. the diagonals of a criss-cross mesh).
+    """
+    k_entries, m_entries = _element_entries(mesh, coeffs, quad_order)
+    edges, triangle_edges, _ = _edge_topology(mesh.triangles, len(keep))
+    inner = keep[edges[:, 0]] & keep[edges[:, 1]]
+    lo, hi = (np.cumsum(keep) - 1)[edges[inner].T]       # kept-vertex rows, lo < hi
+    n = int(keep.sum())
+    # each row holds its lower entries, its diagonal, then its upper entries; the
+    # edges are in lexicographic order, so a stable sort by row sorts every row
+    rows = np.concatenate([hi, np.arange(n), lo])
+    order = np.argsort(rows, kind="stable")
+    indices = np.concatenate([lo, np.arange(n), hi])[order].astype(np.int32)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]).astype(np.int32)
+
+    def fill(entries):
+        vertex = np.bincount(mesh.triangles.ravel(), entries[:, :3].ravel(), len(keep))[keep]
+        edge = np.bincount(triangle_edges.ravel(), entries[:, 3:].ravel(), len(edges))[inner]
+        return np.concatenate([edge, vertex, edge])[order]
+
+    stiffness = sp.csr_matrix((fill(k_entries), indices.copy(), indptr.copy()), shape=(n, n))
+    stiffness.eliminate_zeros()                # in place, hence the copied pattern
+    return stiffness, sp.csr_matrix((fill(m_entries), indices, indptr), shape=(n, n))
 
 
 def assemble_forms(mesh, coeffs, quad_order=2):
@@ -216,16 +227,10 @@ def assemble_forms(mesh, coeffs, quad_order=2):
     -------
     AssembledForms
     """
-    k_full, m_full = _assemble_full(mesh, coeffs, quad_order)
     free = np.flatnonzero(~mesh.boundary)
-    return AssembledForms(
-        stiffness=k_full[free][:, free].tocsr(),
-        mass=m_full[free][:, free].tocsr(),
-        free_to_full=free,
-        n_free=len(free),
-        coeffs=coeffs,
-        quad_order=quad_order,
-    )
+    stiffness, mass = _assemble_pencil(mesh, coeffs, quad_order, ~mesh.boundary)
+    return AssembledForms(stiffness=stiffness, mass=mass, free_to_full=free,
+                          n_free=len(free), coeffs=coeffs, quad_order=quad_order)
 
 
 def _quadratic_form(matrix, x):
@@ -327,19 +332,21 @@ def energy_error_vs_exact(forms, mesh, x, u_exact, grad_exact):
         x = -x
 
     bary, weights = _QUAD_RULES[forms.quad_order]
-    p, area, grads = _triangle_geometry(mesh)
+    p = mesh.vertices[mesh.triangles]
+    edge_vectors, area = _triangle_geometry(p)
     full = np.zeros(mesh.num_vertices)
     full[forms.free_to_full] = x
     tri_vals = full[mesh.triangles]                       # (T, 3)
-    uh_grad = np.einsum("tj,tjd->td", tri_vals, grads)    # constant per triangle
-
+    # grad(u_h) = perp(s) with s = sum_j u_j e_j / (2 area), constant per triangle
+    sx, sy = (tri_vals[:, :, None] * edge_vectors).sum(axis=1).T * (0.5 / area)
     total = 0.0
     for q in range(len(weights)):
         xq = np.einsum("j,tjd->td", bary[q], p)
         dq = np.asarray(forms.coeffs.diffusion(xq[:, 0], xq[:, 1]), dtype=float)
         rq = np.asarray(forms.coeffs.reaction(xq[:, 0], xq[:, 1]), dtype=float)
         e_val = np.asarray(u_exact(xq[:, 0], xq[:, 1]), dtype=float) - tri_vals @ bary[q]
-        e_grad = np.asarray(grad_exact(xq[:, 0], xq[:, 1]), dtype=float) - uh_grad
-        dens = np.einsum("td,tde,te->t", e_grad, dq, e_grad) + rq * e_val ** 2
+        gx, gy = np.asarray(grad_exact(xq[:, 0], xq[:, 1]), dtype=float).T + (sy, -sx)
+        dens = (gx * (dq[:, 0, 0] * gx + dq[:, 0, 1] * gy)
+                + gy * (dq[:, 1, 0] * gx + dq[:, 1, 1] * gy) + rq * e_val ** 2)
         total += weights[q] * float((area * dens).sum())
     return math.sqrt(max(total, 0.0))

@@ -162,13 +162,10 @@ def newton_step_multi(forms_fine, prev_set, prolong, tol=1e-10, cycle=None):
                                         preconditioner=preconditioner, stats=stats[i])
 
     gram = trial.T @ (forms_fine.mass @ trial)
-    gram = 0.5 * (gram + gram.T)
     if np.linalg.cond(gram) > 1e12:
         raise SolverError("Newton solutions are numerically rank deficient; use a "
                           "smaller eigenpair count or a finer coarse mesh")
-    small_a = trial.T @ (forms_fine.stiffness @ trial)
-    small_a = 0.5 * (small_a + small_a.T)
-    _, small_vecs = dense_gen_eig(small_a, gram)
+    _, small_vecs = dense_gen_eig(trial.T @ (forms_fine.stiffness @ trial), gram)
     ritz = trial @ small_vecs
 
     level = prev_set.level + 1

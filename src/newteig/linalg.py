@@ -187,7 +187,8 @@ def solve_bordered(matrix, rhs_top, rhs_bottom, tol=1e-10, preconditioner=None, 
 
 def dense_gen_eig(a, b, count=None):
     """The first `count` eigenpairs (all by default) of the dense symmetric
-    pencil (a, b) with b positive definite.
+    pencil (a, b) with b positive definite.  Each matrix is checked and
+    symmetrized in a private Fortran-order copy that `scipy.linalg.eigh` overwrites.
 
     Returns
     -------
@@ -201,16 +202,17 @@ def dense_gen_eig(a, b, count=None):
         If `b` is not positive definite (`scipy.linalg.eigh` cannot factor
         it), which for assembled pencils signals a mass-matrix bug.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    scale_a = max(float(np.abs(a).max()), 1e-300)
-    scale_b = max(float(np.abs(b).max()), 1e-300)
-    if np.abs(a - a.T).max() > 1e-10 * scale_a:
-        raise ValueError("matrix a is not symmetric")
-    if np.abs(b - b.T).max() > 1e-10 * scale_b:
-        raise ValueError("matrix b is not symmetric")
-    subset = None if count is None or count >= len(a) else [0, count - 1]
+    pencil = []
+    for name, matrix in (("a", a), ("b", b)):
+        matrix = np.asarray(matrix, dtype=float)
+        scale = max(float(matrix.max()), -float(matrix.min()), 1e-300)
+        copy = np.subtract(matrix, matrix.T, order="F")
+        if max(float(copy.max()), -float(copy.min())) > 1e-10 * scale:
+            raise ValueError("matrix {} is not symmetric".format(name))
+        pencil.append(np.multiply(0.5, np.add(matrix, matrix.T, out=copy), out=copy))
+    subset = None if count is None or count >= len(copy) else [0, count - 1]
     try:
-        return scipy.linalg.eigh(0.5 * (a + a.T), 0.5 * (b + b.T), subset_by_index=subset)
+        return scipy.linalg.eigh(*pencil, subset_by_index=subset, overwrite_a=True,
+                                 overwrite_b=True)
     except np.linalg.LinAlgError as exc:
         raise SolverError("b is not positive definite (mass matrix bug?)") from exc

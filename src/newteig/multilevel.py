@@ -50,16 +50,6 @@ class LevelRecord:
         return self.pairs.values
 
 
-def _assemble_all(hierarchy, coeffs, quad_order):
-    forms = []
-    times = []
-    for mesh in hierarchy.levels:
-        t0 = time.perf_counter()
-        forms.append(assemble_forms(mesh, coeffs, quad_order))
-        times.append(time.perf_counter() - t0)
-    return forms, times
-
-
 def run_multilevel(hierarchy, coeffs, m=1, options=None):
     """Run the full multilevel Newton iteration over a mesh hierarchy.
 
@@ -90,7 +80,11 @@ def run_multilevel(hierarchy, coeffs, m=1, options=None):
     """
     options = options or SolveOptions()
     quad_order = options.effective_quad_order(coeffs)
-    forms, assemble_times = _assemble_all(hierarchy, coeffs, quad_order)
+    forms, assemble_times = [], []
+    for mesh in hierarchy.levels:
+        t0 = time.perf_counter()
+        forms.append(assemble_forms(mesh, coeffs, quad_order))
+        assemble_times.append(time.perf_counter() - t0)
     if not 1 <= m <= forms[0].n_free:
         raise ValueError("eigen_count must be between 1 and the {} free DOFs of the "
                          "coarse mesh, got {}".format(forms[0].n_free, m))

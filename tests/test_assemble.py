@@ -1,18 +1,27 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from newteig.assemble import (AssemblyError, CoefficientSet, _assemble_full, a_norm,
-                              assemble_forms, b_norm, energy_error_vs_exact,
+from newteig.assemble import (_QUAD_RULES, AssemblyError, CoefficientSet, _assemble_pencil,
+                              a_norm, assemble_forms, b_norm, energy_error_vs_exact,
                               example2_coefficients, free_prolongation,
                               interpolate, laplace_coefficients,
                               rayleigh_quotient)
 from newteig.linalg import dense_gen_eig
 from newteig.mesh import Mesh, refine_regular, unit_square_mesh
 
+from meshgen import l_shaped_mesh, renumbered_square
+
 EXACT_FIRST = 2 * math.pi ** 2
+
+
+def assemble_all_vertices(mesh, coeffs, quad_order=2):
+    """Stiffness and mass over every vertex, boundary included."""
+    return _assemble_pencil(mesh, coeffs, quad_order, np.ones(mesh.num_vertices, dtype=bool))
 
 
 def single_triangle_mesh():
@@ -52,7 +61,7 @@ def sympy_element_matrices():
 
 
 def test_element_stiffness_unit_right_triangle():
-    stiffness, _ = _assemble_full(single_triangle_mesh(), laplace_coefficients(), 2)
+    stiffness, _ = assemble_all_vertices(single_triangle_mesh(), laplace_coefficients())
     expected = 0.5 * np.array([[2.0, -1.0, -1.0],
                                [-1.0, 1.0, 0.0],
                                [-1.0, 0.0, 1.0]])
@@ -62,7 +71,7 @@ def test_element_stiffness_unit_right_triangle():
 
 
 def test_element_mass_matches_exact_integration():
-    _, mass = _assemble_full(single_triangle_mesh(), laplace_coefficients(), 2)
+    _, mass = assemble_all_vertices(single_triangle_mesh(), laplace_coefficients())
     area = 0.5
     expected = (area / 12.0) * np.array([[2.0, 1.0, 1.0],
                                          [1.0, 2.0, 1.0],
@@ -74,20 +83,58 @@ def test_element_mass_matches_exact_integration():
 
 @pytest.mark.parametrize("h", [1.0, 1 / 2, 1 / 5])
 def test_mass_sums_to_domain_area(h):
-    _, mass = _assemble_full(unit_square_mesh(h), laplace_coefficients(), 2)
+    _, mass = assemble_all_vertices(unit_square_mesh(h), laplace_coefficients())
     assert abs(mass.sum() - 1.0) <= 1e-12
 
 
 def test_example2_mass_sums_to_weight_integral():
     # integral of 1 + (x-1/2)(y-1/2) over the unit square is exactly 1
-    _, mass = _assemble_full(unit_square_mesh(1 / 6), example2_coefficients(), 5)
+    _, mass = assemble_all_vertices(unit_square_mesh(1 / 6), example2_coefficients(), 5)
     assert abs(mass.sum() - 1.0) <= 1e-12
 
 
 def test_stiffness_row_sums_vanish_without_reaction():
-    stiffness, _ = _assemble_full(unit_square_mesh(1 / 4), laplace_coefficients(), 2)
+    stiffness, _ = assemble_all_vertices(unit_square_mesh(1 / 4), laplace_coefficients())
     rows = np.asarray(stiffness.sum(axis=1)).ravel()
     assert np.abs(rows).max() <= 1e-13
+
+
+def element_loop_oracle(mesh, coeffs, quad_order):
+    """Free-DOF stiffness and mass from a plain loop over the triangles, with
+    the barycentric gradients read off the inverse of each vertex matrix."""
+    bary, weights = _QUAD_RULES[quad_order]
+    n = mesh.num_vertices
+    stiffness, mass = np.zeros((n, n)), np.zeros((n, n))
+    for tri in mesh.triangles:
+        corners = np.vstack([np.ones(3), mesh.vertices[tri].T])   # columns (1, x, y)
+        grads = np.linalg.inv(corners)[:, 1:]                      # row i: grad of lambda_i
+        area = 0.5 * np.linalg.det(corners)
+        for b, w in zip(bary, weights):
+            x, y = (np.array([v]) for v in b @ mesh.vertices[tri])
+            outer = np.outer(b, b)
+            stiffness[np.ix_(tri, tri)] += w * area * (
+                grads @ coeffs.diffusion(x, y)[0] @ grads.T + coeffs.reaction(x, y)[0] * outer)
+            mass[np.ix_(tri, tri)] += w * area * coeffs.weight(x, y)[0] * outer
+    free = ~mesh.boundary
+    return stiffness[np.ix_(free, free)], mass[np.ix_(free, free)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.builds(renumbered_square, st.integers(2, 6), st.integers(0, 2 ** 32 - 1),
+                           st.floats(0.0, 0.15)),
+                 st.builds(l_shaped_mesh, st.sampled_from([4, 6]))),
+       st.sampled_from([2, 5]), st.sampled_from([laplace_coefficients, example2_coefficients]))
+def test_edge_scatter_matches_element_loop(mesh, quad_order, make_coeffs):
+    forms = assemble_forms(mesh, make_coeffs(), quad_order)
+    oracle = element_loop_oracle(mesh, make_coeffs(), quad_order)
+    for matrix, dense in zip((forms.stiffness, forms.mass), oracle):
+        assert np.abs(matrix.toarray() - dense).max() <= 1e-14 * np.abs(dense).max()
+        assert np.array_equal(matrix.toarray(), matrix.toarray().T)
+        # canonical CSR: int32 indices, columns strictly increasing in every row
+        assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+        rows = np.repeat(np.arange(forms.n_free), np.diff(matrix.indptr))
+        assert (np.diff(rows * forms.n_free + matrix.indices) > 0).all()
+    assert (forms.stiffness.data != 0).all()
 
 
 def test_matrices_symmetric():
@@ -158,6 +205,74 @@ def test_rejects_non_finite_coefficients(name):
     with pytest.raises(AssemblyError, match=name + " coefficient is not finite at "
                        "quadrature point"):
         assemble_forms(unit_square_mesh(1 / 2), bad)
+
+
+def test_rejects_non_symmetric_diffusion():
+    bad = CoefficientSet(
+        diffusion=lambda x, y: np.broadcast_to([[1.0, 0.5], [0.0, 1.0]], (len(x), 2, 2)),
+        reaction=lambda x, y: np.zeros_like(x),
+        weight=lambda x, y: np.ones_like(x))
+    with pytest.raises(AssemblyError, match="diffusion matrix is not symmetric positive "
+                       "definite at quadrature point"):
+        assemble_forms(unit_square_mesh(1 / 2), bad)
+
+
+def test_rejects_negative_reaction():
+    bad = CoefficientSet(
+        diffusion=laplace_coefficients().diffusion,
+        reaction=lambda x, y: x - 0.5,
+        weight=lambda x, y: np.ones_like(x))
+    with pytest.raises(AssemblyError, match="reaction coefficient is negative at "
+                       "quadrature point"):
+        assemble_forms(unit_square_mesh(1 / 2), bad)
+
+
+@pytest.mark.parametrize("broken, message", [
+    ("finite", "diffusion coefficient is not finite"),
+    ("definite", "diffusion matrix is not symmetric positive definite"),
+    ("reaction", "reaction coefficient is negative"),
+    ("weight", "weight coefficient is not positive"),
+])
+def test_failure_at_last_quadrature_point_is_named(broken, message):
+    # every other point passes, so the cheap all-fine pass must still catch it
+    mesh = unit_square_mesh(1 / 4)
+    last = _QUAD_RULES[5][0][-1] @ mesh.vertices[mesh.triangles[-1]]
+    good = example2_coefficients()
+
+    def at_last(x, y):
+        return (np.abs(x - last[0]) < 1e-12) & (np.abs(y - last[1]) < 1e-12)
+
+    def diffusion(x, y):
+        d = good.diffusion(x, y)
+        if broken in ("finite", "definite"):
+            d[at_last(x, y), 1, 1] = np.inf if broken == "finite" else -1.0
+        return d
+
+    coeffs = CoefficientSet(
+        diffusion=diffusion,
+        reaction=lambda x, y: np.where(at_last(x, y) & (broken == "reaction"), -1.0,
+                                       good.reaction(x, y)),
+        weight=lambda x, y: np.where(at_last(x, y) & (broken == "weight"), 0.0,
+                                     good.weight(x, y)))
+    with pytest.raises(AssemblyError) as info:
+        assemble_forms(mesh, coeffs, quad_order=5)
+    assert str(info.value) == "{} at quadrature point ({:.6g}, {:.6g})".format(message, *last)
+
+
+@pytest.mark.parametrize("make_coeffs, quad_order",
+                         [(laplace_coefficients, 2), (example2_coefficients, 5)])
+def test_assembly_memory_peak(make_coeffs, quad_order):
+    # the element temporaries are gone before the scatter, and stiffness and
+    # mass are filled onto one pattern
+    mesh = unit_square_mesh(1 / 128)
+    coeffs = make_coeffs()
+    tracemalloc.start()
+    try:
+        assemble_forms(mesh, coeffs, quad_order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2 ** 20
 
 
 def test_rayleigh_quotient_of_eigenvector():

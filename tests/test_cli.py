@@ -385,3 +385,34 @@ def test_solve_from_mesh_file(tmp_path):
     code, record = cmd_solve(config)
     assert code == EXIT_OK
     assert record.levels[0].n_free == 4
+
+
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("config, golden", [
+    ("problem = laplace\nmesh_h = 1/8\nlevels = 4\neigen_count = 1\n",
+     "laplace_h8_l4_m1_levels.csv"),
+    ("problem = example2\nmesh_h = 1/6\nlevels = 3\neigen_count = 3\n",
+     "example2_h6_l3_m3_levels.csv"),
+])
+def test_csv_matches_golden(tmp_path, config, golden):
+    # tests/data holds the reference CSVs of these runs; a change that only
+    # reorders floating-point work keeps every non-timing cell within 1e-12
+    # relative (eigenvalues) or 1e-12 * lambda (errors and differences)
+    path = write_config(tmp_path, config + "output = {}\n".format(tmp_path / "run"))
+    assert main(["solve", str(path)]) == EXIT_OK
+    header, rows = read_csv(tmp_path / "run_levels.csv")
+    gold_header, gold_rows = read_csv(GOLDEN / golden)
+    assert header == gold_header and len(rows) == len(gold_rows)
+    for row, gold in zip(rows, gold_rows):
+        lam = max(float(v) for h, v in zip(header, gold) if h.startswith("lambda_"))
+        for name, cell, want in zip(header, row, gold):
+            if name.startswith("time_"):
+                continue
+            if name in ("level", "n_free") or want == "":
+                assert cell == want, name
+            elif name.startswith(("err_", "diff_")):
+                assert abs(float(cell) - float(want)) <= 1e-12 * lam, name
+            else:
+                assert abs(float(cell) - float(want)) <= 1e-12 * abs(float(want)), name

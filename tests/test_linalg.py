@@ -212,6 +212,34 @@ def test_dense_gen_eig_rejects_indefinite_b():
         dense_gen_eig(np.eye(2), np.diag([1.0, -1.0]))
 
 
+def test_dense_gen_eig_leaves_arguments_unmodified():
+    # the symmetrized private copies are what the eigensolver overwrites
+    rng = np.random.default_rng(7)
+    a, b = random_spd(6, rng), random_spd(6, rng)
+    a[0, 1] += 1e-14                          # symmetric only to round-off
+    saved = a.copy(), b.copy()
+    values, _ = dense_gen_eig(a, b)
+    sub_values, _ = dense_gen_eig(a, b, count=2)
+    assert np.array_equal(a, saved[0]) and np.array_equal(b, saved[1])
+    assert_allclose(sub_values, values[:2], rtol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["a", "b"])
+def test_dense_gen_eig_rejects_non_symmetric(which):
+    rng = np.random.default_rng(8)
+    pencil = {"a": random_spd(4, rng), "b": random_spd(4, rng)}
+    pencil[which][0, 3] += 1e-6 * np.abs(pencil[which]).max()
+    with pytest.raises(ValueError, match="matrix {} is not symmetric".format(which)):
+        dense_gen_eig(pencil["a"], pencil["b"])
+
+
+def test_dense_gen_eig_rejects_non_finite():
+    b = np.eye(3)
+    b[1, 1] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        dense_gen_eig(np.eye(3), b)
+
+
 def test_core_positive_on_border_complement():
     # coercivity of A - mu B on the b-orthogonal complement of an accurate iterate
     forms = assemble_forms(unit_square_mesh(1 / 8), laplace_coefficients())

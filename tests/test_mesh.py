@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import newteig.mesh
-from newteig.assemble import laplace_coefficients
+from newteig.assemble import assemble_forms, laplace_coefficients
 from newteig.mesh import (Mesh, MeshError, MeshFormatError, _edge_keys, _edge_topology,
                           build_hierarchy, load_mesh, refine_regular, save_mesh,
                           unit_square_mesh)
@@ -161,8 +161,11 @@ def test_edge_topology_once_per_validation_and_refinement(monkeypatch):
     monkeypatch.setattr(newteig.mesh, "_edge_keys", counting)
     hier = build_hierarchy(unit_square_mesh(1 / 4), 4)
     run_multilevel(hier, laplace_coefficients(), 1)
-    # one pass per validated mesh (4) and one per refinement (3)
-    assert len(calls) == 7
+    # one pass per validated mesh (4), per refinement (3) and per assembled level (4)
+    assert len(calls) == 11
+    calls.clear()
+    assemble_forms(hier.levels[-1], laplace_coefficients())
+    assert calls == [hier.levels[-1].num_vertices]
 
 
 def test_hierarchy_build_memory_peak():
