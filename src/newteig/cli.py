@@ -8,7 +8,6 @@ eigenvalue).  ``solve`` writes ``<output>_levels.csv`` and
 
 import argparse
 import sys
-import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
@@ -296,9 +295,9 @@ def cmd_solve(config):
 class WorkReport:
     """Scaling data of a benchmark sweep over hierarchy depths."""
 
-    depths: list                        # n per run
-    finest_sizes: list                  # N_n per run
-    totals: list                        # wall-clock total per run
+    depths: list                        # n per depth
+    finest_sizes: list                  # N_n per depth
+    totals: list                        # assemble + solve seconds of levels 0..n-1
     level_sizes: list                   # N_k of the deepest run
     level_times: list                   # (assemble, solve) per level of deepest run
     level_iterations: list              # MINRES iterations per eigenpair, per level
@@ -311,22 +310,17 @@ class WorkReport:
 def run_bench(config):
     """Benchmark sweep: depths 2..bench_max_levels on the same coarse mesh.
 
-    Only the solve (`run_multilevel`) is timed; no errors are evaluated.
-    Every depth is run twice and the warm-up pass is discarded, so the
-    recorded wall times do not carry first-touch allocation noise.
+    One `run_multilevel` over the deepest hierarchy times every depth: the
+    total of depth n sums the assembly and solve times of its levels 0..n-1.
+    The hierarchy build is not timed and no errors are evaluated.
     """
-    coeffs = config.coefficients()
-    m = config.eigen_count
-    options = config.solve_options()
+    deepest = run_multilevel(_build_hierarchy(config, config.bench_max_levels),
+                             config.coefficients(), config.eigen_count,
+                             config.solve_options())
     depths = list(range(2, config.bench_max_levels + 1))
-    totals, finest = [], []
-    for n in depths:
-        hierarchy = _build_hierarchy(config, n)
-        run_multilevel(hierarchy, coeffs, m, options)   # warm-up, discarded
-        t0 = time.perf_counter()
-        deepest = run_multilevel(hierarchy, coeffs, m, options)
-        totals.append(time.perf_counter() - t0)
-        finest.append(deepest[-1].n_free)
+    running = np.cumsum([rec.wall_time_assemble + rec.wall_time_solve for rec in deepest])
+    totals = [float(running[n - 1]) for n in depths]
+    finest = [deepest[n - 1].n_free for n in depths]
     if len(depths) >= 3:
         logs = np.polyfit(np.log(finest), np.log(totals), 1, full=True)
         exponent = float(logs[0][0])

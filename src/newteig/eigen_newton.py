@@ -13,6 +13,7 @@ m = 1 that reduces to b-normalizing w_1 and taking its Rayleigh quotient.
 
 import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -31,67 +32,48 @@ class BasinWarning(RuntimeWarning):
     """A Newton step failed to improve the Rayleigh quotient."""
 
 
-def canonical_sign(vector):
-    """Flip the sign so the first significant entry is positive (determinism)."""
-    vector = np.asarray(vector, dtype=float)
-    nz = np.flatnonzero(np.abs(vector) > 1e-12 * max(np.abs(vector).max(), 1e-300))
-    if len(nz) and vector[nz[0]] < 0:
-        return -vector
-    return vector.copy()
+def canonical_sign(vectors):
+    """Flip each column so its first significant entry is positive (determinism)."""
+    vectors = np.array(vectors, dtype=float)
+    scale = np.maximum(np.abs(vectors).max(axis=0), 1e-300)
+    first = np.argmax(np.abs(vectors) > 1e-12 * scale, axis=0)
+    vectors[:, vectors[first, np.arange(vectors.shape[1])] < 0] *= -1.0
+    return vectors
 
 
 @dataclass(frozen=True)
-class Eigenpair:
-    """A b-normalized eigenvalue/eigenvector approximation on one level."""
-
-    value: float
-    vector: np.ndarray
-    level: int = 0
-
-
 class EigenpairSet:
-    """Ascending, pairwise b-orthogonal eigenpairs on a common level.
+    """The first m eigenpairs on one level, held as two arrays.
 
-    A Newton step's set keeps the MINRES iterations and verified relative
-    residual of its bordered solve i, for each previous eigenpair i.
+    `values` is ascending, shape (m,); `vectors` holds the b-normalized,
+    canonically signed eigenvectors as C-ordered columns, shape (n_free, m).
+    A Newton step's set also keeps the MINRES iterations and verified
+    relative residual of its bordered solve i, for each previous eigenpair i.
     """
 
-    def __init__(self, pairs, iterations=None, residuals=None):
-        pairs = list(pairs)
-        if not pairs:
-            raise ValueError("empty eigenpair set")
-        if any(p.level != pairs[0].level for p in pairs):
-            raise ValueError("eigenpairs live on different levels")
-        if any(pairs[i + 1].value < pairs[i].value for i in range(len(pairs) - 1)):
+    values: np.ndarray
+    vectors: np.ndarray
+    iterations: Optional[list] = None
+    residuals: Optional[list] = None
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        vectors = np.ascontiguousarray(self.vectors, dtype=float)
+        if values.ndim != 1 or not len(values):
+            raise ValueError("an eigenpair set needs a non-empty (m,) array of values")
+        if vectors.ndim != 2 or vectors.shape[1] != len(values):
+            raise ValueError("vectors of shape {} do not match {} values".format(
+                vectors.shape, len(values)))
+        if (np.diff(values) < 0).any():
             raise ValueError("eigenvalues must be ascending")
-        self.pairs = pairs
-        self.iterations = iterations
-        self.residuals = residuals
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "vectors", vectors)
 
     def __len__(self):
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __getitem__(self, i):
-        return self.pairs[i]
-
-    @property
-    def level(self):
-        return self.pairs[0].level
-
-    @property
-    def values(self):
-        return np.array([p.value for p in self.pairs])
-
-    @property
-    def vectors(self):
-        """Eigenvectors as columns, shape (n_free, m)."""
-        return np.column_stack([p.vector for p in self.pairs])
+        return len(self.values)
 
 
-def coarse_solve(forms, m, dense_cap=DENSE_SOLVE_CAP, level=0):
+def coarse_solve(forms, m, dense_cap=DENSE_SOLVE_CAP):
     """First `m` eigenpairs of the pencil by a dense generalized eigensolve.
 
     Meant for the coarse space only; refuses above `dense_cap` free DOFs.
@@ -110,10 +92,7 @@ def coarse_solve(forms, m, dense_cap=DENSE_SOLVE_CAP, level=0):
         warnings.warn("eigenvalues {} and {} differ by less than 1e-8 relative; "
                       "m={} splits a degenerate cluster".format(m, m + 1, m),
                       ClusterGapWarning, stacklevel=2)
-    pairs = [Eigenpair(value=float(values[i]), vector=canonical_sign(vectors[:, i]),
-                       level=level)
-             for i in range(m)]
-    return EigenpairSet(pairs)
+    return EigenpairSet(values[:m], canonical_sign(vectors[:, :m]))
 
 
 def newton_step_multi(forms_fine, prev_set, prolong, tol=1e-10, cycle=None):
@@ -153,11 +132,11 @@ def newton_step_multi(forms_fine, prev_set, prolong, tol=1e-10, cycle=None):
     trial = np.empty((forms_fine.n_free, m))
     stats = [{} for _ in range(m)]
     for i in range(m):
-        core = (forms_fine.stiffness - prev_set[i].value * forms_fine.mass).tocsr()
+        core = (forms_fine.stiffness - prev_set.values[i] * forms_fine.mass).tocsr()
         rhs_bottom = np.zeros(m)
         rhs_bottom[i] = 1.0
         trial[:, i], _ = solve_bordered(BorderedMatrix(core, mass_basis),
-                                        rhs_top=-prev_set[i].value * mass_basis[:, i],
+                                        rhs_top=-prev_set.values[i] * mass_basis[:, i],
                                         rhs_bottom=rhs_bottom, tol=tol,
                                         preconditioner=preconditioner, stats=stats[i])
 
@@ -167,19 +146,15 @@ def newton_step_multi(forms_fine, prev_set, prolong, tol=1e-10, cycle=None):
                           "smaller eigenpair count or a finer coarse mesh")
     _, small_vecs = dense_gen_eig(trial.T @ (forms_fine.stiffness @ trial), gram)
     ritz = trial @ small_vecs
-
-    level = prev_set.level + 1
-    pairs = []
-    for i in range(m):
-        vector = canonical_sign(ritz[:, i] / b_norm(forms_fine, ritz[:, i]))
-        pairs.append(Eigenpair(value=rayleigh_quotient(forms_fine, vector),
-                               vector=vector, level=level))
-    pairs.sort(key=lambda p: p.value)
-    for prev, new in zip(prev_set, pairs):
-        if new.value > prev.value * (1.0 + 1e-10):
+    ritz = canonical_sign(ritz / [b_norm(forms_fine, ritz[:, i]) for i in range(m)])
+    # on contiguous copies, so the dot products sum in the same order for every m
+    values = np.array([rayleigh_quotient(forms_fine, ritz[:, i].copy()) for i in range(m)])
+    order = np.argsort(values, kind="stable")
+    for prev, new in zip(prev_set.values, values[order]):
+        if new > prev * (1.0 + 1e-10):
             warnings.warn("Rayleigh quotient rose from {:.12g} to {:.12g}; the coarse "
-                          "mesh is likely outside the basin of attraction".format(
-                              prev.value, new.value),
+                          "mesh is likely outside the basin of attraction".format(prev, new),
                           BasinWarning, stacklevel=2)
-    return EigenpairSet(pairs, iterations=[solve["iterations"] for solve in stats],
+    return EigenpairSet(values[order], ritz[:, order],
+                        iterations=[solve["iterations"] for solve in stats],
                         residuals=[solve["residual"] for solve in stats])

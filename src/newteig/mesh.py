@@ -1,5 +1,7 @@
 """Triangulations of polygonal domains and nested regular-refinement hierarchies."""
 
+import math
+
 import numpy as np
 from scipy import sparse as sp
 from scipy.spatial import cKDTree
@@ -65,10 +67,10 @@ class Mesh:
     Raises
     ------
     MeshError
-        If a triangle has nonpositive signed area, an index is out of
-        range, an edge is shared by more than two triangles, boundary
-        flags disagree with the edge topology, a vertex is unused, or two
-        vertices coincide.
+        If a coordinate is not finite, a triangle has nonpositive signed
+        area, an index is out of range, an edge is shared by more than two
+        triangles, boundary flags disagree with the edge topology, a vertex
+        is unused, or two vertices coincide.
     """
 
     def __init__(self, vertices, triangles, boundary):
@@ -119,6 +121,10 @@ class Mesh:
     def _validate(self):
         if self.num_triangles == 0:
             raise MeshError("mesh has no triangles")
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            raise MeshError("vertex {} has non-finite coordinates".format(
+                np.flatnonzero(~finite)[0]))
         if self.triangles.min() < 0 or self.triangles.max() >= self.num_vertices:
             bad = np.flatnonzero((self.triangles < 0).any(axis=1)
                                  | (self.triangles >= self.num_vertices).any(axis=1))[0]
@@ -361,6 +367,8 @@ def load_mesh(path):
             x, y = float(parts[0]), float(parts[1])
         except ValueError:
             raise MeshFormatError("vertex coordinates must be numbers", lineno) from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise MeshFormatError("vertex coordinates must be finite", lineno)
         if parts[2] not in ("0", "1"):
             raise MeshFormatError("boundary flag must be 0 or 1", lineno)
         vertices[i] = (x, y)

@@ -95,7 +95,7 @@ def run_multilevel(hierarchy, coeffs, m=1, options=None):
         t0 = time.perf_counter()
         try:
             if k == 0:
-                pairs = coarse_solve(forms[0], m, dense_cap=options.dense_cap, level=0)
+                pairs = coarse_solve(forms[0], m, dense_cap=options.dense_cap)
                 cycle = VCycle(forms[0].stiffness)
             else:
                 prolong = free_prolongation(hierarchy.prolongations[k - 1],

@@ -9,7 +9,7 @@ from scipy.linalg import cholesky, solve_triangular
 from scipy.sparse import linalg as spla
 
 from .assemble import a_norm, energy_error_vs_exact
-from .eigen_newton import Eigenpair, EigenpairSet, canonical_sign
+from .eigen_newton import EigenpairSet, canonical_sign
 from .linalg import SolverError, dense_gen_eig
 
 DENSE_CUTOFF = 300
@@ -108,8 +108,7 @@ def direct_solve(forms, m, tol=1e-12, max_iter=200, dense_cutoff=DENSE_CUTOFF, s
     Returns
     -------
     EigenpairSet
-        b-normalized, ascending, on the level recorded in `forms`' mesh
-        (level attribute left at 0; callers relabel).
+        b-normalized and ascending, without iteration counts.
     """
     n = forms.n_free
     if m < 1:
@@ -119,7 +118,7 @@ def direct_solve(forms, m, tol=1e-12, max_iter=200, dense_cutoff=DENSE_CUTOFF, s
 
     if n < dense_cutoff:
         values, vectors = dense_gen_eig(forms.stiffness.toarray(), forms.mass.toarray())
-        return _as_pairs(values[:m], vectors[:, :m])
+        return EigenpairSet(values[:m], canonical_sign(vectors[:, :m]))
 
     block_size = min(n, m + max(2, m))
     rng = np.random.default_rng(seed)
@@ -142,17 +141,11 @@ def direct_solve(forms, m, tol=1e-12, max_iter=200, dense_cutoff=DENSE_CUTOFF, s
         if previous is not None:
             change = float(np.max(np.abs(values[:m] - previous) / np.abs(previous)))
             if change < tol:
-                return _as_pairs(values[:m], block[:, :m])
+                return EigenpairSet(values[:m], canonical_sign(block[:, :m]))
         previous = values[:m].copy()
     raise SolverError("subspace iteration did not converge in {} iterations "
                       "(last relative change {:.3e})".format(max_iter, change),
                       residual=change, iterations=max_iter)
-
-
-def _as_pairs(values, vectors, level=0):
-    pairs = [Eigenpair(value=float(v), vector=canonical_sign(vectors[:, i]), level=level)
-             for i, v in enumerate(values)]
-    return EigenpairSet(pairs)
 
 
 @dataclass
@@ -211,7 +204,7 @@ def _energy_error_entries(record, mesh, preset, m):
     for i, mode in enumerate(exact_laplace(m)):
         if exact_multiplicity(i) != 1:
             continue
-        entries[i] = energy_error_vs_exact(record.forms, mesh, record.pairs[i].vector,
+        entries[i] = energy_error_vs_exact(record.forms, mesh, record.pairs.vectors[:, i],
                                            mode.eigenfunction, mode.gradient)
     return entries
 
@@ -278,8 +271,8 @@ def compare_with_direct(record, direct_tol=1e-12):
                 simple = i == 0  # the first elliptic eigenvalue is always simple
             if not simple:
                 continue
-            u_ml = rec.pairs[i].vector
-            u_dir = direct[i].vector
+            u_ml = rec.pairs.vectors[:, i]
+            u_dir = direct.vectors[:, i]
             if float(u_ml @ (rec.forms.mass @ u_dir)) < 0:
                 u_dir = -u_dir
             diffs[i] = a_norm(rec.forms, u_ml - u_dir)

@@ -5,18 +5,20 @@ import numpy as np
 from newteig.assemble import b_norm, rayleigh_quotient
 
 
-def check_eigenpair(pair, forms, tol=1e-10):
-    """Assert the normalization and Rayleigh-quotient invariants of `pair`."""
-    nb = b_norm(forms, pair.vector)
-    if abs(nb - 1.0) > tol:
-        raise AssertionError("eigenvector b-norm is {} (expected 1)".format(nb))
-    rq = rayleigh_quotient(forms, pair.vector)
-    if abs(rq - pair.value) > tol * max(abs(pair.value), 1.0):
-        raise AssertionError("stored value {} disagrees with Rayleigh quotient {}".format(
-            pair.value, rq))
+def check_eigenpairs(pairs, forms, tol=1e-10):
+    """Assert the normalization and Rayleigh-quotient invariants of every
+    eigenpair of the set `pairs`."""
+    for value, vector in zip(pairs.values, pairs.vectors.T):
+        nb = b_norm(forms, vector)
+        if abs(nb - 1.0) > tol:
+            raise AssertionError("eigenvector b-norm is {} (expected 1)".format(nb))
+        rq = rayleigh_quotient(forms, vector)
+        if abs(rq - value) > tol * max(abs(value), 1.0):
+            raise AssertionError("stored value {} disagrees with Rayleigh quotient {}".format(
+                value, rq))
 
 
-def rayleigh_expansion_check(forms, psi, exact):
+def rayleigh_expansion_check(forms, psi, value, vector):
     """Residual of the exact Rayleigh-quotient error expansion.
 
     For a converged discrete eigenpair (value, vector) and any nonzero trial
@@ -29,9 +31,9 @@ def rayleigh_expansion_check(forms, psi, exact):
     """
     psi = np.asarray(psi, dtype=float)
     lam_hat = rayleigh_quotient(forms, psi)
-    err = exact.vector - psi
+    err = vector - psi
     b_psi = float(psi @ (forms.mass @ psi))
-    lhs = lam_hat - exact.value
+    lhs = lam_hat - value
     rhs = (float(err @ (forms.stiffness @ err))
-           - exact.value * float(err @ (forms.mass @ err))) / b_psi
+           - value * float(err @ (forms.mass @ err))) / b_psi
     return abs(lhs - rhs)

@@ -22,7 +22,7 @@ from scipy import sparse as sp
 import newteig as nt
 from newteig.assemble import b_norm, free_prolongation, interpolate, rayleigh_quotient
 from newteig.cli import RunConfig, run_bench
-from newteig.eigen_newton import ClusterGapWarning, Eigenpair, EigenpairSet
+from newteig.eigen_newton import ClusterGapWarning, EigenpairSet
 from newteig.linalg import BorderedMatrix, dense_gen_eig, solve_bordered
 from newteig.reference import direct_solve, exact_laplace
 
@@ -97,7 +97,7 @@ def test_criterion_2_multilevel_equals_direct(laplace_compare, laplace_hierarchy
     mode = exact_laplace(1)[0]
     # ||u_dir - interpolant of the exact eigenfunction||_a on the finest level
     direct = direct_solve(forms, 1)
-    u_dir = direct[0].vector
+    u_dir = direct.vectors[:, 0]
     ref = interpolate(mode.eigenfunction, laplace_hierarchy.levels[-1])
     if float(u_dir @ (forms.mass @ ref)) < 0:
         u_dir = -u_dir
@@ -137,20 +137,19 @@ def test_criterion_4_example2(example2_compare):
 
 def lifted_without_correction(forms_fine, prev, prolong):
     """Not a Newton step: the prolonged iterate with its Rayleigh quotient."""
-    vector = prolong @ prev.vector
+    vector = prolong @ prev.vectors[:, 0]
     vector = vector / b_norm(forms_fine, vector)
-    return Eigenpair(value=rayleigh_quotient(forms_fine, vector), vector=vector,
-                     level=prev.level + 1)
+    return EigenpairSet([rayleigh_quotient(forms_fine, vector)], vector[:, None])
 
 
 def newton_step(forms_fine, prev, prolong):
     """The Newton step for one eigenpair, through the m-pair step."""
-    return nt.newton_step_multi(forms_fine, EigenpairSet([prev]), prolong)[0]
+    return nt.newton_step_multi(forms_fine, prev, prolong)
 
 
 def newton_step_perturbed_shift(forms_fine, prev, prolong):
     """Not a Newton step: the bordered solve with its shift mu raised by 1%."""
-    shifted = Eigenpair(value=1.01 * prev.value, vector=prev.vector, level=prev.level)
+    shifted = EigenpairSet(1.01 * prev.values, prev.vectors)
     return newton_step(forms_fine, shifted, prolong)
 
 
@@ -162,7 +161,7 @@ def contraction_references(laplace_hierarchy):
     forms = [nt.assemble_forms(m, coeffs) for m in laplace_hierarchy.levels]
     prolongs = [free_prolongation(laplace_hierarchy.prolongations[k - 1],
                                   forms[k - 1], forms[k]) for k in (1, 2, 3)]
-    directs = [direct_solve(forms[k], 1, tol=1e-13, dense_cutoff=10 ** 9)[0]
+    directs = [direct_solve(forms[k], 1, tol=1e-13, dense_cutoff=10 ** 9)
                for k in (1, 2, 3)]
     return forms, prolongs, directs
 
@@ -178,22 +177,23 @@ def measure_contraction(references, step):
     value and (lambda_bar, ubar) the level's direct eigenpair.
     """
     forms, prolongs, directs = references
-    prev = nt.coarse_solve(forms[0], 1)[0]
+    prev = nt.coarse_solve(forms[0], 1)
     quadratic, sharp, factor = [], [], []
     for level_forms, prolong, direct in zip(forms[1:], prolongs, directs):
         new = step(level_forms, prev, prolong)
-        ubar = direct.vector
-        lifted = prolong @ prev.vector
+        ubar = direct.vectors[:, 0]
+        lifted = prolong @ prev.vectors[:, 0]
         if float(lifted @ (level_forms.mass @ ubar)) < 0:
             lifted = -lifted
-        u_new = new.vector
+        u_new = new.vectors[:, 0]
         if float(u_new @ (level_forms.mass @ ubar)) < 0:
             u_new = -u_new
         e_prev_a = nt.a_norm(level_forms, ubar - lifted)
         e_prev_b = b_norm(level_forms, ubar - lifted)
         e_new = nt.a_norm(level_forms, ubar - u_new)
         quadratic.append(e_new / e_prev_a ** 2)
-        sharp.append(e_new / (abs(direct.value - prev.value) * e_prev_b + e_prev_b ** 2))
+        sharp.append(e_new / (abs(direct.values[0] - prev.values[0]) * e_prev_b
+                              + e_prev_b ** 2))
         factor.append(e_new / e_prev_a)
         prev = new
     return np.array(quadratic), np.array(sharp), np.array(factor)
@@ -258,13 +258,14 @@ def test_criterion_5_rejects_non_newton_steps(contraction_references):
 
 def test_criterion_6_rayleigh_expansion_identity():
     forms = nt.assemble_forms(nt.unit_square_mesh(1 / 8), nt.laplace_coefficients())
-    exact_pair = nt.coarse_solve(forms, 1)[0]
+    exact_pair = nt.coarse_solve(forms, 1)
+    value, vector = exact_pair.values[0], exact_pair.vectors[:, 0]
     rng = np.random.default_rng(123)
     worst = 0.0
     for _ in range(100):
-        psi = exact_pair.vector + 1e-3 * rng.standard_normal(forms.n_free)
-        worst = max(worst, rayleigh_expansion_check(forms, psi, exact_pair))
-    bound = 1e-10 * abs(exact_pair.value)
+        psi = vector + 1e-3 * rng.standard_normal(forms.n_free)
+        worst = max(worst, rayleigh_expansion_check(forms, psi, value, vector))
+    bound = 1e-10 * abs(value)
     check(6, worst <= bound,
           "max expansion residual {:.3e} over 100 perturbations (<= {:.3e})".format(
               worst, bound))

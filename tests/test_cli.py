@@ -1,19 +1,22 @@
 import importlib.util
+import inspect
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import newteig
 import newteig.cli
 import newteig.multilevel
 import newteig.reference
 from newteig.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, ConfigError,
                          RunConfig, cmd_bench, cmd_solve, main, parse_config,
                          run_bench)
-from newteig.linalg import SolverError
-from newteig.mesh import save_mesh, unit_square_mesh
+from newteig.linalg import SolverError, solve_bordered
+from newteig.mesh import MeshFormatError, load_mesh, save_mesh, unit_square_mesh
 
 EXACT_FIRST = 2 * math.pi ** 2
 
@@ -334,13 +337,19 @@ def test_main_loose_solver_tol_is_the_only_gate(tmp_path):
     assert len(residuals) == 3 and all(r <= 1e-3 for r in residuals)
 
 
+def load_perfbench(name):
+    """A module of the benchmark harness, loaded by path (it is no package)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, Path(__file__).resolve().parents[1] / "perfbench" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_configs_still_parse(tmp_path, capsys, monkeypatch):
     # the benchmark's input writer needs only numpy; a config key it writes
     # that the program drops may only draw the unknown-key warning
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    inputs = load_perfbench("inputs")
     for name, workload in sorted(inputs.WORKLOADS.items()):
         (tmp_path / name).mkdir()
         parse_config(inputs.write_inputs(workload, 1, str(tmp_path / name), levels=2))
@@ -348,6 +357,37 @@ def test_benchmark_configs_still_parse(tmp_path, capsys, monkeypatch):
             assert re.fullmatch(r"warning: unknown key 'threads' \(line \d+\)", line)
     monkeypatch.chdir(tmp_path / "laplace_deep")
     assert main(["solve", "run.cfg"]) == EXIT_OK
+
+
+def test_benchmark_reads_the_library_api(tmp_path, monkeypatch):
+    # the benchmark checks every run against child._reference and traces the
+    # functions named in spans.TRACED; spans.install is not called here, as it
+    # rewrites module globals.  Three levels: after a single Newton step the
+    # finest value is still 3.6e-8 from the direct one, above REFERENCE_RTOL
+    inputs, child, spans, checks = (load_perfbench(name)
+                                    for name in ("inputs", "child", "spans", "checks"))
+    monkeypatch.chdir(tmp_path)
+    inputs.write_inputs(inputs.WORKLOADS["laplace_deep"], 1, str(tmp_path), levels=3)
+    config = parse_config("run.cfg")
+    reference = child._reference(newteig.cli._build_hierarchy(config, config.levels),
+                                 "run.cfg")
+    assert main(["solve", "run.cfg"]) == EXIT_OK
+    header, rows = read_csv(tmp_path / "out_levels.csv")
+    assert reference["n_free"] == int(rows[-1][header.index("n_free")])
+    finest = float(rows[-1][header.index("lambda_1")])
+    assert abs(reference["values"][0] - finest) <= checks.REFERENCE_RTOL * finest
+    # the span annotations read these arguments by keyword or position
+    assert next(iter(inspect.signature(newteig.newton_step_multi).parameters)) == "forms_fine"
+    assert next(iter(inspect.signature(solve_bordered).parameters)) == "matrix"
+    unresolved = []
+    for module, attr, _ in spans.TRACED:
+        owner = importlib.import_module("newteig." + module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            unresolved.append("{}.{}".format(module, attr))
+    # both were deleted from the library; the frozen table still names them
+    assert unresolved == ["mesh.Mesh.edges", "eigen_newton.newton_step_single"]
 
 
 def test_main_laplace_beyond_twenty_eigenvalues(tmp_path):
@@ -369,6 +409,24 @@ def test_main_meshinfo(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "vertices:        16" in out
     assert "triangles:       18" in out
+
+
+@pytest.mark.parametrize("spelling", ["nan", "inf", "-inf", "1e999"])
+def test_meshinfo_rejects_non_finite_coordinates(tmp_path, capsys, spelling):
+    path = tmp_path / "square.mesh"
+    save_mesh(unit_square_mesh(1 / 2), path)
+    lines = path.read_text().splitlines()
+    lines[5] = "{} 0.5 0".format(spelling)          # vertex 4, the interior one
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshFormatError) as info:
+        load_mesh(path)
+    assert info.value.line == 6
+    assert str(info.value) == "line 6: vertex coordinates must be finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["meshinfo", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: line 6: vertex coordinates must be finite\n"
 
 
 def test_main_meshinfo_missing_file(tmp_path):

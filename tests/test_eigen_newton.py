@@ -8,20 +8,15 @@ from scipy import sparse as sp
 
 from newteig.assemble import (assemble_forms, b_norm, free_prolongation,
                               laplace_coefficients, rayleigh_quotient)
-from newteig.eigen_newton import (BasinWarning, ClusterGapWarning, Eigenpair,
-                                  EigenpairSet, coarse_solve, newton_step_multi)
+from newteig.eigen_newton import (BasinWarning, ClusterGapWarning, EigenpairSet,
+                                  canonical_sign, coarse_solve, newton_step_multi)
 from newteig.linalg import SolverError
 from newteig.mesh import build_hierarchy, refine_regular, unit_square_mesh
 from newteig.reference import direct_solve, exact_laplace
 
-from invariants import check_eigenpair, rayleigh_expansion_check
+from invariants import check_eigenpairs, rayleigh_expansion_check
 
 EXACT = [e.value for e in exact_laplace(8)]
-
-
-def newton_step(forms_fine, prev, prolong):
-    """The Newton step for one eigenpair, through the m-pair step."""
-    return newton_step_multi(forms_fine, EigenpairSet([prev]), prolong)[0]
 
 
 def forms_for(h, coeffs=None):
@@ -39,7 +34,7 @@ def two_level(h):
 
 def test_coarse_solve_first_value_bracket():
     pairs = coarse_solve(forms_for(1 / 4), 1)
-    assert EXACT[0] <= pairs[0].value <= EXACT[0] + 10.0
+    assert EXACT[0] <= pairs.values[0] <= EXACT[0] + 10.0
 
 
 def test_coarse_solve_full_spectrum_on_tiny_mesh():
@@ -60,8 +55,8 @@ def test_coarse_solve_first_six_order():
 def test_coarse_solve_invariants():
     forms = forms_for(1 / 6)
     pairs = coarse_solve(forms, 4)
-    for pair in pairs:
-        check_eigenpair(pair, forms)
+    check_eigenpairs(pairs, forms)
+    assert pairs.vectors.flags.c_contiguous
     vecs = pairs.vectors
     gram = vecs.T @ (forms.mass @ vecs)
     assert np.abs(gram - np.eye(4)).max() <= 1e-8
@@ -82,17 +77,17 @@ def test_coarse_solve_warns_on_cluster_split():
     diag = sp.diags([1.0, 2.0, 2.0, 3.0]).tocsr()
     eye = sp.identity(4, format="csr")
     forms = AssembledForms(stiffness=diag, mass=eye, free_to_full=np.arange(4), n_free=4,
-                           coeffs=laplace_coefficients(), quad_order=2)
+                           quad_order=2)
     with pytest.warns(ClusterGapWarning):
         coarse_solve(forms, 2)
 
 
 def test_newton_fixed_point_single():
     _, ff, _ = two_level(1 / 4)
-    pair = direct_solve(ff, 1)[0]
-    stepped = newton_step(ff, pair, sp.identity(ff.n_free, format="csr"))
-    assert abs(stepped.value - pair.value) <= 1e-9
-    assert np.abs(stepped.vector - pair.vector).max() <= 1e-9
+    pair = direct_solve(ff, 1)
+    stepped = newton_step_multi(ff, pair, sp.identity(ff.n_free, format="csr"))
+    assert abs(stepped.values[0] - pair.values[0]) <= 1e-9
+    assert np.abs(stepped.vectors - pair.vectors).max() <= 1e-9
 
 
 def test_newton_two_steps_error_decay():
@@ -101,15 +96,15 @@ def test_newton_two_steps_error_decay():
     coeffs = laplace_coefficients()
     hier = build_hierarchy(unit_square_mesh(1 / 4), 3)
     forms = [assemble_forms(m, coeffs) for m in hier.levels]
-    prev = coarse_solve(forms[0], 1)[0]
+    prev = coarse_solve(forms[0], 1)
     gaps = []
-    errors = [prev.value - EXACT[0]]
+    errors = [prev.values[0] - EXACT[0]]
     for k in (1, 2):
         op = free_prolongation(hier.prolongations[k - 1], forms[k - 1], forms[k])
-        new = newton_step(forms[k], prev, op)
-        direct = direct_solve(forms[k], 1)[0].value
-        gaps.append(abs(new.value - direct))
-        errors.append(new.value - EXACT[0])
+        new = newton_step_multi(forms[k], prev, op)
+        direct = direct_solve(forms[k], 1).values[0]
+        gaps.append(abs(new.values[0] - direct))
+        errors.append(new.values[0] - EXACT[0])
         prev = new
     assert gaps[1] <= gaps[0]
     for k in range(2):
@@ -121,17 +116,18 @@ def test_newton_contraction_constant_bounded():
     coeffs = laplace_coefficients()
     hier = build_hierarchy(unit_square_mesh(1 / 6), 4)
     forms = [assemble_forms(m, coeffs) for m in hier.levels]
-    prev = coarse_solve(forms[0], 1)[0]
+    prev = coarse_solve(forms[0], 1)
     constants = []
     for k in (1, 2, 3):
         op = free_prolongation(hier.prolongations[k - 1], forms[k - 1], forms[k])
-        new = newton_step(forms[k], prev, op)
-        ubar = direct_solve(forms[k], 1)[0].vector
-        lifted = op @ prev.vector
+        new = newton_step_multi(forms[k], prev, op)
+        ubar = direct_solve(forms[k], 1).vectors[:, 0]
+        lifted = op @ prev.vectors[:, 0]
         if float(lifted @ (forms[k].mass @ ubar)) < 0:
             lifted = -lifted
-        u_new = new.vector if float(new.vector @ (forms[k].mass @ ubar)) >= 0 \
-            else -new.vector
+        u_new = new.vectors[:, 0]
+        if float(u_new @ (forms[k].mass @ ubar)) < 0:
+            u_new = -u_new
         e_prev = math.sqrt(float((ubar - lifted) @ (forms[k].stiffness @ (ubar - lifted))))
         e_new = math.sqrt(float((ubar - u_new) @ (forms[k].stiffness @ (ubar - u_new))))
         constants.append(e_new / e_prev ** 2)
@@ -142,15 +138,15 @@ def test_newton_contraction_constant_bounded():
 
 def test_newton_single_invariants():
     cf, ff, op = two_level(1 / 4)
-    prev = coarse_solve(cf, 1)[0]
-    new = newton_step(ff, prev, op)
-    check_eigenpair(new, ff)
-    assert new.value >= EXACT[0] - 1e-9
-    assert new.value >= direct_solve(ff, 1)[0].value - 1e-9
+    prev = coarse_solve(cf, 1)
+    new = newton_step_multi(ff, prev, op)
+    check_eigenpairs(new, ff)
+    assert new.values[0] >= EXACT[0] - 1e-9
+    assert new.values[0] >= direct_solve(ff, 1).values[0] - 1e-9
     # sign flip of the input leaves the value unchanged
-    flipped = Eigenpair(prev.value, -prev.vector, prev.level)
-    again = newton_step(ff, flipped, op)
-    assert abs(again.value - new.value) <= 1e-12 * new.value
+    flipped = EigenpairSet(prev.values, -prev.vectors)
+    again = newton_step_multi(ff, flipped, op)
+    assert abs(again.values[0] - new.values[0]) <= 1e-12 * new.values[0]
 
 
 def test_newton_warns_outside_basin():
@@ -158,9 +154,9 @@ def test_newton_warns_outside_basin():
     pairs = coarse_solve(cf, 1)
     # a shift below the reachable fine-space minimum forces the new Rayleigh
     # quotient above the previous value, which must trigger the diagnostic
-    wrong = Eigenpair(15.0, pairs[0].vector, pairs[0].level)
+    wrong = EigenpairSet([15.0], pairs.vectors)
     with pytest.warns(BasinWarning):
-        newton_step(ff, wrong, op)
+        newton_step_multi(ff, wrong, op)
 
 
 def test_newton_multi_fixed_point():
@@ -185,8 +181,9 @@ def test_newton_multi_degenerate_pair_consistency():
     # the 5 pi^2 (and 10 pi^2) approximations agree within twice their own
     # error; the structured one-diagonal mesh splits the continuous pair by
     # O(h^2), so exact degeneracy is not available to assert
-    assert abs(pairs[1].value - pairs[2].value) <= 2 * max(errors[1], errors[2])
-    assert abs(pairs[4].value - pairs[5].value) <= 2 * max(errors[4], errors[5])
+    values = pairs.values
+    assert abs(values[1] - values[2]) <= 2 * max(errors[1], errors[2])
+    assert abs(values[4] - values[5]) <= 2 * max(errors[4], errors[5])
     rel = np.abs(pairs.values - direct.values) / direct.values
     assert rel.max() <= 1e-5    # measured 4e-7 at this depth
 
@@ -200,11 +197,10 @@ def test_newton_multi_invariants():
     vecs = new.vectors
     gram = vecs.T @ (ff.mass @ vecs)
     assert np.abs(gram - np.eye(5)).max() <= 1e-8
-    for i, pair in enumerate(new):
-        check_eigenpair(pair, ff)
-        assert pair.value >= EXACT[i] - 1e-9
+    check_eigenpairs(new, ff)
+    assert (new.values >= np.array(EXACT[:5]) - 1e-9).all()
     # sign flips of the inputs leave every value unchanged
-    flipped = EigenpairSet([Eigenpair(p.value, -p.vector, p.level) for p in prev])
+    flipped = EigenpairSet(prev.values, -prev.vectors)
     again = newton_step_multi(ff, flipped, op)
     assert np.abs(again.values - new.values).max() <= 1e-12 * new.values.max()
 
@@ -232,14 +228,38 @@ def test_newton_multi_rejects_rank_deficient_span(monkeypatch):
 
 def test_rayleigh_expansion_identity():
     forms = forms_for(1 / 8)
-    exact = coarse_solve(forms, 1)[0]
-    assert rayleigh_expansion_check(forms, exact.vector, exact) <= 1e-12
+    exact = coarse_solve(forms, 1)
+    value, vector = exact.values[0], exact.vectors[:, 0]
+    assert rayleigh_expansion_check(forms, vector, value, vector) <= 1e-12
 
     rng = np.random.default_rng(9)
-    psi = exact.vector + 1e-3 * rng.standard_normal(forms.n_free)
-    assert rayleigh_expansion_check(forms, psi, exact) <= 1e-10 * abs(exact.value)
+    psi = vector + 1e-3 * rng.standard_normal(forms.n_free)
+    assert rayleigh_expansion_check(forms, psi, value, vector) <= 1e-10 * abs(value)
 
     # any nonzero trial function satisfies the identity, other eigenvectors too
     others = coarse_solve(forms, 3)
-    assert rayleigh_expansion_check(forms, others[2].vector, exact) \
-        <= 1e-10 * abs(exact.value)
+    assert rayleigh_expansion_check(forms, others.vectors[:, 2], value, vector) \
+        <= 1e-10 * abs(value)
+
+
+def test_eigenpair_set_checks_its_arrays():
+    vectors = np.asfortranarray(np.eye(3)[:, :2])
+    pairs = EigenpairSet([1.0, 2.0], vectors)
+    assert pairs.vectors.flags.c_contiguous and len(pairs) == 2
+    assert pairs.iterations is None and pairs.residuals is None
+    with pytest.raises(ValueError, match="non-empty"):
+        EigenpairSet([], np.zeros((3, 0)))
+    with pytest.raises(ValueError, match="do not match"):
+        EigenpairSet([1.0, 2.0], np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="ascending"):
+        EigenpairSet([2.0, 1.0], vectors)
+
+
+def test_canonical_sign_flips_columns():
+    block = np.array([[0.0, 1e-20, -2.0, 0.0],
+                      [-1.0, -1.0, 3.0, 0.0],
+                      [2.0, 1.0, 1.0, 0.0]])
+    signed = canonical_sign(block)
+    # the first entry above 1e-12 of the column's largest decides; zeros stay
+    assert_allclose(signed, block * [-1.0, -1.0, -1.0, 1.0], rtol=0, atol=0)
+    assert_allclose(block[0], [0.0, 1e-20, -2.0, 0.0])        # input untouched

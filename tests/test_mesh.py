@@ -251,6 +251,14 @@ def test_mesh_rejects_duplicate_vertices():
              boundary=[True, True, True, True])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_mesh_rejects_non_finite_coordinates(value):
+    with pytest.raises(MeshError, match="vertex 2 has non-finite coordinates"):
+        Mesh(vertices=[[0, 0], [1, 0], [value, 1]],
+             triangles=[[0, 1, 2]],
+             boundary=[True, True, True])
+
+
 def test_mesh_rejects_clockwise_triangle():
     with pytest.raises(MeshError, match="area"):
         Mesh(vertices=[[0, 0], [1, 0], [0, 1]],

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import newteig.eigen_newton as en
@@ -10,12 +11,12 @@ from newteig.assemble import (assemble_forms, example2_coefficients,
                               laplace_coefficients, rayleigh_quotient)
 from newteig.cli import RunConfig
 from newteig.eigen_newton import BasinWarning, ClusterGapWarning, coarse_solve
-from newteig.linalg import MINRES_MAX_ITERATIONS, solve_bordered
+from newteig.linalg import MINRES_MAX_ITERATIONS, dense_gen_eig, solve_bordered
 from newteig.mesh import build_hierarchy, unit_square_mesh
 from newteig.multilevel import MultilevelError, SolveOptions, run_multilevel
-from newteig.reference import compare_with_direct, evaluate
+from newteig.reference import compare_with_direct, evaluate, exact_laplace
 
-from meshgen import l_shaped_mesh
+from meshgen import l_shaped_mesh, renumbered_square
 
 EXACT_FIRST = 2 * math.pi ** 2
 
@@ -69,7 +70,7 @@ def test_eigenvalues_non_increasing_across_levels(laplace_run_n4):
 
 def test_recorded_value_is_rayleigh_quotient_of_vector(laplace_run_n4):
     for rec in laplace_run_n4.levels:
-        rq = rayleigh_quotient(rec.forms, rec.pairs[0].vector)
+        rq = rayleigh_quotient(rec.forms, rec.pairs.vectors[:, 0])
         assert abs(rq - rec.eigenvalues[0]) <= 1e-10 * abs(rq)
 
 
@@ -223,3 +224,26 @@ def test_l_shaped_domain_matches_lu_oracle(monkeypatch):
     # case for multigrid (15-17 iterations measured)
     hier = build_hierarchy(l_shaped_mesh(8), 4)
     assert_matches_lu_oracle(monkeypatch, hier, laplace_coefficients(), 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.builds(renumbered_square, st.integers(4, 6), st.integers(0, 2 ** 32 - 1),
+                 st.floats(0.0, 0.2)),
+       st.integers(2, 3), st.sampled_from([1, 3]),
+       st.sampled_from([laplace_coefficients, example2_coefficients]))
+def test_values_bound_the_pencil_from_above(coarse, n_levels, m, make_coeffs):
+    # min-max: the i-th Ritz value of any trial space is at least the i-th
+    # eigenvalue of the pencil, and for a conforming discretization (the
+    # exactly integrated laplace pencil) at least the i-th exact eigenvalue
+    coeffs = make_coeffs()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClusterGapWarning)
+        warnings.simplefilter("ignore", BasinWarning)
+        levels = run_multilevel(build_hierarchy(coarse, n_levels), coeffs, m)
+    exact = np.array([mode.value for mode in exact_laplace(m)])
+    for rec in levels:
+        pencil, _ = dense_gen_eig(rec.forms.stiffness.toarray(), rec.forms.mass.toarray(),
+                                  count=m)
+        assert (rec.pairs.values >= pencil * (1 - 1e-12)).all(), rec.level
+        if coeffs.preset == "laplace":
+            assert (rec.pairs.values >= exact).all(), rec.level
