@@ -71,16 +71,13 @@ class RunConfig:
             raise ConfigError("eigen_count must be at least 1")
         if self.quad_order not in (0, 2, 5):
             raise ConfigError("quad_order must be 2, 5 or auto")
-        for key in ("solver_tol", "direct_tol"):
-            if not getattr(self, key) > 0:
-                raise ConfigError("{} must be positive, got {!r}".format(
-                    key, getattr(self, key)))
         eps = float(np.finfo(float).eps)
-        if not eps <= self.solver_tol < 1:
-            raise ConfigError("solver_tol must lie in [{:.3g}, 1), got {!r}: no "
-                              "double-precision residual reaches one below machine "
-                              "epsilon, and one of 1 or more accepts the zero "
-                              "iterate".format(eps, self.solver_tol))
+        for key in ("solver_tol", "direct_tol"):
+            if not eps <= getattr(self, key) < 1:
+                raise ConfigError("{} must lie in [{:.3g}, 1), got {!r}: no double-precision "
+                                  "solve meets a tolerance below machine epsilon, and one of "
+                                  "1 or more accepts an unconverged result".format(
+                                      key, eps, getattr(self, key)))
         if self.dense_cap < 1:
             raise ConfigError("dense_cap must be at least 1")
         if self.bench_max_levels < 2:
@@ -215,9 +212,10 @@ def _csv_header(m, compare):
     return ",".join(cols)
 
 
-def _write_csv(path, levels, m, record=None, comparison=None, aborted_level=None):
+def _write_csv(path, levels, m, record=None, comparison=None, aborted=None):
     """Write one row per level; without an evaluated `record` (an aborted run)
-    the error cells read nan and the energy cells stay empty."""
+    the error cells read nan and the energy cells stay empty.  `aborted` names
+    what failed in the ``# ABORTED`` trailer."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(_csv_header(m, comparison is not None) + "\n")
         for k, rec in enumerate(levels):
@@ -231,8 +229,8 @@ def _write_csv(path, levels, m, record=None, comparison=None, aborted_level=None
                 for i in range(m):
                     cells += [comparison.direct_values[k][i], comparison.value_diffs[k][i]]
             f.write(",".join(_fmt(c) for c in cells) + "\n")
-        if aborted_level is not None:
-            f.write("# ABORTED level={}\n".format(aborted_level))
+        if aborted is not None:
+            f.write("# ABORTED {}\n".format(aborted))
 
 
 def _write_summary(path, config, record, comparison=None):
@@ -271,7 +269,7 @@ def _write_summary(path, config, record, comparison=None):
 
 
 def cmd_solve(config):
-    """Run the configured study; returns (exit_code, ConvergenceRecord or None)."""
+    """Run the study; returns (exit_code, record or None); a failed evaluation re-raises."""
     hierarchy = _build_hierarchy(config, config.levels)
     coeffs = config.coefficients()
     m = config.eigen_count
@@ -279,13 +277,17 @@ def cmd_solve(config):
     try:
         levels = run_multilevel(hierarchy, coeffs, m, config.solve_options())
     except MultilevelError as exc:
-        _write_csv(csv_path, exc.records, m, aborted_level=exc.level)
+        _write_csv(csv_path, exc.records, m, aborted="level={}".format(exc.level))
         print("error: {}".format(exc), file=sys.stderr)
         return EXIT_SOLVER, None
-    record = evaluate(hierarchy, coeffs, levels, direct_tol=config.direct_tol)
-    comparison = None
-    if config.compare_direct:
-        comparison = compare_with_direct(record, direct_tol=config.direct_tol)
+    try:
+        record = evaluate(hierarchy, coeffs, levels, direct_tol=config.direct_tol)
+        comparison = None
+        if config.compare_direct:
+            comparison = compare_with_direct(record, direct_tol=config.direct_tol)
+    except SolverError:
+        _write_csv(csv_path, levels, m, aborted="evaluation")
+        raise
     _write_csv(csv_path, levels, m, record, comparison)
     _write_summary(config.output + "_summary.txt", config, record, comparison)
     return EXIT_OK, record

@@ -19,7 +19,7 @@ import numpy as np
 
 from .assemble import b_norm, rayleigh_quotient
 from .linalg import (BorderedMatrix, SolverError, VCycle, block_preconditioner,
-                     dense_gen_eig, solve_bordered)
+                     dense_gen_eig, pencil_eigs, solve_bordered)
 
 DENSE_SOLVE_CAP = 3000
 
@@ -74,7 +74,7 @@ class EigenpairSet:
 
 
 def coarse_solve(forms, m, dense_cap=DENSE_SOLVE_CAP):
-    """First `m` eigenpairs of the pencil by a dense generalized eigensolve.
+    """First `m` eigenpairs of the coarse pencil by `linalg.pencil_eigs`.
 
     Meant for the coarse space only; refuses above `dense_cap` free DOFs.
     Warns when the cut between m and m+1 splits a near-degenerate cluster
@@ -82,12 +82,11 @@ def coarse_solve(forms, m, dense_cap=DENSE_SOLVE_CAP):
     """
     n = forms.n_free
     if n > dense_cap:
-        raise SolverError("coarse space has {} free DOFs, above the dense-solve "
+        raise SolverError("coarse space has {} free DOFs, above the coarse-solve "
                           "cap of {}".format(n, dense_cap))
     if not 1 <= m <= n:
         raise ValueError("m must be between 1 and {}, got {}".format(n, m))
-    values, vectors = dense_gen_eig(forms.stiffness.toarray(), forms.mass.toarray(),
-                                    count=m + 1)
+    values, vectors = pencil_eigs(forms.stiffness, forms.mass, m + 1)
     if m < n and values[m] - values[m - 1] < 1e-8 * abs(values[m - 1]):
         warnings.warn("eigenvalues {} and {} differ by less than 1e-8 relative; "
                       "m={} splits a degenerate cluster".format(m, m + 1, m),

@@ -1,12 +1,15 @@
-"""Linear-algebra kernels: bordered saddle-point solves and dense pencil eigensolves."""
+"""Linear-algebra kernels: bordered saddle-point solves and pencil eigensolves."""
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from scipy import sparse as sp
-from scipy.sparse.linalg import LinearOperator, minres, splu
+from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence, LinearOperator, eigsh,
+                                 minres, splu)
 
+# pencils below this many free DOFs are solved densely by `pencil_eigs`
+DENSE_CUTOFF = 300
 JACOBI_WEIGHT = 0.8
 SMOOTHING_STEPS = 2
 MINRES_MAX_ITERATIONS = 500
@@ -216,3 +219,48 @@ def dense_gen_eig(a, b, count=None):
                                  overwrite_b=True)
     except np.linalg.LinAlgError as exc:
         raise SolverError("b is not positive definite (mass matrix bug?)") from exc
+
+
+def pencil_eigs(stiffness, mass, count, tol=0.0, max_iter=200, dense_cutoff=DENSE_CUTOFF):
+    """The lowest `count` eigenpairs of the sparse SPD pencil (stiffness, mass).
+
+    Below `dense_cutoff` free DOFs, or for the whole space, `dense_gen_eig`
+    solves it.  Otherwise ARPACK's shift-invert Lanczos runs about 0 on one
+    symmetric-mode sparse LU of the stiffness, from a seeded random start
+    (a constant one is b-orthogonal to every mode odd about a symmetry line
+    of the mesh).  `tol` is the relative accuracy of the eigenvalues (0:
+    machine precision) and `max_iter` bounds the Lanczos restarts.
+
+    Returns
+    -------
+    (values, vectors)
+        Ascending eigenvalues and b-orthonormal eigenvectors as columns.
+
+    Raises
+    ------
+    SolverError
+        If the factorization or ARPACK fails, or ARPACK does not converge
+        (``iterations`` is then `max_iter`).
+    """
+    n = stiffness.shape[0]
+    if n < dense_cutoff or count >= n:
+        return dense_gen_eig(stiffness.toarray(), mass.toarray(), count=count)
+    try:
+        # without symmetric mode and diagonal pivots SuperLU discards the order's fill savings
+        factor = splu(stiffness.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError("stiffness factorization failed: {}".format(exc)) from exc
+    try:
+        values, vectors = eigsh(stiffness, k=count, M=mass, sigma=0,
+                                OPinv=LinearOperator((n, n), matvec=factor.solve, dtype=float),
+                                v0=np.random.default_rng(0).standard_normal(n), tol=tol,
+                                maxiter=max_iter)
+    except ArpackNoConvergence as exc:
+        raise SolverError("shift-invert Lanczos did not converge in {} iterations"
+                          .format(max_iter), iterations=max_iter) from exc
+    except ArpackError as exc:
+        raise SolverError("shift-invert Lanczos failed: {}".format(exc)) from exc
+    order = np.argsort(values, kind="stable")
+    vectors = vectors[:, order]
+    return values[order], vectors / np.sqrt(np.einsum("ij,ij->j", vectors, mass @ vectors))

@@ -5,14 +5,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
-from scipy.sparse import linalg as spla
 
 from .assemble import a_norm, energy_error_vs_exact
 from .eigen_newton import EigenpairSet, canonical_sign
-from .linalg import SolverError, dense_gen_eig
-
-DENSE_CUTOFF = 300
+from .linalg import DENSE_CUTOFF, pencil_eigs
 
 
 @dataclass(frozen=True)
@@ -80,30 +76,12 @@ def richardson(lambda_h, lambda_h2):
     return (4.0 * lambda_h2 - lambda_h) / 3.0
 
 
-def _b_orthonormalize(block, mass, rng=None):
-    gram = block.T @ (mass @ block)
-    gram = 0.5 * (gram + gram.T)
-    try:
-        chol = cholesky(gram, lower=True)
-    except np.linalg.LinAlgError:
-        if rng is None:
-            raise SolverError("subspace block lost rank during iteration") from None
-        # rank collapse: nudge with fresh random directions and retry once
-        block = block + 1e-8 * rng.standard_normal(block.shape)
-        gram = block.T @ (mass @ block)
-        gram = 0.5 * (gram + gram.T)
-        chol = cholesky(gram, lower=True)
-    return solve_triangular(chol, block.T, lower=True).T
-
-
-def direct_solve(forms, m, tol=1e-12, max_iter=200, dense_cutoff=DENSE_CUTOFF, seed=0):
+def direct_solve(forms, m, tol=1e-12, max_iter=200, dense_cutoff=DENSE_CUTOFF):
     """First `m` eigenpairs of the assembled pencil by direct solving.
 
-    Below `dense_cutoff` free DOFs the dense path is taken.  Otherwise a
-    shift-invert block subspace iteration runs on a block of
-    ``m + max(2, m)`` vectors: multiply by the factored inverse of the
-    stiffness matrix, b-orthonormalize, project (Rayleigh-Ritz), and repeat
-    until the first `m` Ritz values change by less than `tol` relatively.
+    Shift-invert Lanczos on one sparse LU of the stiffness matrix, dense
+    below `dense_cutoff` free DOFs (see `linalg.pencil_eigs`); `tol` is the
+    relative accuracy of the eigenvalues and `max_iter` bounds the restarts.
 
     Returns
     -------
@@ -115,37 +93,9 @@ def direct_solve(forms, m, tol=1e-12, max_iter=200, dense_cutoff=DENSE_CUTOFF, s
         raise ValueError("m must be at least 1")
     if m > n:
         raise ValueError("requested {} eigenpairs from a {}-dimensional space".format(m, n))
-
-    if n < dense_cutoff:
-        values, vectors = dense_gen_eig(forms.stiffness.toarray(), forms.mass.toarray())
-        return EigenpairSet(values[:m], canonical_sign(vectors[:, :m]))
-
-    block_size = min(n, m + max(2, m))
-    rng = np.random.default_rng(seed)
-    block = rng.standard_normal((n, block_size))
-    try:
-        factor = spla.splu(forms.stiffness.tocsc())
-    except RuntimeError as exc:
-        raise SolverError("stiffness factorization failed: {}".format(exc)) from exc
-
-    previous = None
-    change = np.inf
-    for iteration in range(1, max_iter + 1):
-        block = _b_orthonormalize(block, forms.mass, rng)
-        block = factor.solve(forms.mass @ block)
-        block = _b_orthonormalize(block, forms.mass, rng)
-        small_a = block.T @ (forms.stiffness @ block)
-        small_b = block.T @ (forms.mass @ block)
-        values, small_vecs = dense_gen_eig(small_a, small_b)
-        block = block @ small_vecs
-        if previous is not None:
-            change = float(np.max(np.abs(values[:m] - previous) / np.abs(previous)))
-            if change < tol:
-                return EigenpairSet(values[:m], canonical_sign(block[:, :m]))
-        previous = values[:m].copy()
-    raise SolverError("subspace iteration did not converge in {} iterations "
-                      "(last relative change {:.3e})".format(max_iter, change),
-                      residual=change, iterations=max_iter)
+    values, vectors = pencil_eigs(forms.stiffness, forms.mass, m, tol=tol, max_iter=max_iter,
+                                  dense_cutoff=dense_cutoff)
+    return EigenpairSet(values, canonical_sign(vectors))
 
 
 @dataclass
@@ -257,7 +207,7 @@ def compare_with_direct(record, direct_tol=1e-12):
     energy_diffs = []
     for k, rec in enumerate(record.levels):
         if k == 0:
-            # identical dense solve; reuse it so the coarse level is bit-equal
+            # the same pencil solve; reuse it so the coarse level is bit-equal
             direct = rec.pairs
         else:
             direct = direct_solve(rec.forms, m, tol=direct_tol)

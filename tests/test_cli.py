@@ -203,6 +203,25 @@ def test_solve_aborts_with_partial_csv(tmp_path, monkeypatch):
     assert rows[0][header.index("err_energy_1")] == ""
 
 
+def test_main_failed_evaluation_keeps_the_solved_rows(tmp_path, monkeypatch):
+    def boom(*args, **kwargs):
+        raise SolverError("synthetic reference failure")
+
+    monkeypatch.setattr(newteig.reference, "direct_solve", boom)
+    path = write_config(tmp_path, "problem = example2\nmesh_h = 1/4\nlevels = 3\n"
+                        "output = {}\n".format(tmp_path / "eval"))
+    assert main(["solve", str(path)]) == EXIT_SOLVER
+    text = (tmp_path / "eval_levels.csv").read_text()
+    assert text.rstrip().endswith("# ABORTED evaluation")
+    header, rows = read_csv(tmp_path / "eval_levels.csv")
+    assert len(rows) == 3
+    for row in rows:
+        assert float(row[header.index("lambda_1")]) > 0
+        assert math.isnan(float(row[header.index("err_lambda_1")]))
+        assert row[header.index("err_energy_1")] == ""
+    assert not (tmp_path / "eval_summary.txt").exists()
+
+
 def test_main_coarse_space_above_dense_cap_aborts_at_level_zero(tmp_path):
     path = write_config(tmp_path, "problem = example2\nlevels = 3\ndense_cap = 10\n"
                         "output = {}\n".format(tmp_path / "cap"))
@@ -309,7 +328,7 @@ def test_main_eigen_count_above_coarse_space_exit_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", [
     "solver_tol = 0", "solver_tol = -1", "solver_tol = 1e-30", "solver_tol = 1",
-    "direct_tol = 0", "dense_cap = 0"])
+    "direct_tol = 0", "direct_tol = 1e-300", "direct_tol = 1", "dense_cap = 0"])
 def test_main_bad_tolerance_or_dense_cap_exit_config(tmp_path, capsys, monkeypatch, line):
     def no_hierarchy(*args, **kwargs):
         raise AssertionError("a mesh was built")
@@ -453,6 +472,9 @@ GOLDEN = Path(__file__).resolve().parent / "data"
      "laplace_h8_l4_m1_levels.csv"),
     ("problem = example2\nmesh_h = 1/6\nlevels = 3\neigen_count = 3\n",
      "example2_h6_l3_m3_levels.csv"),
+    # every level above the dense cutoff of the pencil eigensolver
+    ("problem = example2\nmesh_h = 1/20\nlevels = 3\neigen_count = 3\n",
+     "example2_h20_l3_m3_levels.csv"),
 ])
 def test_csv_matches_golden(tmp_path, config, golden):
     # tests/data holds the reference CSVs of these runs; a change that only

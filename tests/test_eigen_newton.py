@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse as sp
 
+import newteig.eigen_newton
+import newteig.linalg
 from newteig.assemble import (assemble_forms, b_norm, free_prolongation,
                               laplace_coefficients, rayleigh_quotient)
 from newteig.eigen_newton import (BasinWarning, ClusterGapWarning, EigenpairSet,
@@ -68,6 +71,24 @@ def test_coarse_solve_rejects_oversized_requests():
         coarse_solve(forms, forms.n_free + 1)
     with pytest.raises(SolverError, match="cap"):
         coarse_solve(forms_for(1 / 8), 1, dense_cap=10)
+
+
+def test_coarse_solve_above_cutoff_stays_sparse(monkeypatch):
+    # 2,209 free DOFs: a dense pencil alone would take 2 x 39 MB
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the coarse solve went dense")
+
+    forms = forms_for(1 / 48)
+    for module in (newteig.linalg, newteig.eigen_newton):
+        monkeypatch.setattr(module, "dense_gen_eig", forbidden)
+    tracemalloc.start()
+    try:
+        pairs = coarse_solve(forms, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
+    assert_allclose(pairs.values[0], EXACT[0], rtol=2e-3)
 
 
 def test_coarse_solve_warns_on_cluster_split():

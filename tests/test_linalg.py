@@ -7,10 +7,10 @@ from numpy.testing import assert_allclose
 from scipy import sparse as sp
 from scipy.optimize import brentq
 
-from newteig.assemble import (assemble_forms, free_prolongation, interpolate,
-                              laplace_coefficients, rayleigh_quotient)
+from newteig.assemble import (assemble_forms, example2_coefficients, free_prolongation,
+                              interpolate, laplace_coefficients, rayleigh_quotient)
 from newteig.linalg import (BorderedMatrix, SolverError, VCycle, block_preconditioner,
-                            dense_gen_eig, solve_bordered)
+                            dense_gen_eig, pencil_eigs, solve_bordered)
 from newteig.mesh import refine_regular, unit_square_mesh
 
 from meshgen import renumbered_square
@@ -238,6 +238,28 @@ def test_dense_gen_eig_rejects_non_finite():
     b[1, 1] = np.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
         dense_gen_eig(np.eye(3), b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(renumbered_square, st.integers(4, 12), st.integers(0, 2 ** 32 - 1),
+                 st.floats(0.0, 0.15)),
+       st.sampled_from([laplace_coefficients, example2_coefficients]), st.integers(1, 6))
+def test_sparse_pencil_eigs_match_dense(mesh, coefficients, count):
+    forms = assemble_forms(mesh, coefficients())
+    values, vectors = pencil_eigs(forms.stiffness, forms.mass, count, dense_cutoff=0)
+    dense_values, _ = dense_gen_eig(forms.stiffness.toarray(), forms.mass.toarray(),
+                                    count=count)
+    assert_allclose(values, dense_values, rtol=1e-10)
+    gram = vectors.T @ (forms.mass @ vectors)
+    assert np.abs(gram - np.eye(count)).max() <= 1e-10
+    again = pencil_eigs(forms.stiffness, forms.mass, count, dense_cutoff=0)
+    assert np.array_equal(values, again[0]) and np.array_equal(vectors, again[1])
+
+
+def test_pencil_eigs_reports_singular_stiffness():
+    stiffness = sp.diags([1.0, 0.0, 2.0, 3.0]).tocsr()
+    with pytest.raises(SolverError, match="stiffness factorization failed"):
+        pencil_eigs(stiffness, sp.identity(4, format="csr"), 1, dense_cutoff=0)
 
 
 def test_core_positive_on_border_complement():
