@@ -18,8 +18,6 @@ from typing import Callable
 import numpy as np
 from scipy import sparse as sp
 
-from .mesh import _edge_topology
-
 
 class AssemblyError(ValueError):
     """Coefficient or quadrature data violates the assembly contract."""
@@ -119,15 +117,29 @@ class AssembledForms:
     quad_order: int = 2
 
 
-def _triangle_geometry(p):
-    """Edge vectors ``e_i = p[i+2] - p[i+1]`` opposite each vertex and the area of
-    every triangle of the (T, 3, 2) coordinates `p`.  The gradient of barycentric
-    coordinate i is ``perp(e_i) / (2 area)`` with ``perp(x, y) = (-y, x)``."""
-    edges = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
-    return edges, 0.5 * (edges[:, 1, 0] * edges[:, 2, 1] - edges[:, 1, 1] * edges[:, 2, 0])
+def _triangle_geometry(mesh):
+    """Vertex coordinates ``px, py`` (T, 3) of every triangle, gathered axis by
+    axis, the edge vectors ``e_i = p[i+2] - p[i+1]`` opposite each vertex as
+    ``ex, ey`` (T, 3), and the areas.  The gradient of barycentric coordinate
+    i is ``perp(e_i) / (2 area)`` with ``perp(x, y) = (-y, x)``."""
+    px, py = mesh.vertices[:, 0][mesh.triangles], mesh.vertices[:, 1][mesh.triangles]
+    ex, ey = np.empty_like(px), np.empty_like(py)
+    for e, p in ((ex, px), (ey, py)):
+        for i in range(3):
+            np.subtract(p[:, (i + 2) % 3], p[:, (i + 1) % 3], out=e[:, i])
+    return px, py, ex, ey, 0.5 * (ex[:, 1] * ey[:, 2] - ey[:, 1] * ex[:, 2])
 
 
-def _check_coefficients(dq, rq, wq, points):
+def _quadrature_points(bary, px, py):
+    """Coordinates ``(x, y)`` of every triangle's quadrature point per row of
+    barycentric coordinates `bary`, summed term by term in vertex order (a
+    BLAS product may fuse or reorder the terms and round differently)."""
+    for b in bary:
+        yield (b[0] * px[:, 0] + b[1] * px[:, 1] + b[2] * px[:, 2],
+               b[0] * py[:, 0] + b[1] * py[:, 1] + b[2] * py[:, 2])
+
+
+def _check_coefficients(dq, rq, wq, x, y):
     d00, d01, d10, d11 = dq[:, 0, 0], dq[:, 0, 1], dq[:, 1, 0], dq[:, 1, 1]
     with np.errstate(all="ignore"):
         tr, det = d00 + d11, d00 * d11 - d01 * d10
@@ -136,7 +148,7 @@ def _check_coefficients(dq, rq, wq, points):
                 and 0 <= rq.min() and rq.max() < np.inf and 0 < wq.min() and wq.max() < np.inf):
             return
         checks = [("{} coefficient is not finite".format(name),
-                   ~np.isfinite(values).reshape(len(points), -1).all(axis=1))
+                   ~np.isfinite(values).reshape(len(x), -1).all(axis=1))
                   for name, values in (("diffusion", dq), ("reaction", rq), ("weight", wq))]
         scale = np.maximum(np.abs(dq).max(axis=(1, 2)), 1e-300)
         checks += [("diffusion matrix is not symmetric positive definite",
@@ -145,8 +157,28 @@ def _check_coefficients(dq, rq, wq, points):
                    ("weight coefficient is not positive", wq <= 0)]
     for message, bad in checks:
         if bad.any():
+            first = np.flatnonzero(bad)[0]
             raise AssemblyError("{} at quadrature point ({:.6g}, {:.6g})".format(
-                message, *points[np.flatnonzero(bad)[0]]))
+                message, x[first], y[first]))
+
+
+def _weighted_coefficients(coeffs, bary, weights, px, py):
+    """The weight-averaged symmetric part ``(d00, d01, d11)`` of D on every
+    triangle, and its reaction and weight coefficients at each quadrature
+    point times the point's weight, (T, n_points) each."""
+    d00, d01, d11 = np.zeros((3, len(px)))
+    reaction, weight = np.empty((2, len(px), len(weights)))
+    for q, (w, (xq, yq)) in enumerate(zip(weights, _quadrature_points(bary, px, py))):
+        with np.errstate(all="ignore"):      # non-finite values are rejected below
+            dq = np.asarray(coeffs.diffusion(xq, yq), dtype=float)
+            rq = np.asarray(coeffs.reaction(xq, yq), dtype=float)
+            wq = np.asarray(coeffs.weight(xq, yq), dtype=float)
+        _check_coefficients(dq, rq, wq, xq, yq)
+        d00 += w * dq[:, 0, 0]
+        d01 += w * (0.5 * (dq[:, 0, 1] + dq[:, 1, 0]))
+        d11 += w * dq[:, 1, 1]
+        reaction[:, q], weight[:, q] = w * rq, w * wq
+    return d00, d01, d11, reaction, weight
 
 
 def _element_entries(mesh, coeffs, quad_order):
@@ -156,42 +188,34 @@ def _element_entries(mesh, coeffs, quad_order):
         raise ValueError("quad_order must be one of {}, got {!r}".format(
             sorted(_QUAD_RULES), quad_order))
     bary, weights = _QUAD_RULES[quad_order]
-    p = mesh.vertices[mesh.triangles]          # (T, 3, 2)
-    edge_vectors, area = _triangle_geometry(p)
-    d00, d01, d11 = np.zeros((3, len(p)))      # weight-averaged symmetric part of D
-    reaction, weight = np.empty((2, len(p), len(weights)))
-    for q, w in enumerate(weights):
-        xq = np.einsum("j,tjd->td", bary[q], p)
-        with np.errstate(all="ignore"):      # non-finite values are rejected below
-            dq = np.asarray(coeffs.diffusion(xq[:, 0], xq[:, 1]), dtype=float)
-            rq = np.asarray(coeffs.reaction(xq[:, 0], xq[:, 1]), dtype=float)
-            wq = np.asarray(coeffs.weight(xq[:, 0], xq[:, 1]), dtype=float)
-        _check_coefficients(dq, rq, wq, xq)
-        d00 += w * dq[:, 0, 0]
-        d01 += w * (0.5 * (dq[:, 0, 1] + dq[:, 1, 0]))
-        d11 += w * dq[:, 1, 1]
-        reaction[:, q], weight[:, q] = w * rq, w * wq
+    px, py, ex, ey, area = _triangle_geometry(mesh)
+    d00, d01, d11, reaction, weight = _weighted_coefficients(coeffs, bary, weights, px, py)
+    # the finest level's element arrays set the run's peak memory: free what is done
+    del px, py
     outer = bary[:, [0, 1, 2, 0, 1, 2]] * bary[:, [0, 1, 2, 1, 2, 0]]
-    k_entries, m_entries = (reaction @ outer) * area[:, None], (weight @ outer) * area[:, None]
+    k_entries, m_entries = reaction @ outer, weight @ outer
+    del reaction, weight
+    k_entries *= area[:, None]
+    m_entries *= area[:, None]
     # P1 gradients are constant: area grad_i . D grad_j = perp(e_i) . D perp(e_j) / (4 area)
-    nx, ny = -edge_vectors[:, :, 1], edge_vectors[:, :, 0]
-    dnx, dny = d00[:, None] * nx + d01[:, None] * ny, d01[:, None] * nx + d11[:, None] * ny
+    # with perp(e) = (-ey, ex) and (dnx, dny) = D perp(e)
+    dnx, dny = d01[:, None] * ex - d00[:, None] * ey, d11[:, None] * ex - d01[:, None] * ey
     quarter = 0.25 / area[:, None]
-    k_entries[:, :3] += (nx * dnx + ny * dny) * quarter
-    k_entries[:, 3:] += (nx * dnx[:, [1, 2, 0]] + ny * dny[:, [1, 2, 0]]) * quarter
+    k_entries[:, :3] += (ex * dny - ey * dnx) * quarter
+    k_entries[:, 3:] += (ex * dny[:, [1, 2, 0]] - ey * dnx[:, [1, 2, 0]]) * quarter
     return k_entries, m_entries
 
 
 def _assemble_pencil(mesh, coeffs, quad_order, keep):
     """Stiffness and mass CSR matrices over the vertices flagged in `keep`.
 
-    `np.bincount` sums the `_element_entries` per vertex and per edge (one
-    `_edge_topology` pass) onto one CSR pattern shared by both matrices; an
-    edge's sum fills both mirror slots, so both are exactly symmetric.  The
+    `np.bincount` sums the `_element_entries` per vertex and per edge of the
+    mesh's stored edge topology onto one CSR pattern shared by both matrices;
+    an edge's sum fills both mirror slots, so both are exactly symmetric.  The
     stiffness drops its exact zeros (e.g. the diagonals of a criss-cross mesh).
     """
     k_entries, m_entries = _element_entries(mesh, coeffs, quad_order)
-    edges, triangle_edges, _ = _edge_topology(mesh.triangles, len(keep))
+    edges, triangle_edges = mesh.edge_vertices, mesh.triangle_edges
     inner = keep[edges[:, 0]] & keep[edges[:, 1]]
     lo, hi = (np.cumsum(keep) - 1)[edges[inner].T]       # kept-vertex rows, lo < hi
     n = int(keep.sum())
@@ -332,15 +356,17 @@ def energy_error_vs_exact(forms, mesh, x, u_exact, grad_exact):
         x = -x
 
     bary, weights = _QUAD_RULES[forms.quad_order]
-    p = mesh.vertices[mesh.triangles]
-    edge_vectors, area = _triangle_geometry(p)
+    px, py, ex, ey, area = _triangle_geometry(mesh)
     full = np.zeros(mesh.num_vertices)
     full[forms.free_to_full] = x
+    u = full[mesh.triangles]
     # grad(u_h) = perp(s) with s = sum_j u_j e_j / (2 area), constant per triangle
-    sx, sy = (full[mesh.triangles][:, :, None] * edge_vectors).sum(axis=1).T * (0.5 / area)
+    scale = 0.5 / area
+    sx = (u[:, 0] * ex[:, 0] + u[:, 1] * ex[:, 1] + u[:, 2] * ex[:, 2]) * scale
+    sy = (u[:, 0] * ey[:, 0] + u[:, 1] * ey[:, 1] + u[:, 2] * ey[:, 2]) * scale
     total = 0.0
-    for q in range(len(weights)):
-        xq = np.einsum("j,tjd->td", bary[q], p)
-        gx, gy = np.asarray(grad_exact(xq[:, 0], xq[:, 1]), dtype=float).T + (sy, -sx)
-        total += weights[q] * float((area * (gx * gx + gy * gy)).sum())
+    for w, (xq, yq) in zip(weights, _quadrature_points(bary, px, py)):
+        g = np.asarray(grad_exact(xq, yq), dtype=float)
+        gx, gy = g[:, 0] + sy, g[:, 1] - sx
+        total += w * float((area * (gx * gx + gy * gy)).sum())
     return math.sqrt(max(total, 0.0))

@@ -284,7 +284,7 @@ def cmd_solve(config):
         record = evaluate(hierarchy, coeffs, levels, direct_tol=config.direct_tol)
         comparison = None
         if config.compare_direct:
-            comparison = compare_with_direct(record, direct_tol=config.direct_tol)
+            comparison = compare_with_direct(record)
     except SolverError:
         _write_csv(csv_path, levels, m, aborted="evaluation")
         raise

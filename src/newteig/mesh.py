@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 from scipy import sparse as sp
-from scipy.spatial import cKDTree
 
 DEFAULT_VERTEX_CAP = 8_000_000
 
@@ -35,21 +34,72 @@ def _edge_keys(triangles, nv):
 
 
 def _edge_topology(triangles, nv):
-    """Unique edges of a triangulation with `nv` vertices.
+    """Unique edges of a triangulation with `nv` vertices, from one sort of
+    the `_edge_keys`.
 
     Returns
     -------
-    edges : (E, 2) int array
+    edges : (E, 2) int32 array
         Sorted vertex-index pairs in lexicographic order.
-    triangle_edges : (T, 3) int array
+    triangle_edges : (T, 3) int32 array
         Edge index of the local edges (01, 12, 02) of every triangle.
     counts : (E,) int array
         Number of triangles sharing each edge (1 = boundary edge).
     """
-    keys, inverse, counts = np.unique(_edge_keys(triangles, nv), return_inverse=True,
-                                      return_counts=True)
-    edges = np.column_stack(np.divmod(keys, nv))
-    return edges, inverse.reshape(-1, 3), counts
+    keys = _edge_keys(triangles, nv).ravel()
+    order = keys.argsort()
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    triangle_edges = np.empty(len(keys), dtype=np.int32)
+    triangle_edges[order] = np.cumsum(first, dtype=np.int32) - 1
+    edges = np.column_stack(np.divmod(keys[starts], nv)).astype(np.int32)
+    return edges, triangle_edges.reshape(-1, 3), np.diff(starts, append=len(keys))
+
+
+def _bounds(points):
+    """Lower and upper corner of the bounding box of (n, 2) points.  (Column
+    by column: a reduction over axis 0 of an (n, 2) array is far slower.)"""
+    return (np.array([points[:, 0].min(), points[:, 1].min()]),
+            np.array([points[:, 0].max(), points[:, 1].max()]))
+
+
+def _coincident_pair(points, radius):
+    """Smallest index pair (i, j), i < j, of points at most `radius` > 0
+    apart, or None.  "Apart" is ``dx*dx + dy*dy <= radius*radius``, the rule of
+    ``scipy.spatial.cKDTree.query_pairs(radius)``.
+
+    The points are bucketed on a square grid with side at least 2 `radius`,
+    so a close pair shares a cell or lies in adjacent ones.  A cell's key
+    packs its column and row, so after one sort of the keys two
+    `searchsorted` ranges per point hold every candidate pair once: the rest
+    of its own cell and the cell above it, and the three cells of the next
+    column.  Only the candidates get their distance tested.
+    """
+    lo, hi = _bounds(points)
+    # at most 2^30 cells a side, so two cell indices pack into one int64 key
+    side = max(2.0 * radius, float((hi - lo).max()) / 2 ** 30)
+    cells = np.floor((points - lo) / side).astype(np.int64)
+    height = int(cells[:, 1].max()) + 2    # row height - 1 stays empty: no range wraps
+    keys = cells[:, 0] * height + cells[:, 1]
+    order = np.argsort(keys)
+    keys = keys[order]
+    n = len(keys)
+    start = np.concatenate([np.arange(1, n + 1), np.searchsorted(keys, keys + height - 1)])
+    stop = np.concatenate([np.searchsorted(keys, keys + 1, side="right"),
+                           np.searchsorted(keys, keys + height + 1, side="right")])
+    count = stop - start
+    i = np.repeat(np.tile(order, 2), count)
+    j = order[np.arange(len(i)) + np.repeat(start - np.cumsum(count) + count, count)]
+    dx, dy = points[i, 0] - points[j, 0], points[i, 1] - points[j, 1]
+    close = dx * dx + dy * dy <= radius * radius
+    if not close.any():
+        return None
+    i, j = np.minimum(i[close], j[close]), np.maximum(i[close], j[close])
+    best = np.lexsort((j, i))[0]
+    return int(i[best]), int(j[best])
 
 
 class Mesh:
@@ -63,6 +113,18 @@ class Mesh:
         Vertex indices per triangle, counterclockwise.
     boundary : (V,) array_like of bool
         True for vertices on the domain boundary.
+
+    Attributes
+    ----------
+    edge_vertices : (E, 2) int32 array
+        Sorted vertex pairs of the edges, in lexicographic order.
+    triangle_edges : (T, 3) int32 array
+        Edge index of the local edges (01, 12, 02) of every triangle.
+    edge_on_boundary : (E,) bool array
+        True for edges of exactly one triangle.
+
+    The edge arrays come from the one `_edge_topology` pass of validation;
+    refinement and assembly read them.
 
     Raises
     ------
@@ -84,7 +146,8 @@ class Mesh:
         if self.boundary.shape != (self.num_vertices,):
             raise MeshError("boundary flags must have shape (V,)")
         self._validate()
-        for arr in (self.vertices, self.triangles, self.boundary):
+        for arr in (self.vertices, self.triangles, self.boundary, self.edge_vertices,
+                    self.triangle_edges, self.edge_on_boundary):
             arr.flags.writeable = False
 
     @property
@@ -95,16 +158,22 @@ class Mesh:
     def num_triangles(self):
         return self.triangles.shape[0]
 
+    @property
+    def num_edges(self):
+        return self.edge_vertices.shape[0]
+
     def __repr__(self):
         return "Mesh({} vertices, {} triangles)".format(self.num_vertices,
                                                         self.num_triangles)
 
     def signed_areas(self):
         """Signed area of every triangle (positive for counterclockwise)."""
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        x, y = self.vertices[:, 0], self.vertices[:, 1]
+        t0, t1, t2 = self.triangles.T
+        x0, y0 = x[t0], y[t0]
+        dx1, dy1 = x[t1] - x0, y[t1] - y0
+        dx2, dy2 = x[t2] - x0, y[t2] - y0
+        return 0.5 * (dx1 * dy2 - dy1 * dx2)
 
     def area(self):
         return float(self.signed_areas().sum())
@@ -114,17 +183,15 @@ class Mesh:
         return self._max_diameter
 
     def domain_diameter(self):
-        lo = self.vertices.min(axis=0)
-        hi = self.vertices.max(axis=0)
+        lo, hi = _bounds(self.vertices)
         return float(np.sqrt(((hi - lo) ** 2).sum()))
 
     def _validate(self):
         if self.num_triangles == 0:
             raise MeshError("mesh has no triangles")
-        finite = np.isfinite(self.vertices).all(axis=1)
-        if not finite.all():
+        if not np.isfinite(self.vertices).all():
             raise MeshError("vertex {} has non-finite coordinates".format(
-                np.flatnonzero(~finite)[0]))
+                np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))[0]))
         if self.triangles.min() < 0 or self.triangles.max() >= self.num_vertices:
             bad = np.flatnonzero((self.triangles < 0).any(axis=1)
                                  | (self.triangles >= self.num_vertices).any(axis=1))[0]
@@ -138,25 +205,23 @@ class Mesh:
         used[self.triangles] = True
         if not used.all():
             raise MeshError("vertex {} belongs to no triangle".format(np.flatnonzero(~used)[0]))
-        keys, counts = np.unique(_edge_keys(self.triangles, self.num_vertices),
-                                 return_counts=True)
-        edges = np.column_stack(np.divmod(keys, self.num_vertices))
+        edges, triangle_edges, counts = _edge_topology(self.triangles, self.num_vertices)
         if (counts > 2).any():
             raise MeshError("edge shared by more than two triangles (non-manifold)")
+        self.edge_vertices, self.triangle_edges = edges, triangle_edges
+        self.edge_on_boundary = counts == 1
         on_bedge = np.zeros(self.num_vertices, dtype=bool)
-        on_bedge[edges[counts == 1]] = True
+        on_bedge[edges[self.edge_on_boundary]] = True
         if (on_bedge != self.boundary).any():
             bad = np.flatnonzero(on_bedge != self.boundary)[0]
             raise MeshError("boundary flag of vertex {} is inconsistent with the "
                             "edge topology".format(bad))
-        tree = cKDTree(self.vertices)
-        pairs = tree.query_pairs(1e-12 * max(self.domain_diameter(), 1e-300))
-        if pairs:
-            i, j = sorted(next(iter(pairs)))
-            raise MeshError("vertices {} and {} coincide".format(i, j))
-        self.num_edges = len(edges)
-        d = self.vertices[edges[:, 0]] - self.vertices[edges[:, 1]]
-        self._max_diameter = float(np.sqrt((d ** 2).sum(axis=1)).max())
+        pair = _coincident_pair(self.vertices, 1e-12 * max(self.domain_diameter(), 1e-300))
+        if pair is not None:
+            raise MeshError("vertices {} and {} coincide".format(*pair))
+        x, y = self.vertices[:, 0], self.vertices[:, 1]
+        dx, dy = x[edges[:, 0]] - x[edges[:, 1]], y[edges[:, 0]] - y[edges[:, 1]]
+        self._max_diameter = math.sqrt(float((dx * dx + dy * dy).max()))
 
 
 def unit_square_mesh(h):
@@ -216,9 +281,9 @@ def refine_regular(mesh):
     """
     tris = mesh.triangles
     nv = mesh.num_vertices
-    edges, edge_of, counts = _edge_topology(tris, nv)
+    edges = mesh.edge_vertices
     # midpoint vertex index of local edges (01, 12, 02) per triangle
-    mid = nv + edge_of
+    mid = nv + mesh.triangle_edges
 
     vertices = np.vstack([mesh.vertices,
                           0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])])
@@ -229,15 +294,14 @@ def refine_regular(mesh):
         np.column_stack([tris[:, 2], m02, m12]),
         np.column_stack([m01, m12, m02]),
     ])
-    boundary = np.concatenate([mesh.boundary, counts == 1])
-    fine = Mesh(vertices, children, boundary)
+    fine = Mesh(vertices, children, np.concatenate([mesh.boundary, mesh.edge_on_boundary]))
 
-    n_fine = fine.num_vertices
-    rows = np.concatenate([np.arange(nv),
-                           np.repeat(nv + np.arange(len(edges)), 2)])
-    cols = np.concatenate([np.arange(nv), edges.ravel()])
-    vals = np.concatenate([np.ones(nv), np.full(2 * len(edges), 0.5)])
-    return fine, sp.csr_matrix((vals, (rows, cols)), shape=(n_fine, nv))
+    # rows: surviving vertices, then one row of two 1/2 entries per edge midpoint
+    ne = len(edges)
+    indptr = np.concatenate([np.arange(nv), nv + 2 * np.arange(ne + 1)])
+    indices = np.concatenate([np.arange(nv), edges.ravel()])
+    data = np.concatenate([np.ones(nv), np.full(2 * ne, 0.5)])
+    return fine, sp.csr_matrix((data, indices, indptr), shape=(fine.num_vertices, nv))
 
 
 class MeshHierarchy:

@@ -110,6 +110,8 @@ class ConvergenceRecord:
     reference_values: np.ndarray
     m: int
     preset: str
+    direct_tol: float                        # tolerance of the direct solves
+    direct_solves: dict                      # level index -> EigenpairSet solved for the reference
 
 
 @dataclass
@@ -135,15 +137,16 @@ def _fit_order(hs, errors):
 
 
 def _reference_values(levels, preset, m, direct_tol):
-    """Per-eigenvalue reference: exact for the laplace preset, Richardson
-    extrapolation of the two finest direct solves otherwise."""
+    """Per-eigenvalue reference, and the direct solves behind it by level index:
+    exact for the laplace preset, Richardson extrapolation of the two finest
+    direct solves otherwise."""
     if preset == "laplace":
-        return np.array([e.value for e in exact_laplace(m)])
+        return np.array([e.value for e in exact_laplace(m)]), {}
     if len(levels) < 2:
-        return np.full(m, np.nan)
-    coarse = direct_solve(levels[-2].forms, m, tol=direct_tol).values
-    fine = direct_solve(levels[-1].forms, m, tol=direct_tol).values
-    return richardson(coarse, fine)
+        return np.full(m, np.nan), {}
+    coarse, fine = len(levels) - 2, len(levels) - 1
+    solves = {k: direct_solve(levels[k].forms, m, tol=direct_tol) for k in (coarse, fine)}
+    return richardson(solves[coarse].values, solves[fine].values), solves
 
 
 def _energy_error_entries(record, mesh, preset, m):
@@ -177,7 +180,7 @@ def evaluate(hierarchy, coeffs, levels, direct_tol=1e-12):
     ConvergenceRecord
     """
     m = len(levels[0].pairs)
-    ref = _reference_values(levels, coeffs.preset, m, direct_tol)
+    ref, solves = _reference_values(levels, coeffs.preset, m, direct_tol)
     errors = [np.abs(rec.eigenvalues - ref) for rec in levels]
     energies = [_energy_error_entries(rec, hierarchy.levels[k], coeffs.preset, m)
                 for k, rec in enumerate(levels)]
@@ -191,11 +194,15 @@ def evaluate(hierarchy, coeffs, levels, direct_tol=1e-12):
         reference_values=ref,
         m=m,
         preset=coeffs.preset,
+        direct_tol=direct_tol,
+        direct_solves=solves,
     )
 
 
-def compare_with_direct(record, direct_tol=1e-12):
-    """Pair an evaluated run with per-level direct solves on the same pencils.
+def compare_with_direct(record):
+    """Pair an evaluated run with per-level direct solves on the same pencils,
+    at the record's `direct_tol`; the solves `evaluate` made for the
+    reference are reused.
 
     Returns value differences for every eigenvalue and sign-aligned energy
     (a-norm) vector differences for eigenvalues that are simple (vector
@@ -209,8 +216,10 @@ def compare_with_direct(record, direct_tol=1e-12):
         if k == 0:
             # the same pencil solve; reuse it so the coarse level is bit-equal
             direct = rec.pairs
+        elif k in record.direct_solves:
+            direct = record.direct_solves[k]
         else:
-            direct = direct_solve(rec.forms, m, tol=direct_tol)
+            direct = direct_solve(rec.forms, m, tol=record.direct_tol)
         direct_values.append(direct.values)
         value_diffs.append(np.abs(rec.eigenvalues - direct.values))
         diffs = [None] * m

@@ -18,6 +18,8 @@ from newteig.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, ConfigError
 from newteig.linalg import SolverError, solve_bordered
 from newteig.mesh import MeshFormatError, load_mesh, save_mesh, unit_square_mesh
 
+from meshgen import renumbered_square
+
 EXACT_FIRST = 2 * math.pi ** 2
 
 
@@ -220,6 +222,23 @@ def test_main_failed_evaluation_keeps_the_solved_rows(tmp_path, monkeypatch):
         assert math.isnan(float(row[header.index("err_lambda_1")]))
         assert row[header.index("err_energy_1")] == ""
     assert not (tmp_path / "eval_summary.txt").exists()
+
+
+def test_compare_direct_reuses_the_reference_solves(tmp_path, monkeypatch):
+    sizes = []
+    solve = newteig.reference.direct_solve
+
+    def counting(forms, *args, **kwargs):
+        sizes.append(forms.n_free)
+        return solve(forms, *args, **kwargs)
+
+    monkeypatch.setattr(newteig.reference, "direct_solve", counting)
+    path = write_config(tmp_path, "problem = example2\nmesh_h = 1/4\nlevels = 3\n"
+                        "eigen_count = 2\ncompare_direct = true\n"
+                        "output = {}\n".format(tmp_path / "cmp"))
+    assert main(["solve", str(path)]) == EXIT_OK
+    # the two finest pencils, solved once for the Richardson reference
+    assert sizes == [49, 225]
 
 
 def test_main_coarse_space_above_dense_cap_aborts_at_level_zero(tmp_path):
@@ -475,11 +494,18 @@ GOLDEN = Path(__file__).resolve().parent / "data"
     # every level above the dense cutoff of the pencil eigensolver
     ("problem = example2\nmesh_h = 1/20\nlevels = 3\neigen_count = 3\n",
      "example2_h20_l3_m3_levels.csv"),
+    # a renumbered, jittered mesh file: unstructured numbering through load,
+    # validation, refinement, assembly, energy errors and direct comparison
+    ("problem = laplace\nmesh_file = {mesh}\nlevels = 3\neigen_count = 3\n"
+     "compare_direct = true\n", "laplace_file12_l3_m3_levels.csv"),
 ])
 def test_csv_matches_golden(tmp_path, config, golden):
     # tests/data holds the reference CSVs of these runs; a change that only
     # reorders floating-point work keeps every non-timing cell within 1e-12
     # relative (eigenvalues) or 1e-12 * lambda (errors and differences)
+    if "{mesh}" in config:
+        save_mesh(renumbered_square(12, 5, jitter=0.15), tmp_path / "square.mesh")
+        config = config.format(mesh=tmp_path / "square.mesh")
     path = write_config(tmp_path, config + "output = {}\n".format(tmp_path / "run"))
     assert main(["solve", str(path)]) == EXIT_OK
     header, rows = read_csv(tmp_path / "run_levels.csv")

@@ -1,14 +1,19 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.spatial import cKDTree
 
 import newteig.mesh
 from newteig.assemble import assemble_forms, laplace_coefficients
-from newteig.mesh import (Mesh, MeshError, MeshFormatError, _edge_keys, _edge_topology,
-                          build_hierarchy, load_mesh, refine_regular, save_mesh,
+from newteig.mesh import (Mesh, MeshError, MeshFormatError, _coincident_pair, _edge_keys,
+                          _edge_topology, build_hierarchy, load_mesh, refine_regular, save_mesh,
                           unit_square_mesh)
 from newteig.multilevel import run_multilevel
 
@@ -161,16 +166,24 @@ def test_edge_topology_once_per_validation_and_refinement(monkeypatch):
     monkeypatch.setattr(newteig.mesh, "_edge_keys", counting)
     hier = build_hierarchy(unit_square_mesh(1 / 4), 4)
     run_multilevel(hier, laplace_coefficients(), 1)
-    # one pass per validated mesh (4), per refinement (3) and per assembled level (4)
-    assert len(calls) == 11
+    # one pass per validated mesh; refinement and assembly read what it stored
+    assert calls == [m.num_vertices for m in hier.levels]
     calls.clear()
     assemble_forms(hier.levels[-1], laplace_coefficients())
-    assert calls == [hier.levels[-1].num_vertices]
+    assert calls == []
+
+
+def test_cli_import_leaves_out_scipy_spatial():
+    code = "import sys, newteig.cli; print('scipy.spatial' in sys.modules)"
+    src = str(Path(newteig.mesh.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_hierarchy_build_memory_peak():
-    # validation keeps only the unique edge keys and their counts; the
-    # per-triangle edge index is built only where refinement needs it
+    # every level keeps its edge topology from validation as int32 and bool
+    # arrays, and validation builds it from one sort of the edge keys
     coarse = unit_square_mesh(1 / 8)
     tracemalloc.start()
     try:
@@ -244,8 +257,50 @@ def test_load_allows_comments(tmp_path):
     assert back.num_triangles == 2
 
 
+@st.composite
+def point_sets(draw):
+    """(points, radius): a random cloud, points on a lattice of step 0.5r, r
+    or 2r (many equal x or y, and exact ties at distance r), or a cloud with
+    pairs planted at 0.5r, r and 2r; optionally shifted far from the origin."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 60))
+    radius = draw(st.sampled_from([1e-12, 1e-3, 0.05, 0.2]))
+    kind = draw(st.sampled_from(["cloud", "lattice", "planted"]))
+    if kind == "lattice":
+        step = radius * draw(st.sampled_from([0.5, 1.0, 2.0]))
+        points = rng.integers(0, draw(st.integers(1, 12)), (n, 2)) * step
+    else:
+        points = rng.uniform(0.0, draw(st.sampled_from([radius, 1.0, 50.0])), (n, 2))
+    if kind == "planted":
+        for factor in (0.5, 1.0, 2.0):
+            i, j = rng.choice(n, 2, replace=False)
+            angle = draw(st.sampled_from([0.0, np.pi / 2, np.pi / 4, rng.uniform(0, 2 * np.pi)]))
+            points[j] = points[i] + factor * radius * np.array([np.cos(angle), np.sin(angle)])
+    return points + draw(st.sampled_from([0.0, -3.5, 1e6])), radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+def test_coincident_pair_matches_kdtree(case):
+    points, radius = case
+    pairs = cKDTree(points).query_pairs(radius)
+    assert _coincident_pair(points, radius) == (min(pairs) if pairs else None)
+
+
+@pytest.mark.parametrize("dx", [-1, 0, 1])
+@pytest.mark.parametrize("dy", [-1, 0, 1])
+def test_coincident_pair_across_every_cell_neighbour(dx, dy):
+    # radius 1 and a 4 x 4 bounding box give cells of side 2 from (0, 0): the
+    # planted pair straddles the corner (2, 2) towards each neighbour cell
+    corner = np.array([2.0, 2.0])
+    offset = 0.2 * np.array([dx, dy])
+    points = np.array([[0.0, 0.0], [4.0, 4.0], corner - offset, corner + offset + [0, 1e-3]])
+    assert _coincident_pair(points, 1.0) == (2, 3)
+    assert min(cKDTree(points).query_pairs(1.0)) == (2, 3)
+
+
 def test_mesh_rejects_duplicate_vertices():
-    with pytest.raises(MeshError, match="coincide"):
+    with pytest.raises(MeshError, match="vertices 0 and 3 coincide"):
         Mesh(vertices=[[0, 0], [1, 0], [0, 1], [1e-15, 0]],
              triangles=[[0, 1, 2], [3, 1, 2]],
              boundary=[True, True, True, True])
