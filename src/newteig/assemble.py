@@ -23,6 +23,11 @@ class AssemblyError(ValueError):
     """Coefficient or quadrature data violates the assembly contract."""
 
 
+# triangles per pass of the element kernels, whose (block, 3) temporaries then
+# stay in cache; each triangle's arithmetic is the same whatever the block
+ELEMENT_BLOCK = 16384
+
+
 # Gauss rules on the reference triangle: barycentric coordinates and weights
 # normalized to sum to 1 (scaled by the physical triangle area on use).
 _W15 = math.sqrt(15.0)
@@ -117,12 +122,14 @@ class AssembledForms:
     quad_order: int = 2
 
 
-def _triangle_geometry(mesh):
-    """Vertex coordinates ``px, py`` (T, 3) of every triangle, gathered axis by
-    axis, the edge vectors ``e_i = p[i+2] - p[i+1]`` opposite each vertex as
-    ``ex, ey`` (T, 3), and the areas.  The gradient of barycentric coordinate
-    i is ``perp(e_i) / (2 area)`` with ``perp(x, y) = (-y, x)``."""
-    px, py = mesh.vertices[:, 0][mesh.triangles], mesh.vertices[:, 1][mesh.triangles]
+def _triangle_geometry(mesh, block):
+    """Vertex coordinates ``px, py`` (B, 3) of the triangles in the slice
+    `block`, gathered axis by axis, the edge vectors ``e_i = p[i+2] - p[i+1]``
+    opposite each vertex as ``ex, ey`` (B, 3), and the areas.  The gradient of
+    barycentric coordinate i is ``perp(e_i) / (2 area)`` with
+    ``perp(x, y) = (-y, x)``."""
+    triangles = mesh.triangles[block]
+    px, py = mesh.vertices[:, 0][triangles], mesh.vertices[:, 1][triangles]
     ex, ey = np.empty_like(px), np.empty_like(py)
     for e, p in ((ex, px), (ey, py)):
         for i in range(3):
@@ -181,6 +188,11 @@ def _weighted_coefficients(coeffs, bary, weights, px, py):
     return d00, d01, d11, reaction, weight
 
 
+def _blocks(count):
+    """Slices of at most `ELEMENT_BLOCK` consecutive triangles covering `count`."""
+    return [slice(start, start + ELEMENT_BLOCK) for start in range(0, count, ELEMENT_BLOCK)]
+
+
 def _element_entries(mesh, coeffs, quad_order):
     """Stiffness and mass entries (T, 6) of every element matrix: the diagonal
     ones of local vertices 0, 1, 2, then those of local edges 01, 12, 20."""
@@ -188,21 +200,25 @@ def _element_entries(mesh, coeffs, quad_order):
         raise ValueError("quad_order must be one of {}, got {!r}".format(
             sorted(_QUAD_RULES), quad_order))
     bary, weights = _QUAD_RULES[quad_order]
-    px, py, ex, ey, area = _triangle_geometry(mesh)
-    d00, d01, d11, reaction, weight = _weighted_coefficients(coeffs, bary, weights, px, py)
-    # the finest level's element arrays set the run's peak memory: free what is done
-    del px, py
     outer = bary[:, [0, 1, 2, 0, 1, 2]] * bary[:, [0, 1, 2, 1, 2, 0]]
-    k_entries, m_entries = reaction @ outer, weight @ outer
-    del reaction, weight
-    k_entries *= area[:, None]
-    m_entries *= area[:, None]
-    # P1 gradients are constant: area grad_i . D grad_j = perp(e_i) . D perp(e_j) / (4 area)
-    # with perp(e) = (-ey, ex) and (dnx, dny) = D perp(e)
-    dnx, dny = d01[:, None] * ex - d00[:, None] * ey, d11[:, None] * ex - d01[:, None] * ey
-    quarter = 0.25 / area[:, None]
-    k_entries[:, :3] += (ex * dny - ey * dnx) * quarter
-    k_entries[:, 3:] += (ex * dny[:, [1, 2, 0]] - ey * dnx[:, [1, 2, 0]]) * quarter
+    k_entries, m_entries = np.empty((mesh.num_triangles, 6)), np.empty((mesh.num_triangles, 6))
+    for block in _blocks(mesh.num_triangles):
+        px, py, ex, ey, area = _triangle_geometry(mesh, block)
+        d00, d01, d11, reaction, weight = _weighted_coefficients(coeffs, bary, weights, px, py)
+        # summed point by point: a BLAS product rounds by the block's row count
+        k, m = np.zeros((2, len(area), 6))
+        for q, row in enumerate(outer):
+            k += reaction[:, q, None] * row
+            m += weight[:, q, None] * row
+        k *= area[:, None]
+        m *= area[:, None]
+        # P1 gradients are constant: area grad_i . D grad_j = perp(e_i) . D perp(e_j) / (4 area)
+        # with perp(e) = (-ey, ex) and (dnx, dny) = D perp(e)
+        dnx, dny = d01[:, None] * ex - d00[:, None] * ey, d11[:, None] * ex - d01[:, None] * ey
+        quarter = 0.25 / area[:, None]
+        k[:, :3] += (ex * dny - ey * dnx) * quarter
+        k[:, 3:] += (ex * dny[:, [1, 2, 0]] - ey * dnx[:, [1, 2, 0]]) * quarter
+        k_entries[block], m_entries[block] = k, m
     return k_entries, m_entries
 
 
@@ -356,17 +372,22 @@ def energy_error_vs_exact(forms, mesh, x, u_exact, grad_exact):
         x = -x
 
     bary, weights = _QUAD_RULES[forms.quad_order]
-    px, py, ex, ey, area = _triangle_geometry(mesh)
     full = np.zeros(mesh.num_vertices)
     full[forms.free_to_full] = x
-    u = full[mesh.triangles]
-    # grad(u_h) = perp(s) with s = sum_j u_j e_j / (2 area), constant per triangle
-    scale = 0.5 / area
-    sx = (u[:, 0] * ex[:, 0] + u[:, 1] * ex[:, 1] + u[:, 2] * ex[:, 2]) * scale
-    sy = (u[:, 0] * ey[:, 0] + u[:, 1] * ey[:, 1] + u[:, 2] * ey[:, 2]) * scale
+    # area |grad(e)|^2 per quadrature point and triangle, summed point by point below
+    integrand = np.empty((len(weights), mesh.num_triangles))
+    for block in _blocks(mesh.num_triangles):
+        px, py, ex, ey, area = _triangle_geometry(mesh, block)
+        u = full[mesh.triangles[block]]
+        # grad(u_h) = perp(s) with s = sum_j u_j e_j / (2 area), constant per triangle
+        scale = 0.5 / area
+        sx = (u[:, 0] * ex[:, 0] + u[:, 1] * ex[:, 1] + u[:, 2] * ex[:, 2]) * scale
+        sy = (u[:, 0] * ey[:, 0] + u[:, 1] * ey[:, 1] + u[:, 2] * ey[:, 2]) * scale
+        for q, (xq, yq) in enumerate(_quadrature_points(bary, px, py)):
+            g = np.asarray(grad_exact(xq, yq), dtype=float)
+            gx, gy = g[:, 0] + sy, g[:, 1] - sx
+            integrand[q, block] = area * (gx * gx + gy * gy)
     total = 0.0
-    for w, (xq, yq) in zip(weights, _quadrature_points(bary, px, py)):
-        g = np.asarray(grad_exact(xq, yq), dtype=float)
-        gx, gy = g[:, 0] + sy, g[:, 1] - sx
-        total += w * float((area * (gx * gx + gy * gy)).sum())
+    for w, row in zip(weights, integrand):
+        total += w * float(row.sum())
     return math.sqrt(max(total, 0.0))

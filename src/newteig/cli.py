@@ -8,18 +8,21 @@ eigenvalue).  ``solve`` writes ``<output>_levels.csv`` and
 
 import argparse
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
 
+from . import reference
 from .assemble import CoefficientSet, example2_coefficients, laplace_coefficients
 from .expressions import ExpressionError, parse_expression
 from .linalg import SolverError
 from .mesh import (DEFAULT_VERTEX_CAP, MeshError, build_hierarchy, load_mesh,
                    unit_square_mesh)
-from .multilevel import MultilevelError, SolveOptions, run_multilevel
-from .reference import compare_with_direct, evaluate
+from .multilevel import (MultilevelError, SolveOptions, assemble_levels, check_eigen_count,
+                         run_multilevel)
+from .reference import compare_with_direct, evaluate, reference_levels
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -269,25 +272,42 @@ def _write_summary(path, config, record, comparison=None):
 
 
 def cmd_solve(config):
-    """Run the study; returns (exit_code, record or None); a failed evaluation re-raises."""
+    """Run the study; returns (exit_code, record or None); a failed evaluation re-raises.
+
+    The direct solves of the evaluation need only the assembled pencils, so
+    they run on one worker thread while this thread runs the Newton steps.
+    A failed level wins over them: their queued solves are cancelled, the
+    running one is joined and its result or error is dropped.
+    """
     hierarchy = _build_hierarchy(config, config.levels)
     coeffs = config.coefficients()
     m = config.eigen_count
+    options = config.solve_options()
     csv_path = config.output + "_levels.csv"
+    assembled = assemble_levels(hierarchy, coeffs, options)
+    forms = assembled[0]
+    check_eigen_count(forms[0], m)
+    pool = ThreadPoolExecutor(max_workers=1)
     try:
-        levels = run_multilevel(hierarchy, coeffs, m, config.solve_options())
-    except MultilevelError as exc:
-        _write_csv(csv_path, exc.records, m, aborted="level={}".format(exc.level))
-        print("error: {}".format(exc), file=sys.stderr)
-        return EXIT_SOLVER, None
-    try:
-        record = evaluate(hierarchy, coeffs, levels, direct_tol=config.direct_tol)
-        comparison = None
-        if config.compare_direct:
-            comparison = compare_with_direct(record)
-    except SolverError:
-        _write_csv(csv_path, levels, m, aborted="evaluation")
-        raise
+        solves = {k: pool.submit(reference.direct_solve, forms[k], m, tol=config.direct_tol)
+                  for k in reference_levels(coeffs.preset, len(forms), config.compare_direct)}
+        try:
+            levels = run_multilevel(hierarchy, coeffs, m, options, assembled)
+        except MultilevelError as exc:
+            _write_csv(csv_path, exc.records, m, aborted="level={}".format(exc.level))
+            print("error: {}".format(exc), file=sys.stderr)
+            return EXIT_SOLVER, None
+        try:
+            record = evaluate(hierarchy, coeffs, levels, direct_tol=config.direct_tol,
+                              direct_solves={k: f.result() for k, f in solves.items()})
+            comparison = None
+            if config.compare_direct:
+                comparison = compare_with_direct(record)
+        except SolverError:
+            _write_csv(csv_path, levels, m, aborted="evaluation")
+            raise
+    finally:
+        pool.shutdown(cancel_futures=True)
     _write_csv(csv_path, levels, m, record, comparison)
     _write_summary(config.output + "_summary.txt", config, record, comparison)
     return EXIT_OK, record

@@ -11,6 +11,8 @@ from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence, LinearOperato
 # pencils below this many free DOFs are solved densely by `pencil_eigs`
 DENSE_CUTOFF = 300
 JACOBI_WEIGHT = 0.8
+# each row's Jacobi weight is capped at JACOBI_L1_CAP / sum_j |k_ij| (see VCycle)
+JACOBI_L1_CAP = 1.9
 SMOOTHING_STEPS = 2
 MINRES_MAX_ITERATIONS = 500
 # scipy's MINRES stops on a backward-error estimate, not on the gated residual
@@ -71,7 +73,13 @@ class VCycle:
     Without a coarser cycle it is an exact sparse LU solve.  Otherwise it
     takes `SMOOTHING_STEPS` damped Jacobi steps, a coarse correction through
     ``prolong`` and ``coarser``, and as many Jacobi steps again, which keeps
-    it symmetric.
+    it symmetric.  Row i's weight is ``JACOBI_WEIGHT / k_ii``, capped at
+    ``JACOBI_L1_CAP / sum_j |k_ij|``: then ``2 diag(1/w) - matrix`` is strictly
+    diagonally dominant, hence SPD, so the smoother converges and the cycle
+    stays SPD on every level (anisotropic coefficients on distorted meshes can
+    push the spectrum of ``diag(matrix)^-1 matrix`` past 2 / JACOBI_WEIGHT).
+    A Laplace row with nonpositive off-diagonals has ``sum_j |k_ij| <= 2 k_ii``
+    and keeps ``JACOBI_WEIGHT / k_ii``.
     """
 
     def __init__(self, matrix, prolong=None, coarser=None):
@@ -81,7 +89,8 @@ class VCycle:
         if coarser is None:
             self._lu = splu(self.matrix.tocsc())
         else:
-            self._weights = JACOBI_WEIGHT / self.matrix.diagonal()
+            l1 = np.asarray(abs(self.matrix).sum(axis=1)).ravel()
+            self._weights = np.minimum(JACOBI_WEIGHT / self.matrix.diagonal(), JACOBI_L1_CAP / l1)
 
     def __call__(self, residual):
         if self.coarser is None:
@@ -230,6 +239,7 @@ def pencil_eigs(stiffness, mass, count, tol=0.0, max_iter=200, dense_cutoff=DENS
     (a constant one is b-orthogonal to every mode odd about a symmetry line
     of the mesh).  `tol` is the relative accuracy of the eigenvalues (0:
     machine precision) and `max_iter` bounds the Lanczos restarts.
+    `stiffness` must be exactly symmetric (assembled pencils are).
 
     Returns
     -------
@@ -245,9 +255,13 @@ def pencil_eigs(stiffness, mass, count, tol=0.0, max_iter=200, dense_cutoff=DENS
     n = stiffness.shape[0]
     if n < dense_cutoff or count >= n:
         return dense_gen_eig(stiffness.toarray(), mass.toarray(), count=count)
+    stiffness = sp.csr_matrix(stiffness)
+    # exactly symmetric: the CSR arrays of the stiffness are also its CSC arrays
+    transpose = sp.csc_matrix((stiffness.data, stiffness.indices, stiffness.indptr),
+                              shape=stiffness.shape)
     try:
         # without symmetric mode and diagonal pivots SuperLU discards the order's fill savings
-        factor = splu(stiffness.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        factor = splu(transpose, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError("stiffness factorization failed: {}".format(exc)) from exc

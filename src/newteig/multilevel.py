@@ -50,12 +50,36 @@ class LevelRecord:
         return self.pairs.values
 
 
-def run_multilevel(hierarchy, coeffs, m=1, options=None):
+def assemble_levels(hierarchy, coeffs, options=None):
+    """Assemble the pencil of every level of `hierarchy`, coarsest first.
+
+    Returns
+    -------
+    (forms, seconds) : (list of AssembledForms, list of float)
+        The pencils and each one's assembly wall time.
+    """
+    quad_order = (options or SolveOptions()).effective_quad_order(coeffs)
+    forms, seconds = [], []
+    for mesh in hierarchy.levels:
+        t0 = time.perf_counter()
+        forms.append(assemble_forms(mesh, coeffs, quad_order))
+        seconds.append(time.perf_counter() - t0)
+    return forms, seconds
+
+
+def check_eigen_count(forms, m):
+    """Raise ValueError unless 1 <= `m` <= the free DOFs of the coarse pencil `forms`."""
+    if not 1 <= m <= forms.n_free:
+        raise ValueError("eigen_count must be between 1 and the {} free DOFs of the "
+                         "coarse mesh, got {}".format(forms.n_free, m))
+
+
+def run_multilevel(hierarchy, coeffs, m=1, options=None, assembled=None):
     """Run the full multilevel Newton iteration over a mesh hierarchy.
 
-    Assembles every level, solves the coarse eigenvalue problem once, then
-    performs exactly one Newton step per refinement level, whose multigrid
-    cycle extends the previous level's.  Errors are not evaluated here (see
+    Solves the coarse eigenvalue problem once, then performs exactly one
+    Newton step per refinement level, whose multigrid cycle extends the
+    previous level's.  Errors are not evaluated here (see
     `reference.evaluate`).
 
     Parameters
@@ -65,6 +89,9 @@ def run_multilevel(hierarchy, coeffs, m=1, options=None):
     m : int
         Number of eigenpairs to track, at most the coarse free-DOF count.
     options : SolveOptions, optional
+    assembled : optional
+        The output of `assemble_levels` for the same hierarchy, coefficients
+        and options; assembled here when omitted.
 
     Returns
     -------
@@ -79,15 +106,8 @@ def run_multilevel(hierarchy, coeffs, m=1, options=None):
         produced so far.
     """
     options = options or SolveOptions()
-    quad_order = options.effective_quad_order(coeffs)
-    forms, assemble_times = [], []
-    for mesh in hierarchy.levels:
-        t0 = time.perf_counter()
-        forms.append(assemble_forms(mesh, coeffs, quad_order))
-        assemble_times.append(time.perf_counter() - t0)
-    if not 1 <= m <= forms[0].n_free:
-        raise ValueError("eigen_count must be between 1 and the {} free DOFs of the "
-                         "coarse mesh, got {}".format(forms[0].n_free, m))
+    forms, assemble_times = assembled or assemble_levels(hierarchy, coeffs, options)
+    check_eigen_count(forms[0], m)
 
     records = []
     pairs = cycle = None

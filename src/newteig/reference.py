@@ -136,17 +136,26 @@ def _fit_order(hs, errors):
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _reference_values(levels, preset, m, direct_tol):
-    """Per-eigenvalue reference, and the direct solves behind it by level index:
-    exact for the laplace preset, Richardson extrapolation of the two finest
-    direct solves otherwise."""
+def reference_levels(preset, n_levels, compare=False):
+    """Indices of the levels whose pencils evaluation solves directly, in
+    solving order, finest first: the two finest behind a Richardson reference
+    (none for the laplace preset, whose reference is exact), then with
+    `compare` (see `compare_with_direct`) every other level above the coarse one."""
+    wanted = [] if preset == "laplace" or n_levels < 2 else [n_levels - 1, n_levels - 2]
+    if compare:
+        wanted += [k for k in range(n_levels - 1, 0, -1) if k not in wanted]
+    return wanted
+
+
+def _reference_values(preset, m, n_levels, solves):
+    """Per-eigenvalue reference: exact for the laplace preset, otherwise the
+    Richardson extrapolation of the direct `solves` (by level index) of the
+    two finest of `n_levels` levels."""
     if preset == "laplace":
-        return np.array([e.value for e in exact_laplace(m)]), {}
-    if len(levels) < 2:
-        return np.full(m, np.nan), {}
-    coarse, fine = len(levels) - 2, len(levels) - 1
-    solves = {k: direct_solve(levels[k].forms, m, tol=direct_tol) for k in (coarse, fine)}
-    return richardson(solves[coarse].values, solves[fine].values), solves
+        return np.array([e.value for e in exact_laplace(m)])
+    if n_levels < 2:
+        return np.full(m, np.nan)
+    return richardson(solves[n_levels - 2].values, solves[n_levels - 1].values)
 
 
 def _energy_error_entries(record, mesh, preset, m):
@@ -162,7 +171,7 @@ def _energy_error_entries(record, mesh, preset, m):
     return entries
 
 
-def evaluate(hierarchy, coeffs, levels, direct_tol=1e-12):
+def evaluate(hierarchy, coeffs, levels, direct_tol=1e-12, direct_solves=None):
     """Errors and observed convergence orders of a finished multilevel run.
 
     Parameters
@@ -174,13 +183,21 @@ def evaluate(hierarchy, coeffs, levels, direct_tol=1e-12):
         The output of `multilevel.run_multilevel`.
     direct_tol : float
         Tolerance of the direct solves behind Richardson references.
+    direct_solves : dict, optional
+        Level index -> `direct_solve` of that level's pencil at `direct_tol`,
+        covering at least `reference_levels(coeffs.preset, len(levels))`
+        (the CLI solves them beside the multilevel run).  Solved here, in
+        that order, when omitted.
 
     Returns
     -------
     ConvergenceRecord
     """
     m = len(levels[0].pairs)
-    ref, solves = _reference_values(levels, coeffs.preset, m, direct_tol)
+    if direct_solves is None:
+        direct_solves = {k: direct_solve(levels[k].forms, m, tol=direct_tol)
+                         for k in reference_levels(coeffs.preset, len(levels))}
+    ref = _reference_values(coeffs.preset, m, len(levels), direct_solves)
     errors = [np.abs(rec.eigenvalues - ref) for rec in levels]
     energies = [_energy_error_entries(rec, hierarchy.levels[k], coeffs.preset, m)
                 for k, rec in enumerate(levels)]
@@ -195,7 +212,7 @@ def evaluate(hierarchy, coeffs, levels, direct_tol=1e-12):
         m=m,
         preset=coeffs.preset,
         direct_tol=direct_tol,
-        direct_solves=solves,
+        direct_solves=direct_solves,
     )
 
 

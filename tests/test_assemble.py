@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import newteig.assemble
 from newteig.assemble import (_QUAD_RULES, AssemblyError, CoefficientSet, _assemble_pencil,
                               a_norm, assemble_forms, b_norm, energy_error_vs_exact,
                               example2_coefficients, free_prolongation,
                               interpolate, laplace_coefficients,
                               rayleigh_quotient)
 from newteig.linalg import dense_gen_eig
-from newteig.mesh import Mesh, refine_regular, unit_square_mesh
+from newteig.mesh import Mesh, build_hierarchy, refine_regular, unit_square_mesh
 
 from meshgen import l_shaped_mesh, renumbered_square
 
@@ -273,6 +274,43 @@ def test_assembly_memory_peak(make_coeffs, quad_order):
     finally:
         tracemalloc.stop()
     assert peak <= 24 * 2 ** 20
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.builds(renumbered_square, st.integers(2, 12), st.integers(0, 2 ** 32 - 1),
+                 st.floats(0.0, 0.2)),
+       st.sampled_from([(laplace_coefficients, 2), (example2_coefficients, 5)]))
+def test_element_blocks_leave_every_bit(mesh, case):
+    # each triangle's arithmetic is blockwise; the scatter and the sums see whole arrays
+    make_coeffs, quad_order = case
+    results = []
+    for block in (1, 7, newteig.assemble.ELEMENT_BLOCK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(newteig.assemble, "ELEMENT_BLOCK", block)
+            forms = assemble_forms(mesh, make_coeffs(), quad_order)
+            x = np.random.default_rng(mesh.num_triangles).standard_normal(forms.n_free)
+            energy = energy_error_vs_exact(forms, mesh, x, first_mode, first_mode_grad)
+        results.append((forms.stiffness, forms.mass, energy))
+    for stiffness, mass, energy in results[:2]:
+        for matrix, expected in ((stiffness, results[-1][0]), (mass, results[-1][1])):
+            assert np.array_equal(matrix.indptr, expected.indptr)
+            assert np.array_equal(matrix.indices, expected.indices)
+            assert np.array_equal(matrix.data, expected.data)
+        assert energy == results[-1][2]
+
+
+def test_energy_error_memory_peak():
+    # the integrand is built block by block; no (T, 3) array of the whole mesh lives
+    mesh = build_hierarchy(unit_square_mesh(1 / 8), 6).levels[-1]      # 131,072 triangles
+    forms = assemble_forms(mesh, laplace_coefficients())
+    x = np.random.default_rng(0).standard_normal(forms.n_free)
+    tracemalloc.start()
+    try:
+        energy_error_vs_exact(forms, mesh, x, first_mode, first_mode_grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20
 
 
 def test_rayleigh_quotient_of_eigenvector():

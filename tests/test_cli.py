@@ -2,6 +2,7 @@ import importlib.util
 import inspect
 import math
 import re
+import threading
 import warnings
 from pathlib import Path
 
@@ -237,8 +238,52 @@ def test_compare_direct_reuses_the_reference_solves(tmp_path, monkeypatch):
                         "eigen_count = 2\ncompare_direct = true\n"
                         "output = {}\n".format(tmp_path / "cmp"))
     assert main(["solve", str(path)]) == EXIT_OK
-    # the two finest pencils, solved once for the Richardson reference
-    assert sizes == [49, 225]
+    # the two finest pencils, solved once for the Richardson reference, finest first
+    assert sizes == [225, 49]
+
+
+def test_reference_solves_run_beside_the_newton_steps(tmp_path, monkeypatch):
+    calls = []
+    solve = newteig.reference.direct_solve
+
+    def spy(forms, *args, **kwargs):
+        calls.append((forms.n_free, threading.current_thread()))
+        return solve(forms, *args, **kwargs)
+
+    monkeypatch.setattr(newteig.reference, "direct_solve", spy)
+    before = set(threading.enumerate())
+    path = write_config(tmp_path, "problem = example2\nmesh_h = 1/4\nlevels = 4\n"
+                        "compare_direct = true\noutput = {}\n".format(tmp_path / "bg"))
+    assert main(["solve", str(path)]) == EXIT_OK
+    # the two finest pencils first, then the remaining level above the coarse one
+    assert [n for n, _ in calls] == [961, 225, 49]
+    assert all(thread is not threading.main_thread() for _, thread in calls)
+    assert set(threading.enumerate()) == before
+
+
+def test_failed_level_wins_over_a_failed_reference(tmp_path, monkeypatch):
+    def boom(*args, **kwargs):
+        raise SolverError("synthetic reference failure")
+
+    monkeypatch.setattr(newteig.reference, "direct_solve", boom)
+    before = set(threading.enumerate())
+    path = write_config(tmp_path, "problem = example2\nlevels = 3\ndense_cap = 10\n"
+                        "output = {}\n".format(tmp_path / "cap"))
+    assert main(["solve", str(path)]) == EXIT_SOLVER
+    assert (tmp_path / "cap_levels.csv").read_text().rstrip().endswith("# ABORTED level=0")
+    assert set(threading.enumerate()) == before
+
+
+def test_smoother_cap_keeps_a_distorted_anisotropic_run_solvable(tmp_path):
+    # the uncapped w = 0.8 / k_ii Jacobi sweep diverges on level 1 here (largest
+    # eigenvalue of diag(K)^-1 K above 2.5), and MINRES stopped on the indefinite cycle
+    save_mesh(renumbered_square(8, 4, jitter=0.15), tmp_path / "square.mesh")
+    path = write_config(tmp_path, "problem = custom\nmesh_file = {}\nlevels = 3\n"
+                        "eigen_count = 2\na12 = -0.8\noutput = {}\n".format(
+                            tmp_path / "square.mesh", tmp_path / "aniso"))
+    assert main(["solve", str(path)]) == EXIT_OK
+    header, rows = read_csv(tmp_path / "aniso_levels.csv")
+    assert len(rows) == 3
 
 
 def test_main_coarse_space_above_dense_cap_aborts_at_level_zero(tmp_path):

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import sparse as sp
 from scipy.optimize import brentq
 
-from newteig.assemble import (assemble_forms, example2_coefficients, free_prolongation,
-                              interpolate, laplace_coefficients, rayleigh_quotient)
+from newteig.assemble import (CoefficientSet, assemble_forms, example2_coefficients,
+                              free_prolongation, interpolate, laplace_coefficients,
+                              rayleigh_quotient)
 from newteig.linalg import (BorderedMatrix, SolverError, VCycle, block_preconditioner,
                             dense_gen_eig, pencil_eigs, solve_bordered)
 from newteig.mesh import refine_regular, unit_square_mesh
@@ -151,6 +152,35 @@ def test_preconditioned_solve_matches_dense(cells, seed):
         scale = max(1.0, float(np.abs(z).max()))
         assert np.abs(np.concatenate([w, g]) - z).max() <= 1e-10 * scale
         assert 1 <= stats["iterations"] <= 40 and stats["residual"] <= 1e-10
+
+
+def _anisotropic(a12):
+    def diffusion(x, y):
+        out = np.empty((len(x), 2, 2))
+        out[:, 0, 0] = out[:, 1, 1] = 1.0
+        out[:, 0, 1] = out[:, 1, 0] = a12
+        return out
+
+    return CoefficientSet(diffusion=diffusion, reaction=lambda x, y: np.zeros_like(x),
+                          weight=lambda x, y: np.ones_like(x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(renumbered_square, st.integers(2, 10), st.integers(0, 2 ** 32 - 1),
+                 st.floats(0.0, 0.24)),
+       st.floats(-0.8, 0.8))
+@example(renumbered_square(8, 4, jitter=0.15), -0.8)
+def test_smoother_weights_keep_the_cycle_spd(coarse, a12):
+    # damped Jacobi with weights w converges, and the V-cycle stays SPD, when
+    # 2 diag(1/w) - K is SPD; 0.8 / k_ii alone fails on distorted anisotropic meshes
+    fine, prolongation = refine_regular(coarse)
+    coeffs = _anisotropic(a12)
+    coarse_forms, forms = assemble_forms(coarse, coeffs), assemble_forms(fine, coeffs)
+    cycle = VCycle(forms.stiffness, free_prolongation(prolongation, coarse_forms, forms),
+                   VCycle(coarse_forms.stiffness))
+    margin = np.diag(2.0 / cycle._weights) - forms.stiffness.toarray()
+    assert np.linalg.eigvalsh(margin)[0] > 0
+    assert (cycle._weights <= 0.8 / forms.stiffness.diagonal()).all()
 
 
 def test_dense_gen_eig_diagonal():
