@@ -289,6 +289,7 @@ def cmd_solve(config):
     check_eigen_count(forms[0], m)
     pool = ThreadPoolExecutor(max_workers=1)
     try:
+        # through the module, so a replaced `reference.direct_solve` is the one submitted
         solves = {k: pool.submit(reference.direct_solve, forms[k], m, tol=config.direct_tol)
                   for k in reference_levels(coeffs.preset, len(forms), config.compare_direct)}
         try:
