@@ -17,12 +17,12 @@ import numpy as np
 from . import reference
 from .assemble import CoefficientSet, example2_coefficients, laplace_coefficients
 from .expressions import ExpressionError, parse_expression
-from .linalg import SolverError
+from .linalg import DEFAULT_SOLVER_TOL, SolverError
 from .mesh import (DEFAULT_VERTEX_CAP, MeshError, build_hierarchy, load_mesh,
                    unit_square_mesh)
 from .multilevel import (MultilevelError, SolveOptions, assemble_levels, check_eigen_count,
                          run_multilevel)
-from .reference import compare_with_direct, evaluate, reference_levels
+from .reference import DEFAULT_DIRECT_TOL, compare_with_direct, evaluate, reference_levels
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,10 +49,9 @@ class RunConfig:
     mesh_file: str = ""
     levels: int = 3
     eigen_count: int = 1
-    quad_order: int = 0                  # 0 = auto (2 for laplace, 5 otherwise)
-    solver_tol: float = 1e-10
-    direct_tol: float = 1e-12
-    dense_cap: int = 3000
+    quad_order: int = 0                  # 0 = auto, see SolveOptions.effective_quad_order
+    solver_tol: float = DEFAULT_SOLVER_TOL
+    direct_tol: float = DEFAULT_DIRECT_TOL
     max_vertices: int = DEFAULT_VERTEX_CAP
     compare_direct: bool = False
     bench_max_levels: int = 6
@@ -81,8 +80,6 @@ class RunConfig:
                                   "solve meets a tolerance below machine epsilon, and one of "
                                   "1 or more accepts an unconverged result".format(
                                       key, eps, getattr(self, key)))
-        if self.dense_cap < 1:
-            raise ConfigError("dense_cap must be at least 1")
         if self.bench_max_levels < 2:
             raise ConfigError("bench_max_levels must be at least 2")
         if not self.mesh_file:
@@ -125,11 +122,7 @@ class RunConfig:
                               preset="custom")
 
     def solve_options(self):
-        return SolveOptions(
-            quad_order=self.quad_order or None,
-            dense_cap=self.dense_cap,
-            solver_tol=self.solver_tol,
-        )
+        return SolveOptions(quad_order=self.quad_order, solver_tol=self.solver_tol)
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "on": True,

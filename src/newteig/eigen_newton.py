@@ -18,10 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .assemble import b_norm, rayleigh_quotient
-from .linalg import (BorderedMatrix, SolverError, VCycle, block_preconditioner,
-                     dense_gen_eig, pencil_eigs, solve_bordered)
-
-DENSE_SOLVE_CAP = 3000
+from .linalg import (DEFAULT_SOLVER_TOL, BorderedMatrix, SolverError, VCycle,
+                     block_preconditioner, dense_gen_eig, pencil_eigs, solve_bordered)
 
 
 class ClusterGapWarning(RuntimeWarning):
@@ -73,17 +71,13 @@ class EigenpairSet:
         return len(self.values)
 
 
-def coarse_solve(forms, m, dense_cap=DENSE_SOLVE_CAP):
+def coarse_solve(forms, m):
     """First `m` eigenpairs of the coarse pencil by `linalg.pencil_eigs`.
 
-    Meant for the coarse space only; refuses above `dense_cap` free DOFs.
     Warns when the cut between m and m+1 splits a near-degenerate cluster
     (relative gap below 1e-8).
     """
     n = forms.n_free
-    if n > dense_cap:
-        raise SolverError("coarse space has {} free DOFs, above the coarse-solve "
-                          "cap of {}".format(n, dense_cap))
     if not 1 <= m <= n:
         raise ValueError("m must be between 1 and {}, got {}".format(n, m))
     values, vectors = pencil_eigs(forms.stiffness, forms.mass, m + 1)
@@ -94,7 +88,7 @@ def coarse_solve(forms, m, dense_cap=DENSE_SOLVE_CAP):
     return EigenpairSet(values[:m], canonical_sign(vectors[:, :m]))
 
 
-def newton_step_multi(forms_fine, prev_set, prolong, tol=1e-10, cycle=None):
+def newton_step_multi(forms_fine, prev_set, prolong, tol=DEFAULT_SOLVER_TOL, cycle=None):
     """One Newton iteration step for the first m eigenpairs.
 
     Each eigenpair gets its own bordered solve, constrained against all m

@@ -17,6 +17,8 @@ SMOOTHING_STEPS = 2
 MINRES_MAX_ITERATIONS = 500
 # scipy's MINRES stops on a backward-error estimate, not on the gated residual
 MINRES_RTOL_FACTOR = 1e-4
+# verified relative residual of the bordered solves, a run's `solver_tol`
+DEFAULT_SOLVER_TOL = 1e-10
 
 
 class SolverError(Exception):
@@ -119,7 +121,8 @@ def block_preconditioner(cycle, border):
     return lambda z: np.concatenate([cycle(z[:n]), scipy.linalg.cho_solve(factor, z[n:])])
 
 
-def solve_bordered(matrix, rhs_top, rhs_bottom, tol=1e-10, preconditioner=None, stats=None):
+def solve_bordered(matrix, rhs_top, rhs_bottom, tol=DEFAULT_SOLVER_TOL, preconditioner=None,
+                   stats=None):
     """Solve [[core, -border], [-border.T, 0]] (w, g) = (rhs_top, -rhs_bottom).
 
     Given a `preconditioner` (an SPD map of (n+m,) vectors, see

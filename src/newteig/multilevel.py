@@ -2,11 +2,10 @@
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 from .assemble import AssembledForms, assemble_forms, free_prolongation
 from .eigen_newton import EigenpairSet, coarse_solve, newton_step_multi
-from .linalg import VCycle
+from .linalg import DEFAULT_SOLVER_TOL, VCycle
 
 
 class MultilevelError(Exception):
@@ -21,16 +20,13 @@ class MultilevelError(Exception):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs of the multilevel pipeline (defaults match the CLI defaults)."""
+    """Knobs of the multilevel pipeline."""
 
-    quad_order: Optional[int] = None         # None: 2 for laplace, else 5
-    dense_cap: int = 3000
-    solver_tol: float = 1e-10
+    quad_order: int = 0                      # 0 = auto: 2 for laplace, else 5
+    solver_tol: float = DEFAULT_SOLVER_TOL
 
     def effective_quad_order(self, coeffs):
-        if self.quad_order is not None:
-            return self.quad_order
-        return 2 if coeffs.preset == "laplace" else 5
+        return self.quad_order or (2 if coeffs.preset == "laplace" else 5)
 
 
 @dataclass
@@ -115,7 +111,7 @@ def run_multilevel(hierarchy, coeffs, m=1, options=None, assembled=None):
         t0 = time.perf_counter()
         try:
             if k == 0:
-                pairs = coarse_solve(forms[0], m, dense_cap=options.dense_cap)
+                pairs = coarse_solve(forms[0], m)
                 cycle = VCycle(forms[0].stiffness)
             else:
                 prolong = free_prolongation(hierarchy.prolongations[k - 1],

@@ -10,6 +10,9 @@ from .assemble import a_norm, energy_error_vs_exact
 from .eigen_newton import EigenpairSet, canonical_sign
 from .linalg import DENSE_CUTOFF, pencil_eigs
 
+# relative eigenvalue accuracy of the direct solves, a run's `direct_tol`
+DEFAULT_DIRECT_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ExactEigen:
@@ -76,7 +79,7 @@ def richardson(lambda_h, lambda_h2):
     return (4.0 * lambda_h2 - lambda_h) / 3.0
 
 
-def direct_solve(forms, m, tol=1e-12, max_iter=200, dense_cutoff=DENSE_CUTOFF):
+def direct_solve(forms, m, tol=DEFAULT_DIRECT_TOL, max_iter=200, dense_cutoff=DENSE_CUTOFF):
     """First `m` eigenpairs of the assembled pencil by direct solving.
 
     Shift-invert Lanczos on one sparse LU of the stiffness matrix, dense
@@ -171,7 +174,7 @@ def _energy_error_entries(record, mesh, preset, m):
     return entries
 
 
-def evaluate(hierarchy, coeffs, levels, direct_tol=1e-12, direct_solves=None):
+def evaluate(hierarchy, coeffs, levels, direct_tol=DEFAULT_DIRECT_TOL, direct_solves=None):
     """Errors and observed convergence orders of a finished multilevel run.
 
     Parameters

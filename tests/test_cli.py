@@ -30,6 +30,10 @@ def write_config(tmp_path, text, name="run.cfg"):
     return path
 
 
+def failing_coarse_solve(*args, **kwargs):
+    raise SolverError("synthetic coarse-solve failure")
+
+
 def read_csv(path):
     lines = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
     header = lines[0].split(",")
@@ -266,11 +270,12 @@ def test_failed_level_wins_over_a_failed_reference(tmp_path, monkeypatch):
         raise SolverError("synthetic reference failure")
 
     monkeypatch.setattr(newteig.reference, "direct_solve", boom)
+    monkeypatch.setattr(newteig.multilevel, "coarse_solve", failing_coarse_solve)
     before = set(threading.enumerate())
-    path = write_config(tmp_path, "problem = example2\nlevels = 3\ndense_cap = 10\n"
-                        "output = {}\n".format(tmp_path / "cap"))
+    path = write_config(tmp_path, "problem = example2\nlevels = 3\n"
+                        "output = {}\n".format(tmp_path / "fail"))
     assert main(["solve", str(path)]) == EXIT_SOLVER
-    assert (tmp_path / "cap_levels.csv").read_text().rstrip().endswith("# ABORTED level=0")
+    assert (tmp_path / "fail_levels.csv").read_text().rstrip().endswith("# ABORTED level=0")
     assert set(threading.enumerate()) == before
 
 
@@ -286,13 +291,23 @@ def test_smoother_cap_keeps_a_distorted_anisotropic_run_solvable(tmp_path):
     assert len(rows) == 3
 
 
-def test_main_coarse_space_above_dense_cap_aborts_at_level_zero(tmp_path):
-    path = write_config(tmp_path, "problem = example2\nlevels = 3\ndense_cap = 10\n"
-                        "output = {}\n".format(tmp_path / "cap"))
+def test_main_failed_coarse_solve_aborts_at_level_zero(tmp_path, monkeypatch):
+    monkeypatch.setattr(newteig.multilevel, "coarse_solve", failing_coarse_solve)
+    path = write_config(tmp_path, "problem = example2\nlevels = 3\n"
+                        "output = {}\n".format(tmp_path / "fail"))
     assert main(["solve", str(path)]) == EXIT_SOLVER
-    text = (tmp_path / "cap_levels.csv").read_text()
+    text = (tmp_path / "fail_levels.csv").read_text()
     assert text.rstrip().endswith("# ABORTED level=0")
-    assert read_csv(tmp_path / "cap_levels.csv")[1] == []
+    assert read_csv(tmp_path / "fail_levels.csv")[1] == []
+
+
+def test_main_coarse_space_of_any_size_solves(tmp_path):
+    # 3,969 free DOFs on the coarse level, far above the dense cutoff of its eigensolve
+    path = write_config(tmp_path, "mesh_h = 1/64\nlevels = 1\noutput = {}\n".format(
+        tmp_path / "big"))
+    assert main(["solve", str(path)]) == EXIT_OK
+    header, rows = read_csv(tmp_path / "big_levels.csv")
+    assert len(rows) == 1 and rows[0][header.index("n_free")] == "3969"
 
 
 def test_solver_runs_no_reference_solves(monkeypatch):
@@ -356,17 +371,22 @@ def test_bench_work_ratios_with_min_timing():
     assert counts[-1] <= 1.25 * counts[1]
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     good = write_config(tmp_path, "mesh_h = 1/2\nlevels = 1\noutput = {}\n".format(
         tmp_path / "ok"))
     assert main(["solve", str(good)]) == EXIT_OK
     bad = write_config(tmp_path, "levels = 0\n", "bad.cfg")
     assert main(["solve", str(bad)]) == EXIT_CONFIG
     assert main(["solve", str(tmp_path / "missing.cfg")]) == EXIT_IO
-    unknown = write_config(tmp_path, "colour = blue\noutput = {}\n".format(
-        tmp_path / "uk"), "unknown.cfg")
-    assert main(["--strict", "solve", str(unknown)]) == EXIT_CONFIG
-    assert main(["solve", str(unknown)]) == EXIT_OK
+    # a key the program never had, and one it no longer has
+    for key in ("colour = blue", "dense_cap = 3000"):
+        unknown = write_config(tmp_path, "{}\noutput = {}\n".format(key, tmp_path / "uk"),
+                               "unknown.cfg")
+        assert main(["--strict", "solve", str(unknown)]) == EXIT_CONFIG
+        capsys.readouterr()
+        assert main(["solve", str(unknown)]) == EXIT_OK
+        name = key.split()[0]
+        assert "warning: unknown key '{}' (line 1)".format(name) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", [
@@ -392,8 +412,8 @@ def test_main_eigen_count_above_coarse_space_exit_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", [
     "solver_tol = 0", "solver_tol = -1", "solver_tol = 1e-30", "solver_tol = 1",
-    "direct_tol = 0", "direct_tol = 1e-300", "direct_tol = 1", "dense_cap = 0"])
-def test_main_bad_tolerance_or_dense_cap_exit_config(tmp_path, capsys, monkeypatch, line):
+    "direct_tol = 0", "direct_tol = 1e-300", "direct_tol = 1"])
+def test_main_bad_tolerance_exit_config(tmp_path, capsys, monkeypatch, line):
     def no_hierarchy(*args, **kwargs):
         raise AssertionError("a mesh was built")
 
@@ -543,6 +563,11 @@ GOLDEN = Path(__file__).resolve().parent / "data"
     # validation, refinement, assembly, energy errors and direct comparison
     ("problem = laplace\nmesh_file = {mesh}\nlevels = 3\neigen_count = 3\n"
      "compare_direct = true\n", "laplace_file12_l3_m3_levels.csv"),
+    # all five coefficient expressions (anisotropic, reaction, varying weight)
+    # at quadrature order 5 on the same kind of mesh file
+    ("problem = custom\nmesh_file = {mesh}\nlevels = 3\neigen_count = 2\n"
+     "a11 = 1 + x1^2\na12 = 0.6*sin(pi*x1)*sin(pi*x2)\na22 = 1 + exp(-x2)/2\n"
+     "phi = 4*(x1 - 1/2)^2\nrho = 1 + x1*x2\n", "custom_file12_l3_m2_levels.csv"),
 ])
 def test_csv_matches_golden(tmp_path, config, golden):
     # tests/data holds the reference CSVs of these runs; a change that only

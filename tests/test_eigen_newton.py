@@ -69,8 +69,14 @@ def test_coarse_solve_rejects_oversized_requests():
     forms = forms_for(1 / 4)
     with pytest.raises(ValueError):
         coarse_solve(forms, forms.n_free + 1)
-    with pytest.raises(SolverError, match="cap"):
-        coarse_solve(forms_for(1 / 8), 1, dense_cap=10)
+
+
+def test_coarse_solve_takes_any_size():
+    # 3,969 free DOFs: the coarse solve and the reference solve agree
+    forms = forms_for(1 / 64)
+    assert forms.n_free == 3969
+    assert_allclose(coarse_solve(forms, 2).values, direct_solve(forms, 2).values,
+                    rtol=1e-12, atol=0)
 
 
 def test_coarse_solve_above_cutoff_stays_sparse(monkeypatch):

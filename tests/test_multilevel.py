@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import newteig.eigen_newton as en
+import newteig.multilevel
 from newteig.assemble import (assemble_forms, example2_coefficients,
                               laplace_coefficients, rayleigh_quotient)
 from newteig.cli import RunConfig
 from newteig.eigen_newton import BasinWarning, ClusterGapWarning, coarse_solve
-from newteig.linalg import MINRES_MAX_ITERATIONS, dense_gen_eig, solve_bordered
+from newteig.linalg import MINRES_MAX_ITERATIONS, SolverError, dense_gen_eig, solve_bordered
 from newteig.mesh import build_hierarchy, unit_square_mesh
 from newteig.multilevel import MultilevelError, SolveOptions, run_multilevel
 from newteig.reference import compare_with_direct, evaluate, exact_laplace
@@ -105,11 +106,14 @@ def test_example2_richardson_reference_and_rates():
         assert order == pytest.approx(2.0, abs=0.4)
 
 
-def test_errors_propagate_with_level_index():
+def test_errors_propagate_with_level_index(monkeypatch):
+    def failing(*args, **kwargs):
+        raise SolverError("synthetic coarse-solve failure")
+
+    monkeypatch.setattr(newteig.multilevel, "coarse_solve", failing)
     hier = build_hierarchy(unit_square_mesh(1 / 8), 2)
-    options = SolveOptions(dense_cap=10)   # coarse solve cannot run
     with pytest.raises(MultilevelError) as info:
-        run_multilevel(hier, laplace_coefficients(), 1, options)
+        run_multilevel(hier, laplace_coefficients(), 1)
     assert info.value.level == 0
     assert info.value.records == []
 
