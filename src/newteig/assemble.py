@@ -194,14 +194,15 @@ def _blocks(count):
 
 
 def _element_entries(mesh, coeffs, quad_order):
-    """Stiffness and mass entries (T, 6) of every element matrix: the diagonal
-    ones of local vertices 0, 1, 2, then those of local edges 01, 12, 20."""
+    """Stiffness and mass entries of every element matrix, each as a pair of
+    contiguous (T, 3) arrays: the diagonal entries of local vertices 0, 1, 2,
+    and the entries of local edges 01, 12, 20."""
     if quad_order not in _QUAD_RULES:
         raise ValueError("quad_order must be one of {}, got {!r}".format(
             sorted(_QUAD_RULES), quad_order))
     bary, weights = _QUAD_RULES[quad_order]
     outer = bary[:, [0, 1, 2, 0, 1, 2]] * bary[:, [0, 1, 2, 1, 2, 0]]
-    k_entries, m_entries = np.empty((mesh.num_triangles, 6)), np.empty((mesh.num_triangles, 6))
+    k_vertex, k_edge, m_vertex, m_edge = (np.empty((mesh.num_triangles, 3)) for _ in range(4))
     for block in _blocks(mesh.num_triangles):
         px, py, ex, ey, area = _triangle_geometry(mesh, block)
         d00, d01, d11, reaction, weight = _weighted_coefficients(coeffs, bary, weights, px, py)
@@ -218,38 +219,63 @@ def _element_entries(mesh, coeffs, quad_order):
         quarter = 0.25 / area[:, None]
         k[:, :3] += (ex * dny - ey * dnx) * quarter
         k[:, 3:] += (ex * dny[:, [1, 2, 0]] - ey * dnx[:, [1, 2, 0]]) * quarter
-        k_entries[block], m_entries[block] = k, m
-    return k_entries, m_entries
+        k_vertex[block], k_edge[block], m_vertex[block], m_edge[block] = (
+            k[:, :3], k[:, 3:], m[:, :3], m[:, 3:])
+    return [k_vertex, k_edge], [m_vertex, m_edge]
+
+
+def _pattern(edges, n):
+    """Int32 CSR ``indptr`` and ``indices`` of n rows holding their diagonal and
+    both entries of each edge in `edges`, a (2, E) array of rows lo < hi in
+    lexicographic order, and the slots of the lower (row hi), diagonal and
+    upper (row lo) entries.  A slot counts the lower, diagonal and upper
+    entries before it in row-major order; the edges list the upper entries in
+    that order, and a stable sort by hi lists the lower ones."""
+    lo, hi = edges
+    count = len(lo)
+    lower, upper = (np.bincount(side, minlength=n).astype(np.int32) for side in (hi, lo))
+    rows = np.arange(n, dtype=np.int32)
+    lower_through = np.cumsum(lower, dtype=np.int32)
+    upper_before = np.cumsum(upper, dtype=np.int32) - upper
+    diagonal = lower_through + rows + upper_before
+    by_hi = np.argsort(hi, kind="stable")
+    lower_slots = np.empty(count, dtype=np.int32)
+    lower_slots[by_hi] = np.arange(count, dtype=np.int32) + (rows + upper_before)[hi[by_hi]]
+    upper_slots = np.arange(count, dtype=np.int32) + (lower_through + rows + 1)[lo]
+    indices = np.empty(n + 2 * count, dtype=np.int32)
+    indices[lower_slots], indices[diagonal], indices[upper_slots] = lo, rows, hi
+    indptr = np.append(diagonal - lower, np.int32(len(indices)))
+    return indptr, indices, (lower_slots, diagonal, upper_slots)
 
 
 def _assemble_pencil(mesh, coeffs, quad_order, keep):
     """Stiffness and mass CSR matrices over the vertices flagged in `keep`.
 
     `np.bincount` sums the `_element_entries` per vertex and per edge of the
-    mesh's stored edge topology onto one CSR pattern shared by both matrices;
-    an edge's sum fills both mirror slots, so both are exactly symmetric.  The
-    stiffness drops its exact zeros (e.g. the diagonals of a criss-cross mesh).
+    mesh's stored edge topology straight into the int32 slots of one CSR
+    pattern shared by both matrices; an edge's sum fills both mirror slots, so
+    both are exactly symmetric.  The stiffness drops its exact zeros (e.g. the
+    diagonals of a criss-cross mesh).
     """
     k_entries, m_entries = _element_entries(mesh, coeffs, quad_order)
     edges, triangle_edges = mesh.edge_vertices, mesh.triangle_edges
     inner = keep[edges[:, 0]] & keep[edges[:, 1]]
-    lo, hi = (np.cumsum(keep) - 1)[edges[inner].T]       # kept-vertex rows, lo < hi
     n = int(keep.sum())
-    # each row holds its lower entries, its diagonal, then its upper entries; the
-    # edges are in lexicographic order, so a stable sort by row sorts every row
-    rows = np.concatenate([hi, np.arange(n), lo])
-    order = np.argsort(rows, kind="stable")
-    indices = np.concatenate([lo, np.arange(n), hi])[order].astype(np.int32)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]).astype(np.int32)
+    indptr, indices, (lower_slots, diagonal, upper_slots) = _pattern(
+        (np.cumsum(keep, dtype=np.int32) - 1)[edges[inner].T], n)
 
-    def fill(entries):
-        vertex = np.bincount(mesh.triangles.ravel(), entries[:, :3].ravel(), len(keep))[keep]
-        edge = np.bincount(triangle_edges.ravel(), entries[:, 3:].ravel(), len(edges))[inner]
-        return np.concatenate([edge, vertex, edge])[order]
+    def fill(vertex_entries, edge_entries):
+        data = np.empty(len(indices))
+        data[diagonal] = np.bincount(mesh.triangles.ravel(), vertex_entries.ravel(),
+                                     len(keep))[keep]
+        edge = np.bincount(triangle_edges.ravel(), edge_entries.ravel(), len(edges))[inner]
+        data[lower_slots] = data[upper_slots] = edge
+        return data
 
-    stiffness = sp.csr_matrix((fill(k_entries), indices.copy(), indptr.copy()), shape=(n, n))
+    stiffness = sp.csr_matrix((fill(*k_entries), indices.copy(), indptr.copy()), shape=(n, n))
+    del k_entries                              # freed before the mass is filled
     stiffness.eliminate_zeros()                # in place, hence the copied pattern
-    return stiffness, sp.csr_matrix((fill(m_entries), indices, indptr), shape=(n, n))
+    return stiffness, sp.csr_matrix((fill(*m_entries), indices, indptr), shape=(n, n))
 
 
 def assemble_forms(mesh, coeffs, quad_order=2):

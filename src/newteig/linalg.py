@@ -91,7 +91,9 @@ class VCycle:
         if coarser is None:
             self._lu = splu(self.matrix.tocsc())
         else:
-            l1 = np.asarray(abs(self.matrix).sum(axis=1)).ravel()
+            self._restrict = prolong.T            # for a CSR prolong, a CSC view of its arrays
+            # every row holds its positive diagonal, so no reduceat segment is empty
+            l1 = np.add.reduceat(np.abs(self.matrix.data), self.matrix.indptr[:-1])
             self._weights = np.minimum(JACOBI_WEIGHT / self.matrix.diagonal(), JACOBI_L1_CAP / l1)
 
     def __call__(self, residual):
@@ -100,7 +102,7 @@ class VCycle:
         x = self._weights * residual
         for _ in range(SMOOTHING_STEPS - 1):
             x += self._weights * (residual - self.matrix @ x)
-        x += self.prolong @ self.coarser(self.prolong.T @ (residual - self.matrix @ x))
+        x += self.prolong @ self.coarser(self._restrict @ (residual - self.matrix @ x))
         for _ in range(SMOOTHING_STEPS):
             x += self._weights * (residual - self.matrix @ x)
         return x
@@ -161,8 +163,7 @@ def solve_bordered(matrix, rhs_top, rhs_bottom, tol=DEFAULT_SOLVER_TOL, precondi
             stats.update(iterations=0, residual=0.0)
         return np.zeros(n), np.zeros(m)
 
-    def residual_norm(z):
-        residual = matrix.apply(z) - rhs
+    def residual_norm(residual):
         return max(float(np.linalg.norm(residual[:n])), float(np.linalg.norm(residual[n:])))
 
     target = tol * rhs_norm
@@ -170,22 +171,24 @@ def solve_bordered(matrix, rhs_top, rhs_bottom, tol=DEFAULT_SOLVER_TOL, precondi
     try:
         if preconditioner is None:
             z = splu(matrix.assembled()).solve(rhs)
+            achieved = residual_norm(matrix.apply(z) - rhs)
         else:
-            z, iterations = np.zeros(n + m), 0
+            # the residual of z = 0 is -rhs: one explicit product per MINRES pass
+            z, iterations, achieved = np.zeros(n + m), 0, residual_norm(rhs)
             operator = LinearOperator((n + m, n + m), matvec=matrix.apply, dtype=float)
             inverse = LinearOperator((n + m, n + m), matvec=preconditioner, dtype=float)
             ticks = []
-            while residual_norm(z) > target and iterations < MINRES_MAX_ITERATIONS:
+            while achieved > target and iterations < MINRES_MAX_ITERATIONS:
                 z, _ = minres(operator, rhs, x0=z, rtol=MINRES_RTOL_FACTOR * tol, M=inverse,
                               maxiter=MINRES_MAX_ITERATIONS - iterations,
                               callback=lambda _: ticks.append(None))
                 iterations = len(ticks)
+                achieved = residual_norm(matrix.apply(z) - rhs)
     except (RuntimeError, ValueError) as exc:
         raise SolverError("bordered solve failed: {}".format(exc)) from exc
     if not np.isfinite(z).all():
         raise SolverError("bordered solve produced non-finite values (singular system; "
                           "the coarse iterate may be outside the basin of attraction)")
-    achieved = residual_norm(z)
     if achieved > target:
         raise SolverError("bordered solve residual {:.3e} exceeds {:.3e}{}; either the "
                           "coarse mesh is too coarse for this eigenvalue (the iterate is "

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy import sparse as sp
 
 import newteig.assemble
 from newteig.assemble import (_QUAD_RULES, AssemblyError, CoefficientSet, _assemble_pencil,
-                              a_norm, assemble_forms, b_norm, energy_error_vs_exact,
-                              example2_coefficients, free_prolongation,
+                              _element_entries, a_norm, assemble_forms, b_norm,
+                              energy_error_vs_exact, example2_coefficients, free_prolongation,
                               interpolate, laplace_coefficients,
                               rayleigh_quotient)
 from newteig.linalg import dense_gen_eig
@@ -274,6 +275,62 @@ def test_assembly_memory_peak(make_coeffs, quad_order):
     finally:
         tracemalloc.stop()
     assert peak <= 24 * 2 ** 20
+
+
+@pytest.mark.parametrize("make_coeffs, quad_order",
+                         [(laplace_coefficients, 2), (example2_coefficients, 5)])
+def test_finest_assembly_memory_peak(make_coeffs, quad_order):
+    # 131,072 triangles: the pattern is built from int32 slots, both matrices are
+    # filled in place and the stiffness entries are gone before the mass fill
+    mesh = unit_square_mesh(1 / 256)
+    coeffs = make_coeffs()
+    tracemalloc.start()
+    try:
+        assemble_forms(mesh, coeffs, quad_order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * 2 ** 20
+
+
+def sorted_pencil(mesh, coeffs, quad_order, keep):
+    """Stiffness and mass built by a stable sort of every entry's row, from
+    concatenated lower, diagonal and upper entries: the slot construction's oracle."""
+    k_entries, m_entries = _element_entries(mesh, coeffs, quad_order)
+    edges = mesh.edge_vertices
+    inner = keep[edges[:, 0]] & keep[edges[:, 1]]
+    lo, hi = (np.cumsum(keep) - 1)[edges[inner].T]
+    n = int(keep.sum())
+    rows = np.concatenate([hi, np.arange(n), lo])
+    order = np.argsort(rows, kind="stable")
+    indices = np.concatenate([lo, np.arange(n), hi])[order].astype(np.int32)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]).astype(np.int32)
+    matrices = []
+    for vertex_entries, edge_entries in (k_entries, m_entries):
+        vertex = np.bincount(mesh.triangles.ravel(), vertex_entries.ravel(), len(keep))[keep]
+        edge = np.bincount(mesh.triangle_edges.ravel(), edge_entries.ravel(),
+                           len(edges))[inner]
+        data = np.concatenate([edge, vertex, edge])[order]
+        matrices.append(sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n)))
+    matrices[0].eliminate_zeros()
+    return matrices
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.builds(renumbered_square, st.integers(2, 12), st.integers(0, 2 ** 32 - 1),
+                 st.one_of(st.just(0.0), st.floats(0.0, 0.2))),
+       st.sampled_from([(laplace_coefficients, 2), (example2_coefficients, 5)]),
+       st.booleans())
+def test_slot_pattern_matches_sorted_construction(mesh, case, free_only):
+    # every pattern array and every data bit, with and without the boundary rows
+    make_coeffs, quad_order = case
+    keep = ~mesh.boundary if free_only else np.ones(mesh.num_vertices, dtype=bool)
+    got = _assemble_pencil(mesh, make_coeffs(), quad_order, keep)
+    for matrix, expected in zip(got, sorted_pencil(mesh, make_coeffs(), quad_order, keep)):
+        assert np.array_equal(matrix.indptr, expected.indptr)
+        assert matrix.indices.dtype == np.int32
+        assert np.array_equal(matrix.indices, expected.indices)
+        assert matrix.data.tobytes() == expected.data.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

@@ -10,8 +10,9 @@ from scipy.optimize import brentq
 from newteig.assemble import (CoefficientSet, assemble_forms, example2_coefficients,
                               free_prolongation, interpolate, laplace_coefficients,
                               rayleigh_quotient)
-from newteig.linalg import (BorderedMatrix, SolverError, VCycle, block_preconditioner,
-                            dense_gen_eig, pencil_eigs, solve_bordered)
+import newteig.linalg
+from newteig.linalg import (JACOBI_L1_CAP, JACOBI_WEIGHT, BorderedMatrix, SolverError, VCycle,
+                            block_preconditioner, dense_gen_eig, pencil_eigs, solve_bordered)
 from newteig.mesh import refine_regular, unit_square_mesh
 
 from meshgen import renumbered_square
@@ -152,6 +153,58 @@ def test_preconditioned_solve_matches_dense(cells, seed):
         scale = max(1.0, float(np.abs(z).max()))
         assert np.abs(np.concatenate([w, g]) - z).max() <= 1e-10 * scale
         assert 1 <= stats["iterations"] <= 40 and stats["residual"] <= 1e-10
+
+
+def test_one_pass_solve_makes_one_residual_product(monkeypatch):
+    # the residual of the zero start is -rhs, and the gate's last product is
+    # the verified one: a pass that meets the gate costs one explicit product
+    rng = np.random.default_rng(3)
+    matrix = BorderedMatrix(sp.csr_matrix(random_spd(6, rng)), rng.standard_normal((6, 2)))
+    rhs_top, rhs_bottom = rng.standard_normal(6), rng.standard_normal(2)
+    exact = np.linalg.solve(matrix.assembled().toarray(), np.concatenate([rhs_top, -rhs_bottom]))
+
+    def one_pass(operator, rhs, x0, callback, **kwargs):
+        callback(exact)
+        return exact.copy(), 0
+
+    products = []
+    apply = BorderedMatrix.apply
+    monkeypatch.setattr(newteig.linalg, "minres", one_pass)
+    monkeypatch.setattr(BorderedMatrix, "apply",
+                        lambda self, z: products.append(None) or apply(self, z))
+    stats = {}
+    solve_bordered(matrix, rhs_top, rhs_bottom, preconditioner=lambda z: z, stats=stats)
+    assert stats["iterations"] == 1
+    assert len(products) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.builds(renumbered_square, st.integers(2, 10), st.integers(0, 2 ** 32 - 1),
+                 st.one_of(st.just(0.0), st.floats(0.0, 0.2))),
+       st.sampled_from([(laplace_coefficients, 2), (example2_coefficients, 5)]))
+def test_smoother_weights_match_the_absolute_row_sums(coarse, case):
+    # the row sums of |K| come from K's data, without an absolute copy of K
+    make_coeffs, quad_order = case
+    fine, prolongation = refine_regular(coarse)
+    coarse_forms, forms = (assemble_forms(mesh, make_coeffs(), quad_order)
+                           for mesh in (coarse, fine))
+    stiffness = forms.stiffness
+    cycle = VCycle(stiffness, free_prolongation(prolongation, coarse_forms, forms),
+                   VCycle(coarse_forms.stiffness))
+    l1 = np.asarray(abs(stiffness).sum(axis=1)).ravel()
+    expected = np.minimum(JACOBI_WEIGHT / stiffness.diagonal(), JACOBI_L1_CAP / l1)
+    assert cycle._weights.tobytes() == expected.tobytes()
+
+
+def test_vcycle_restricts_through_a_view_of_the_prolongation():
+    coarse = unit_square_mesh(1 / 4)
+    fine, prolongation = refine_regular(coarse)
+    coarse_forms, forms = (assemble_forms(mesh, laplace_coefficients()) for mesh in (coarse, fine))
+    prolong = free_prolongation(prolongation, coarse_forms, forms)
+    cycle = VCycle(forms.stiffness, prolong, VCycle(coarse_forms.stiffness))
+    assert cycle._restrict.format == "csc"
+    for array in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(cycle._restrict, array), getattr(prolong, array))
 
 
 def _anisotropic(a12):
