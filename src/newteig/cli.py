@@ -18,8 +18,8 @@ from . import reference
 from .assemble import CoefficientSet, example2_coefficients, laplace_coefficients
 from .expressions import ExpressionError, parse_expression
 from .linalg import DEFAULT_SOLVER_TOL, SolverError
-from .mesh import (DEFAULT_VERTEX_CAP, MeshError, build_hierarchy, load_mesh,
-                   unit_square_mesh)
+from .mesh import (DEFAULT_VERTEX_CAP, MeshError, build_hierarchy, check_vertex_cap,
+                   load_mesh, unit_square_counts, unit_square_mesh)
 from .multilevel import (MultilevelError, SolveOptions, assemble_levels, check_eigen_count,
                          run_multilevel)
 from .reference import DEFAULT_DIRECT_TOL, compare_with_direct, evaluate, reference_levels
@@ -146,6 +146,9 @@ def _coerce(name, kind, raw, line):
         except (ValueError, ZeroDivisionError):
             raise ConfigError("key {!r} expects a number, got {!r}".format(name, raw),
                               line) from None
+        except OverflowError:
+            raise ConfigError("key {!r} expects a number within double range, got {!r}"
+                              .format(name, raw), line) from None
     return raw
 
 
@@ -184,6 +187,8 @@ def _build_hierarchy(config, n_levels):
     if config.mesh_file:
         coarse = load_mesh(config.mesh_file)
     else:
+        # an oversized run fails before the grid is allocated
+        check_vertex_cap(unit_square_counts(config.mesh_h), n_levels, config.max_vertices)
         coarse = unit_square_mesh(config.mesh_h)
     return build_hierarchy(coarse, n_levels, max_vertices=config.max_vertices)
 

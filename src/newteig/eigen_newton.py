@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse as sp
 
 from .assemble import b_norm, rayleigh_quotient
 from .linalg import (DEFAULT_SOLVER_TOL, BorderedMatrix, SolverError, VCycle,
@@ -89,22 +88,6 @@ def coarse_solve(forms, m):
     return EigenpairSet(values[:m], canonical_sign(vectors[:, :m]))
 
 
-def _pattern_mask(matrix, pattern):
-    """Boolean mask over ``pattern.data`` of the stored entries of `matrix`, two
-    CSR matrices of one shape; ValueError unless they lie inside `pattern`, in
-    its storage order (as in two canonical matrices)."""
-    # every entry of `pattern` holds its one-based position, and a missing one reads 0
-    positions = sp.csr_matrix((np.arange(1, pattern.nnz + 1, dtype=pattern.indptr.dtype),
-                               pattern.indices, pattern.indptr), shape=pattern.shape)
-    rows = np.repeat(np.arange(matrix.shape[0], dtype=matrix.indptr.dtype), np.diff(matrix.indptr))
-    found = np.asarray(positions[rows, matrix.indices]).ravel()
-    if not (found.all() and (np.diff(found) > 0).all()):
-        raise ValueError("the stiffness entries do not lie inside the mass pattern in its order")
-    mask = np.zeros(pattern.nnz, dtype=bool)
-    mask[found - 1] = True
-    return mask
-
-
 def newton_step_multi(forms_fine, prev_set, prolong, tol=DEFAULT_SOLVER_TOL, cycle=None):
     """One Newton iteration step for the first m eigenpairs.
 
@@ -139,27 +122,22 @@ def newton_step_multi(forms_fine, prev_set, prolong, tol=DEFAULT_SOLVER_TOL, cyc
     mass_basis = mass @ basis
     preconditioner = block_preconditioner(cycle, mass_basis)
 
-    # each core A - mu_i B lives on the mass pattern, in one reused data array;
-    # an exact zero stays stored and adds +0 to its row of every product
-    in_stiffness = _pattern_mask(stiffness, mass)
-    core = sp.csr_matrix((np.empty_like(mass.data), mass.indices, mass.indptr), shape=mass.shape)
     trial = np.empty((forms_fine.n_free, m))
     stats = [{} for _ in range(m)]
     for i in range(m):
-        np.multiply(mass.data, -prev_set.values[i], out=core.data)
-        core.data[in_stiffness] += stiffness.data
         rhs_bottom = np.zeros(m)
         rhs_bottom[i] = 1.0
-        trial[:, i], _ = solve_bordered(BorderedMatrix(core, mass_basis),
+        trial[:, i], _ = solve_bordered(BorderedMatrix(stiffness, mass_basis, mass,
+                                                       prev_set.values[i]),
                                         rhs_top=-prev_set.values[i] * mass_basis[:, i],
                                         rhs_bottom=rhs_bottom, tol=tol,
                                         preconditioner=preconditioner, stats=stats[i])
 
-    gram = trial.T @ (forms_fine.mass @ trial)
+    gram = trial.T @ (mass @ trial)
     if np.linalg.cond(gram) > 1e12:
         raise SolverError("Newton solutions are numerically rank deficient; use a "
                           "smaller eigenpair count or a finer coarse mesh")
-    _, small_vecs = dense_gen_eig(trial.T @ (forms_fine.stiffness @ trial), gram)
+    _, small_vecs = dense_gen_eig(trial.T @ (stiffness @ trial), gram)
     ritz = trial @ small_vecs
     ritz = canonical_sign(ritz / [b_norm(forms_fine, ritz[:, i]) for i in range(m)])
     # on contiguous copies, so the dot products sum in the same order for every m

@@ -9,7 +9,10 @@ Grammar (over the coordinates ``x1``, ``x2``)::
     atom   := number | 'pi' | 'x1' | 'x2'
             | ('exp' | 'sin' | 'cos') '(' expr ')' | '(' expr ')'
 
-Parsed expressions evaluate vectorized over numpy coordinate arrays.
+Parsed expressions evaluate vectorized over numpy coordinate arrays.  The
+parser and the evaluator nest at most a few calls per token, so expressions
+of more than `MAX_TOKENS` tokens are rejected before they reach Python's
+recursion limit.
 """
 
 import math
@@ -20,6 +23,7 @@ import numpy as np
 _TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
                     r"|([A-Za-z_][A-Za-z_0-9]*)|(\S))")
 _FUNCTIONS = {"exp": np.exp, "sin": np.sin, "cos": np.cos}
+MAX_TOKENS = 200
 
 
 class ExpressionError(ValueError):
@@ -52,6 +56,9 @@ class _Parser:
     def __init__(self, text):
         self.text = text
         self.tokens = _tokenize(text)
+        if len(self.tokens) - 1 > MAX_TOKENS:          # the end marker is no token
+            raise ExpressionError("expression has {} tokens, more than the {} allowed".format(
+                len(self.tokens) - 1, MAX_TOKENS))
         self.pos = 0
 
     def peek(self):

@@ -32,14 +32,18 @@ class SolverError(Exception):
 
 @dataclass(frozen=True)
 class BorderedMatrix:
-    """Saddle-point operator [[core, -border], [-border.T, 0]].
+    """Saddle-point operator [[core - shift mass, -border], [-border.T, 0]].
 
-    ``core`` is the (possibly indefinite) shifted pencil over the free DOFs
-    and ``border`` holds one dense constraint column per Lagrange multiplier.
+    ``core - shift mass`` is the (possibly indefinite) shifted pencil over the
+    free DOFs, applied as two products and never formed; without a ``mass``
+    the shift term is the zero matrix.  ``border`` holds one dense constraint
+    column per Lagrange multiplier.
     """
 
     core: sp.spmatrix
     border: np.ndarray
+    mass: sp.spmatrix = None
+    shift: float = 0.0
 
     def __post_init__(self):
         border = np.atleast_2d(np.asarray(self.border, dtype=float))
@@ -50,6 +54,8 @@ class BorderedMatrix:
         if (np.abs(border).max(axis=0) == 0).any():
             raise ValueError("border columns must be nonzero")
         object.__setattr__(self, "border", border)
+        if self.mass is None:
+            object.__setattr__(self, "mass", sp.csr_matrix(self.core.shape))
 
     @property
     def n(self):
@@ -61,12 +67,14 @@ class BorderedMatrix:
 
     def assembled(self):
         """The full symmetric (n+m) x (n+m) sparse matrix."""
-        return sp.bmat([[self.core, -self.border], [-self.border.T, None]], format="csc")
+        return sp.bmat([[self.core - self.shift * self.mass, -self.border],
+                        [-self.border.T, None]], format="csc")
 
     def apply(self, z):
         """Product with an (n+m,) vector, without assembling the matrix."""
         w, g = z[:self.n], z[self.n:]
-        return np.concatenate([self.core @ w - self.border @ g, -(self.border.T @ w)])
+        return np.concatenate([self.core @ w - self.shift * (self.mass @ w) - self.border @ g,
+                               -(self.border.T @ w)])
 
 
 class VCycle:
@@ -125,7 +133,7 @@ def block_preconditioner(cycle, border):
 
 def solve_bordered(matrix, rhs_top, rhs_bottom, tol=DEFAULT_SOLVER_TOL, preconditioner=None,
                    stats=None):
-    """Solve [[core, -border], [-border.T, 0]] (w, g) = (rhs_top, -rhs_bottom).
+    """Solve the `BorderedMatrix` system ``matrix (w, g) = (rhs_top, -rhs_bottom)``.
 
     Given a `preconditioner` (an SPD map of (n+m,) vectors, see
     `block_preconditioner`) the system is solved by MINRES, restarted from

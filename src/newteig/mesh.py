@@ -264,6 +264,12 @@ def unit_square_mesh(h):
     return Mesh(vertices, triangles, boundary)
 
 
+def unit_square_counts(h):
+    """(vertices, edges, triangles) of ``unit_square_mesh(h)``, without building it."""
+    m = round(1.0 / h)
+    return (m + 1) ** 2, m * (3 * m + 2), 2 * m * m
+
+
 def refine_regular(mesh):
     """Split every triangle into four congruent children at the edge midpoints.
 
@@ -332,6 +338,22 @@ class MeshHierarchy:
         return len(self.levels)
 
 
+def check_vertex_cap(counts, n_levels, max_vertices):
+    """Raise MeshError if a hierarchy of `n_levels` meshes refined from one with
+    `counts` = (vertices, edges, triangles) passes `max_vertices` vertices.
+
+    The projection is exact: every edge splits in two and every triangle
+    contributes three interior edges per refinement.  It stops at the first
+    level past the cap, so it takes a few dozen steps for any `n_levels`.
+    """
+    v, e, t = counts
+    for level in range(n_levels):
+        if v > max_vertices:
+            raise MeshError("level {} of the hierarchy would have {} vertices, exceeding "
+                            "the cap of {}".format(level, v, max_vertices))
+        v, e, t = v + e, 2 * e + 3 * t, 4 * t
+
+
 def build_hierarchy(coarse, n_levels, max_vertices=DEFAULT_VERTEX_CAP):
     """Repeatedly refine `coarse` into a nested hierarchy of `n_levels` meshes.
 
@@ -342,7 +364,7 @@ def build_hierarchy(coarse, n_levels, max_vertices=DEFAULT_VERTEX_CAP):
         Total number of levels including the coarse mesh itself.
     max_vertices : int, optional
         Refuse to build if the projected finest-level vertex count exceeds
-        this cap.
+        this cap (see `check_vertex_cap`).
 
     Returns
     -------
@@ -350,17 +372,8 @@ def build_hierarchy(coarse, n_levels, max_vertices=DEFAULT_VERTEX_CAP):
     """
     if n_levels < 1:
         raise ValueError("n_levels must be at least 1")
-    # Exact growth projection: every edge splits in two and every triangle
-    # contributes three interior edges per refinement.
-    v = coarse.num_vertices
-    e = coarse.num_edges
-    t = coarse.num_triangles
-    for _ in range(n_levels - 1):
-        v, e, t = v + e, 2 * e + 3 * t, 4 * t
-    if v > max_vertices:
-        raise MeshError("projected finest level has {} vertices, exceeding the "
-                        "cap of {}".format(v, max_vertices))
-
+    check_vertex_cap((coarse.num_vertices, coarse.num_edges, coarse.num_triangles), n_levels,
+                     max_vertices)
     levels = [coarse]
     prolongations = []
     for _ in range(n_levels - 1):

@@ -4,13 +4,16 @@ import math
 import re
 import threading
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import newteig
 import newteig.cli
+import newteig.eigen_newton
 import newteig.multilevel
 import newteig.reference
 from newteig.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, ConfigError,
@@ -107,6 +110,37 @@ def test_parse_config_custom_expressions(tmp_path):
 def test_parse_config_rejects_coefficients_without_custom(tmp_path):
     with pytest.raises(ConfigError, match="custom"):
         parse_config(write_config(tmp_path, "rho = 2\n"))
+
+
+CONFIG_KEYS = [f.name for f in fields(RunConfig) if f.name != "expressions"]
+CONFIG_VALUES = st.one_of(
+    st.integers(-10, 10 ** 6).map(str),
+    st.fractions().map(str),
+    st.floats().map(repr),
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-500, 500)),
+    st.integers(0, 300).map(lambda depth: "(" * depth + "x1" + ")" * depth),
+    st.sampled_from(["laplace", "example2", "custom", "auto", "yes", "off", "1/0",
+                     "sin(pi*x1)", "1 + x1*x2", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(CONFIG_KEYS + ["colour"]), CONFIG_VALUES),
+                max_size=8),
+       st.booleans(), st.booleans())
+@example([("solver_tol", "1e999")], False, False)
+@example([("a11", "(" * 200 + "x1" + ")" * 200)], True, False)
+def test_parse_config_raises_nothing_but_config_errors(tmp_path, lines, custom, strict):
+    # a custom problem first, so drawn coefficient expressions get parsed
+    lines = [("problem", "custom")] * custom + lines
+    path = tmp_path / "fuzz.cfg"
+    path.write_text("".join("{} = {}\n".format(key, value) for key, value in lines),
+                    encoding="utf-8")
+    try:
+        assert isinstance(parse_config(path, strict=strict), RunConfig)
+    except ConfigError:
+        pass
 
 
 def test_solve_minimal_run(tmp_path):
@@ -427,6 +461,54 @@ def test_main_bad_tolerance_exit_config(tmp_path, capsys, monkeypatch, line):
     assert not (tmp_path / "bad_levels.csv").exists()
 
 
+@pytest.mark.parametrize("line", ["solver_tol = 1e999", "direct_tol = -1e400"])
+def test_main_number_beyond_double_range_exit_config(tmp_path, capsys, line):
+    path = write_config(tmp_path, "mesh_h = 1/4\n{}\n".format(line))
+    assert main(["solve", str(path)]) == EXIT_CONFIG
+    key, _, value = line.split()
+    assert capsys.readouterr().err == (
+        "config error: line 2: key {!r} expects a number within double range, "
+        "got {!r}\n".format(key, value))
+
+
+@pytest.mark.parametrize("h, levels, cap, level, vertices", [
+    ("1/8", 1, 80, 0, 81), ("1/4", 3, 200, 2, 289)])
+def test_main_vertex_cap_precedes_the_grid(tmp_path, capsys, monkeypatch, h, levels, cap,
+                                           level, vertices):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(newteig.cli, "unit_square_mesh", no_grid)
+    path = write_config(tmp_path, "mesh_h = {}\nlevels = {}\nmax_vertices = {}\n".format(
+        h, levels, cap))
+    assert main(["solve", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: level {} of the hierarchy would have {} vertices, exceeding the cap of "
+        "{}\n".format(level, vertices, cap))
+
+
+def test_main_vertex_cap_names_the_first_level_past_it(tmp_path, capsys):
+    # the projection stops at level 9 (9,443,329 vertices, the default cap is
+    # 8,000,000) rather than printing a count of some 60,000 digits
+    path = write_config(tmp_path, "mesh_h = 1/6\nlevels = 100000\n")
+    assert main(["solve", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("error: level 9 of the hierarchy would have 9443329 "
+                                       "vertices, exceeding the cap of 8000000\n")
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 200 + "x1" + ")" * 200, "+".join(["x1"] * 1000), "-" * 5000 + "x1"],
+    ids=["200 parentheses", "1000 terms", "5000 minuses"])
+def test_main_deep_expression_exit_config(tmp_path, capsys, text):
+    path = write_config(tmp_path, "problem = custom\nmesh_h = 1/4\nlevels = 2\n"
+                        "a11 = {}\noutput = {}\n".format(text, tmp_path / "deep"))
+    assert main(["solve", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad a11 expression: expression has ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "deep_levels.csv").exists()
+
+
 def test_main_loose_solver_tol_is_the_only_gate(tmp_path):
     # the verified residual's bottom block is the constraint error, so a loose
     # tolerance gates the constraint rows too, with no tighter second check
@@ -474,7 +556,14 @@ def test_benchmark_reads_the_library_api(tmp_path, monkeypatch):
     config = parse_config("run.cfg")
     reference = child._reference(newteig.cli._build_hierarchy(config, config.levels),
                                  "run.cfg")
+    # every BorderedMatrix a Newton step builds passes through the span annotation
+    tracer = spans.Tracer()
+    monkeypatch.setattr(newteig.eigen_newton, "solve_bordered",
+                        tracer.wrap("linalg.solve_bordered", solve_bordered))
     assert main(["solve", "run.cfg"]) == EXIT_OK
+    infos = [span["info"] for span in tracer.spans]
+    assert [(info["n"], info["m"]) for info in infos] == [(225, 1), (reference["n_free"], 1)]
+    assert all(info["core_nnz"] >= info["n"] for info in infos)
     header, rows = read_csv(tmp_path / "out_levels.csv")
     assert reference["n_free"] == int(rows[-1][header.index("n_free")])
     finest = float(rows[-1][header.index("lambda_1")])

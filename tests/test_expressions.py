@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from newteig.expressions import ExpressionError, parse_expression
+from newteig.expressions import MAX_TOKENS, ExpressionError, parse_expression
 
 
 def evaluate(text, x, y):
@@ -50,3 +50,22 @@ def test_rejects_malformed(bad):
 def test_vectorized_output_shape():
     out = evaluate("3.5", np.zeros(11), np.zeros(11))
     assert out.shape == (11,)
+
+
+def test_longest_expressions_evaluate_within_the_recursion_limit():
+    # shapes that nest the parser or the evaluator once or more per token, each
+    # of exactly MAX_TOKENS tokens: they parse and evaluate, one more is rejected
+    x = np.array([0.5, 1.0])
+    half = MAX_TOKENS // 2
+    cases = [("(" * (half - 1) + "-x1" + ")" * (half - 1), -x),
+             ("-" + "+".join(["x1"] * half), (half - 2) * x),
+             ("-" * (MAX_TOKENS - 1) + "x1", -x),
+             ("-" + "^".join(["x1"] * half), None),
+             ("-" + "sin(" * ((MAX_TOKENS - 2) // 3) + "x1" + ")" * ((MAX_TOKENS - 2) // 3),
+              None)]
+    for text, expected in cases:
+        value = evaluate(text, x, x)
+        if expected is not None:
+            assert_allclose(value, expected, rtol=1e-15)
+        with pytest.raises(ExpressionError, match="more than the {} allowed".format(MAX_TOKENS)):
+            parse_expression("-" + text)

@@ -58,17 +58,20 @@ def test_bordered_matches_dense_oracle():
 
 
 def test_bordered_randomized_against_dense():
+    # a core minus a shifted mass, as the Newton step applies it
     rng = np.random.default_rng(42)
     for _ in range(25):
         n = int(rng.integers(3, 51))
         m = int(rng.integers(1, 5))
-        core = random_spd(n, rng) - rng.uniform(0, 1) * np.eye(n)
+        core, mass = random_spd(n, rng), random_spd(n, rng) / n
+        shift = rng.uniform(0, 1)
         border = rng.standard_normal((n, m))
         rhs_top = rng.standard_normal(n)
         rhs_bottom = rng.standard_normal(m)
-        w, g = solve_bordered(BorderedMatrix(sp.csr_matrix(core), border),
+        w, g = solve_bordered(BorderedMatrix(sp.csr_matrix(core), border, sp.csr_matrix(mass),
+                                             shift),
                               rhs_top, rhs_bottom)
-        dense = np.block([[core, -border], [-border.T, np.zeros((m, m))]])
+        dense = np.block([[core - shift * mass, -border], [-border.T, np.zeros((m, m))]])
         z = np.linalg.solve(dense, np.concatenate([rhs_top, -rhs_bottom]))
         scale = max(1.0, float(np.abs(z).max()))
         assert np.abs(np.concatenate([w, g]) - z).max() <= 1e-10 * scale
@@ -100,8 +103,7 @@ def test_bordered_unreachable_tolerance_names_both_causes():
 def test_minres_iteration_cap_raises_with_count(monkeypatch):
     import newteig.linalg
 
-    forms, core, border = _shifted_pencil(unit_square_mesh(1 / 8))
-    matrix = BorderedMatrix(core, border)
+    forms, matrix = _shifted_pencil(unit_square_mesh(1 / 8))
     rhs_top = np.random.default_rng(7).standard_normal(forms.n_free)
     stats = {}
     solve_bordered(matrix, rhs_top, np.ones(1), stats=stats)       # the LU oracle
@@ -114,12 +116,13 @@ def test_minres_iteration_cap_raises_with_count(monkeypatch):
 
 
 def _shifted_pencil(mesh):
-    """Newton-step-shaped bordered system on `mesh`: the core shifted by the
-    Rayleigh quotient of the interpolated first mode, bordered by its mass."""
+    """Newton-step-shaped bordered system on `mesh`: the stiffness shifted by
+    the mass times the Rayleigh quotient of the interpolated first mode,
+    bordered by its mass."""
     forms = assemble_forms(mesh, laplace_coefficients())
     u0 = interpolate(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), mesh)
     mu = rayleigh_quotient(forms, u0)
-    return forms, (forms.stiffness - mu * forms.mass).tocsr(), forms.mass @ u0
+    return forms, BorderedMatrix(forms.stiffness, forms.mass @ u0, forms.mass, mu)
 
 
 @settings(max_examples=40, deadline=None)
@@ -133,7 +136,7 @@ def test_preconditioned_solve_matches_dense(cells, seed):
     for mesh in (coarse, fine):
         if mesh.boundary.all():          # one cell per side: no free DOF
             continue
-        forms, core, border = _shifted_pencil(mesh)
+        forms, matrix = _shifted_pencil(mesh)
         if coarse_forms is None:
             cycle = VCycle(forms.stiffness)
         else:
@@ -144,11 +147,11 @@ def test_preconditioned_solve_matches_dense(cells, seed):
         n = forms.n_free
         rhs_top = rng.standard_normal(n)
         stats = {}
-        w, g = solve_bordered(BorderedMatrix(core, border), rhs_top, np.ones(1),
-                              preconditioner=block_preconditioner(cycle, border[:, None]),
+        w, g = solve_bordered(matrix, rhs_top, np.ones(1),
+                              preconditioner=block_preconditioner(cycle, matrix.border),
                               stats=stats)
-        dense = np.block([[core.toarray(), -border[:, None]],
-                          [-border[None, :], np.zeros((1, 1))]])
+        core = forms.stiffness.toarray() - matrix.shift * forms.mass.toarray()
+        dense = np.block([[core, -matrix.border], [-matrix.border.T, np.zeros((1, 1))]])
         z = np.linalg.solve(dense, np.concatenate([rhs_top, -np.ones(1)]))
         scale = max(1.0, float(np.abs(z).max()))
         assert np.abs(np.concatenate([w, g]) - z).max() <= 1e-10 * scale

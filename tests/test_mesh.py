@@ -1,4 +1,5 @@
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.spatial import cKDTree
 
@@ -14,7 +15,7 @@ import newteig.mesh
 from newteig.assemble import assemble_forms, laplace_coefficients
 from newteig.mesh import (Mesh, MeshError, MeshFormatError, _coincident_pair, _edge_keys,
                           _edge_topology, build_hierarchy, load_mesh, refine_regular, save_mesh,
-                          unit_square_mesh)
+                          unit_square_counts, unit_square_mesh)
 from newteig.multilevel import run_multilevel
 
 from meshgen import l_shaped_mesh, renumbered_square
@@ -141,6 +142,29 @@ def test_hierarchy_memory_guard():
         build_hierarchy(unit_square_mesh(1 / 6), 8, max_vertices=10_000)
 
 
+def test_vertex_cap_projection_stops_past_the_cap():
+    # ten million levels: a projection carried to the finest level would spend
+    # hours on integers of millions of digits, so an alarm ends the test
+    def alarm(*_):
+        raise TimeoutError("the vertex projection ran on past the cap")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(10)
+    try:
+        with pytest.raises(MeshError, match="^level 5 of the hierarchy would have 37249 "):
+            build_hierarchy(unit_square_mesh(1 / 6), 10 ** 7, max_vertices=10_000)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3, 7])
+def test_unit_square_counts_match_the_grid(cells):
+    mesh = unit_square_mesh(1 / cells)
+    assert unit_square_counts(1 / cells) == (mesh.num_vertices, mesh.num_edges,
+                                             mesh.num_triangles)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
 def test_edge_topology_matches_lexicographic_unique(cells, seed):
@@ -209,6 +233,21 @@ def test_save_load_roundtrip(tmp_path):
     assert_allclose(back.vertices, mesh.vertices, rtol=0, atol=0)
     assert (back.triangles == mesh.triangles).all()
     assert (back.boundary == mesh.boundary).all()
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.2))
+def test_save_load_roundtrip_is_bit_identical(tmp_path, cells, seed, jitter):
+    mesh = renumbered_square(cells, seed, jitter)
+    path = tmp_path / "renumbered.mesh"
+    save_mesh(mesh, path)
+    back = load_mesh(path)
+    for name in ("vertices", "triangles", "boundary", "edge_vertices", "triangle_edges",
+                 "edge_on_boundary"):
+        original, loaded = getattr(mesh, name), getattr(back, name)
+        assert loaded.dtype == original.dtype and loaded.shape == original.shape, name
+        assert loaded.tobytes() == original.tobytes(), name
 
 
 def test_load_rejects_zero_area_triangle(tmp_path):
