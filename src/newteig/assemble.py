@@ -194,20 +194,22 @@ def _blocks(count):
 
 
 def _element_entries(mesh, coeffs, quad_order):
-    """Stiffness and mass entries of every element matrix, each as a pair of
-    contiguous (T, 3) arrays: the diagonal entries of local vertices 0, 1, 2,
-    and the entries of local edges 01, 12, 20."""
+    """Stiffness and mass entries of the element matrices, block by block.
+
+    Yields ``(block, k, m)`` per slice `block` of `_blocks`: (2, B, 3) arrays
+    whose contiguous halves hold the diagonal entries of local vertices
+    0, 1, 2 and the entries of local edges 01, 12, 20.  No array spans the
+    whole mesh."""
     if quad_order not in _QUAD_RULES:
         raise ValueError("quad_order must be one of {}, got {!r}".format(
             sorted(_QUAD_RULES), quad_order))
     bary, weights = _QUAD_RULES[quad_order]
-    outer = bary[:, [0, 1, 2, 0, 1, 2]] * bary[:, [0, 1, 2, 1, 2, 0]]
-    k_vertex, k_edge, m_vertex, m_edge = (np.empty((mesh.num_triangles, 3)) for _ in range(4))
+    outer = (bary[:, [0, 1, 2, 0, 1, 2]] * bary[:, [0, 1, 2, 1, 2, 0]]).reshape(-1, 2, 1, 3)
     for block in _blocks(mesh.num_triangles):
         px, py, ex, ey, area = _triangle_geometry(mesh, block)
         d00, d01, d11, reaction, weight = _weighted_coefficients(coeffs, bary, weights, px, py)
         # summed point by point: a BLAS product rounds by the block's row count
-        k, m = np.zeros((2, len(area), 6))
+        k, m = np.zeros((2, 2, len(area), 3))
         for q, row in enumerate(outer):
             k += reaction[:, q, None] * row
             m += weight[:, q, None] * row
@@ -217,11 +219,9 @@ def _element_entries(mesh, coeffs, quad_order):
         # with perp(e) = (-ey, ex) and (dnx, dny) = D perp(e)
         dnx, dny = d01[:, None] * ex - d00[:, None] * ey, d11[:, None] * ex - d01[:, None] * ey
         quarter = 0.25 / area[:, None]
-        k[:, :3] += (ex * dny - ey * dnx) * quarter
-        k[:, 3:] += (ex * dny[:, [1, 2, 0]] - ey * dnx[:, [1, 2, 0]]) * quarter
-        k_vertex[block], k_edge[block], m_vertex[block], m_edge[block] = (
-            k[:, :3], k[:, 3:], m[:, :3], m[:, 3:])
-    return [k_vertex, k_edge], [m_vertex, m_edge]
+        k[0] += (ex * dny - ey * dnx) * quarter
+        k[1] += (ex * dny[:, [1, 2, 0]] - ey * dnx[:, [1, 2, 0]]) * quarter
+        yield block, k, m
 
 
 def _pattern(edges, n):
@@ -251,31 +251,37 @@ def _pattern(edges, n):
 def _assemble_pencil(mesh, coeffs, quad_order, keep):
     """Stiffness and mass CSR matrices over the vertices flagged in `keep`.
 
-    `np.bincount` sums the `_element_entries` per vertex and per edge of the
-    mesh's stored edge topology straight into the int32 slots of one CSR
-    pattern shared by both matrices; an edge's sum fills both mirror slots, so
-    both are exactly symmetric.  The stiffness drops its exact zeros (e.g. the
-    diagonals of a criss-cross mesh).
+    `np.add.at` sums each block of `_element_entries` per vertex and per edge
+    of the mesh's stored edge topology, in triangle order, so the sums are
+    those of one `np.bincount` over the whole mesh, bit for bit.  The sums
+    fill the int32 slots of one CSR pattern shared by both matrices; an
+    edge's sum fills both mirror slots, so both are exactly symmetric.  The
+    stiffness drops its exact zeros (e.g. the diagonals of a criss-cross mesh).
     """
-    k_entries, m_entries = _element_entries(mesh, coeffs, quad_order)
-    edges, triangle_edges = mesh.edge_vertices, mesh.triangle_edges
+    k_vertex, m_vertex = np.zeros(mesh.num_vertices), np.zeros(mesh.num_vertices)
+    k_edge, m_edge = np.zeros(mesh.num_edges), np.zeros(mesh.num_edges)
+    for block, k, m in _element_entries(mesh, coeffs, quad_order):
+        at_vertex, at_edge = mesh.triangles[block].ravel(), mesh.triangle_edges[block].ravel()
+        for sums, index, entries in ((k_vertex, at_vertex, k[0]), (k_edge, at_edge, k[1]),
+                                     (m_vertex, at_vertex, m[0]), (m_edge, at_edge, m[1])):
+            np.add.at(sums, index, entries.ravel())
+    edges = mesh.edge_vertices
     inner = keep[edges[:, 0]] & keep[edges[:, 1]]
     n = int(keep.sum())
     indptr, indices, (lower_slots, diagonal, upper_slots) = _pattern(
         (np.cumsum(keep, dtype=np.int32) - 1)[edges[inner].T], n)
 
-    def fill(vertex_entries, edge_entries):
+    def fill(vertex_sums, edge_sums):
         data = np.empty(len(indices))
-        data[diagonal] = np.bincount(mesh.triangles.ravel(), vertex_entries.ravel(),
-                                     len(keep))[keep]
-        edge = np.bincount(triangle_edges.ravel(), edge_entries.ravel(), len(edges))[inner]
-        data[lower_slots] = data[upper_slots] = edge
+        data[diagonal] = vertex_sums[keep]
+        data[lower_slots] = data[upper_slots] = edge_sums[inner]
         return data
 
-    stiffness = sp.csr_matrix((fill(*k_entries), indices.copy(), indptr.copy()), shape=(n, n))
-    del k_entries                              # freed before the mass is filled
+    stiffness = sp.csr_matrix((fill(k_vertex, k_edge), indices.copy(), indptr.copy()),
+                              shape=(n, n))
+    del k_vertex, k_edge                       # freed before the mass is filled
     stiffness.eliminate_zeros()                # in place, hence the copied pattern
-    return stiffness, sp.csr_matrix((fill(*m_entries), indices, indptr), shape=(n, n))
+    return stiffness, sp.csr_matrix((fill(m_vertex, m_edge), indices, indptr), shape=(n, n))
 
 
 def assemble_forms(mesh, coeffs, quad_order=2):
@@ -319,7 +325,8 @@ def rayleigh_quotient(forms, x):
 
 def _norm_from_form(matrix, x, name):
     q = _quadratic_form(matrix, x)
-    scale = float(np.abs(matrix).max()) * float(x @ x)
+    data = matrix.data                         # max |entry| without a copy of the matrix
+    scale = float(max(data.max(initial=0.0), -data.min(initial=0.0))) * float(x @ x)
     if q < -1e-12 * max(scale, 1e-300):
         raise ArithmeticError("negative {} quadratic form ({:g}); the assembled "
                               "matrix is not positive semidefinite".format(name, q))

@@ -7,6 +7,7 @@ eigenvalue).  ``solve`` writes ``<output>_levels.csv`` and
 """
 
 import argparse
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -127,6 +128,8 @@ class RunConfig:
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "on": True,
                "false": False, "no": False, "0": False, "off": False}
+# the decimal exponent of a number, digits only, as `Fraction` reads it
+_EXPONENT = re.compile(r"e[-+]?(\d[\d_]*)\s*\Z", re.IGNORECASE)
 
 
 def _coerce(name, kind, raw, line):
@@ -141,7 +144,15 @@ def _coerce(name, kind, raw, line):
             raise ConfigError("key {!r} expects an integer, got {!r}".format(name, raw),
                               line) from None
     if kind is float:
+        match = _EXPONENT.search(raw)
+        digits = match.group(1).replace("_", "").lstrip("0") if match else ""
+        bound = len(raw) + 400
         try:
+            # Fraction builds 10**exponent exactly, which takes seconds to hours for
+            # a long exponent; past `bound` no mantissa of this length brings the
+            # value between 1e-400 and 1e400, so it overflows or rounds to zero
+            if len(digits) > len(str(bound)) or int(digits or "0") > bound:
+                raise OverflowError
             return float(Fraction(raw))
         except (ValueError, ZeroDivisionError):
             raise ConfigError("key {!r} expects a number, got {!r}".format(name, raw),

@@ -27,10 +27,14 @@ def _edge_keys(triangles, nv):
     edges (01, 12, 20) of every triangle, shape (T, 3).
 
     j < nv, so ordering the keys orders the pairs lexicographically, and
-    ``np.divmod(key, nv)`` recovers the pair.
+    ``np.divmod(key, nv)`` recovers the pair.  The keys are int64 whatever the
+    index type: an int32 product ``i*nv`` wraps once nv > 46,340.
     """
     nxt = triangles[:, [1, 2, 0]]
-    return np.minimum(triangles, nxt) * nv + np.maximum(triangles, nxt)
+    keys = np.minimum(triangles, nxt).astype(np.int64)
+    keys *= nv
+    keys += np.maximum(triangles, nxt)
+    return keys
 
 
 def _edge_topology(triangles, nv):
@@ -116,6 +120,11 @@ class Mesh:
 
     Attributes
     ----------
+    vertices : (V, 2) float array
+    triangles : (T, 3) int32 array
+        Narrowed from the given indices once they are checked to lie in
+        ``0..V-1`` (and below 2**31, so none wraps).
+    boundary : (V,) bool array
     edge_vertices : (E, 2) int32 array
         Sorted vertex pairs of the edges, in lexicographic order.
     triangle_edges : (T, 3) int32 array
@@ -137,7 +146,9 @@ class Mesh:
 
     def __init__(self, vertices, triangles, boundary):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        self.triangles = np.asarray(triangles)
+        if self.triangles.dtype != np.int32:     # range-checked as int64, then narrowed
+            self.triangles = np.asarray(self.triangles, dtype=np.int64)
         self.boundary = np.ascontiguousarray(boundary, dtype=bool)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must have shape (V, 2)")
@@ -192,10 +203,12 @@ class Mesh:
         if not np.isfinite(self.vertices).all():
             raise MeshError("vertex {} has non-finite coordinates".format(
                 np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))[0]))
-        if self.triangles.min() < 0 or self.triangles.max() >= self.num_vertices:
+        stop = min(self.num_vertices, 2 ** 31)     # an int32 index of 2**31 or more wraps
+        if self.triangles.min() < 0 or self.triangles.max() >= stop:
             bad = np.flatnonzero((self.triangles < 0).any(axis=1)
-                                 | (self.triangles >= self.num_vertices).any(axis=1))[0]
+                                 | (self.triangles >= stop).any(axis=1))[0]
             raise MeshError("triangle {} references a vertex index out of range".format(bad))
+        self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int32)
         areas = self.signed_areas()
         if (areas <= 0).any():
             bad = int(np.argmin(areas))
@@ -345,7 +358,11 @@ def check_vertex_cap(counts, n_levels, max_vertices):
     The projection is exact: every edge splits in two and every triangle
     contributes three interior edges per refinement.  It stops at the first
     level past the cap, so it takes a few dozen steps for any `n_levels`.
+    A cap of 2**31 or more is refused: triangles index vertices as int32.
     """
+    if max_vertices >= 2 ** 31:
+        raise MeshError("the vertex cap {} must be below 2**31: triangles index vertices "
+                        "as int32".format(max_vertices))
     v, e, t = counts
     for level in range(n_levels):
         if v > max_vertices:

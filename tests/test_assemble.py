@@ -8,11 +8,10 @@ from numpy.testing import assert_allclose
 from scipy import sparse as sp
 
 import newteig.assemble
-from newteig.assemble import (_QUAD_RULES, AssemblyError, CoefficientSet, _assemble_pencil,
-                              _element_entries, a_norm, assemble_forms, b_norm,
+from newteig.assemble import (_QUAD_RULES, AssembledForms, AssemblyError, CoefficientSet,
+                              _assemble_pencil, _element_entries, a_norm, assemble_forms, b_norm,
                               energy_error_vs_exact, example2_coefficients, free_prolongation,
-                              interpolate, laplace_coefficients,
-                              rayleigh_quotient)
+                              interpolate, laplace_coefficients, rayleigh_quotient)
 from newteig.linalg import dense_gen_eig
 from newteig.mesh import Mesh, build_hierarchy, refine_regular, unit_square_mesh
 
@@ -280,8 +279,8 @@ def test_assembly_memory_peak(make_coeffs, quad_order):
 @pytest.mark.parametrize("make_coeffs, quad_order",
                          [(laplace_coefficients, 2), (example2_coefficients, 5)])
 def test_finest_assembly_memory_peak(make_coeffs, quad_order):
-    # 131,072 triangles: the pattern is built from int32 slots, both matrices are
-    # filled in place and the stiffness entries are gone before the mass fill
+    # 131,072 triangles: the element entries are summed block by block, so no
+    # (T, 3) array of the whole mesh lives, and the pattern is built from int32 slots
     mesh = unit_square_mesh(1 / 256)
     coeffs = make_coeffs()
     tracemalloc.start()
@@ -290,13 +289,22 @@ def test_finest_assembly_memory_peak(make_coeffs, quad_order):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 30 * 2 ** 20
+    assert peak <= 21 * 2 ** 20
+
+
+def whole_mesh_entries(mesh, coeffs, quad_order):
+    """The element entries of the whole mesh, stiffness and mass each as one
+    (2, T, 3) array of contiguous vertex and edge halves."""
+    blocks = list(_element_entries(mesh, coeffs, quad_order))
+    return [np.concatenate([entries[i] for entries in blocks], axis=1) for i in (1, 2)]
 
 
 def sorted_pencil(mesh, coeffs, quad_order, keep):
     """Stiffness and mass built by a stable sort of every entry's row, from
-    concatenated lower, diagonal and upper entries: the slot construction's oracle."""
-    k_entries, m_entries = _element_entries(mesh, coeffs, quad_order)
+    concatenated lower, diagonal and upper entries, each a sum of one
+    `np.bincount` over the whole mesh: the oracle of the slots and of the
+    blockwise sums."""
+    k_entries, m_entries = whole_mesh_entries(mesh, coeffs, quad_order)
     edges = mesh.edge_vertices
     inner = keep[edges[:, 0]] & keep[edges[:, 1]]
     lo, hi = (np.cumsum(keep) - 1)[edges[inner].T]
@@ -320,12 +328,16 @@ def sorted_pencil(mesh, coeffs, quad_order, keep):
 @given(st.builds(renumbered_square, st.integers(2, 12), st.integers(0, 2 ** 32 - 1),
                  st.one_of(st.just(0.0), st.floats(0.0, 0.2))),
        st.sampled_from([(laplace_coefficients, 2), (example2_coefficients, 5)]),
-       st.booleans())
-def test_slot_pattern_matches_sorted_construction(mesh, case, free_only):
-    # every pattern array and every data bit, with and without the boundary rows
+       st.booleans(), st.sampled_from([1, 7, 16384]))
+def test_slot_pattern_matches_sorted_construction(mesh, case, free_only, block):
+    # every pattern array and every data bit, with and without the boundary rows;
+    # np.add.at per block of `block` triangles adds each vertex's and edge's
+    # terms in the order of the oracle's one bincount over the whole mesh
     make_coeffs, quad_order = case
     keep = ~mesh.boundary if free_only else np.ones(mesh.num_vertices, dtype=bool)
-    got = _assemble_pencil(mesh, make_coeffs(), quad_order, keep)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(newteig.assemble, "ELEMENT_BLOCK", block)
+        got = _assemble_pencil(mesh, make_coeffs(), quad_order, keep)
     for matrix, expected in zip(got, sorted_pencil(mesh, make_coeffs(), quad_order, keep)):
         assert np.array_equal(matrix.indptr, expected.indptr)
         assert matrix.indices.dtype == np.int32
@@ -411,6 +423,28 @@ def test_norms_identities():
     basis[2] = 1.0
     assert_allclose(a_norm(forms, basis),
                     math.sqrt(forms.stiffness.diagonal()[2]), rtol=1e-14)
+
+
+def test_norms_copy_no_matrix():
+    # the scale of the semidefiniteness check reads the data array in place
+    forms = assemble_forms(unit_square_mesh(1 / 128), laplace_coefficients())
+    x = np.random.default_rng(2).standard_normal(forms.n_free)
+    for norm, matrix in ((b_norm, forms.mass), (a_norm, forms.stiffness)):
+        tracemalloc.start()
+        try:
+            norm(forms, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix.data.nbytes / 2
+
+
+def test_norm_rejects_indefinite_form():
+    forms = assemble_forms(unit_square_mesh(1 / 4), laplace_coefficients())
+    negated = AssembledForms(stiffness=-forms.stiffness, mass=forms.mass,
+                             free_to_full=forms.free_to_full, n_free=forms.n_free)
+    with pytest.raises(ArithmeticError, match="negative stiffness quadratic form"):
+        a_norm(negated, np.ones(forms.n_free))
 
 
 def test_interpolate_zero_and_affine_commute():

@@ -2,7 +2,9 @@ import importlib.util
 import inspect
 import math
 import re
+import signal
 import threading
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -469,6 +471,58 @@ def test_main_number_beyond_double_range_exit_config(tmp_path, capsys, line):
     assert capsys.readouterr().err == (
         "config error: line 2: key {!r} expects a number within double range, "
         "got {!r}\n".format(key, value))
+
+
+@pytest.mark.parametrize("line", ["solver_tol = 1e-10000000", "direct_tol = 5E+99999999999",
+                                  "mesh_h = 1e-1_000_000"])
+def test_main_huge_exponent_exit_config_at_once(tmp_path, capsys, line):
+    # Fraction would build 10**exponent exactly: 8.9 s for the first line alone
+    def alarm(*_):
+        raise TimeoutError("the exponent was expanded")
+
+    path = write_config(tmp_path, "levels = 2\n{}\n".format(line))
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(2)
+    try:
+        code = main(["solve", str(path)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == EXIT_CONFIG
+    key, _, value = line.split()
+    assert capsys.readouterr().err == (
+        "config error: line 2: key {!r} expects a number within double range, "
+        "got {!r}\n".format(key, value))
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e-300", 1e-300), ("2.5E+2", 250.0), ("1_0e-1_0", 1e-9), ("1/6", 1 / 6),
+    ("0." + "0" * 500 + "1e490", 1e-11), ("1" + "0" * 600 + "e-608", 1e-8)])
+def test_exponents_within_reach_parse_as_before(text, value):
+    assert newteig.cli._coerce("solver_tol", float, text, 1) == value
+
+
+def test_main_vertex_cap_beyond_int32_exit_config(tmp_path, capsys):
+    path = write_config(tmp_path, "mesh_h = 1/4\nlevels = 2\nmax_vertices = {}\n".format(
+        2 ** 31))
+    assert main(["solve", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: the vertex cap 2147483648 must be below 2**31")
+    assert len(err.splitlines()) == 1
+
+
+def test_main_memory_peak(tmp_path):
+    # a whole laplace run to 6 levels (65,025 finest DOFs): mesh, assembly,
+    # Newton steps and evaluation; a whole-level temporary in any of them shows
+    path = write_config(tmp_path, "mesh_h = 1/8\nlevels = 6\noutput = {}\n".format(
+        tmp_path / "peak"))
+    tracemalloc.start()
+    try:
+        assert main(["solve", str(path)]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 38 * 2 ** 20
 
 
 @pytest.mark.parametrize("h, levels, cap, level, vertices", [

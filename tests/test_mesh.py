@@ -218,6 +218,57 @@ def test_hierarchy_build_memory_peak():
     assert peak < 30 * 2 ** 20
 
 
+def test_hierarchy_live_size():
+    # int32 triangles: the seven levels of laplace_deep, 524,288 finest triangles
+    coarse = unit_square_mesh(1 / 8)
+    tracemalloc.start()
+    try:
+        hierarchy = build_hierarchy(coarse, 7)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(hierarchy) == 7
+    assert live <= 42 * 2 ** 20
+
+
+def test_triangles_stored_as_int32(tmp_path):
+    mesh = unit_square_mesh(1 / 3)
+    fine, _ = refine_regular(mesh)
+    save_mesh(fine, tmp_path / "fine.mesh")
+    for m in (mesh, fine, load_mesh(tmp_path / "fine.mesh")):
+        assert m.triangles.dtype == np.int32
+        assert m.triangles.flags.c_contiguous and not m.triangles.flags.writeable
+
+
+def test_edge_keys_exact_past_int32_products():
+    # 50,000 * 50,001 overflows int32; the keys are formed in int64
+    nv = 50_001
+    triangles = np.array([[0, 49_999, 50_000], [50_000, 1, 49_998]], dtype=np.int32)
+    keys = _edge_keys(triangles, nv)
+    assert keys.dtype == np.int64
+    expected = [[min(a, b) * nv + max(a, b) for a, b in zip(row, np.roll(row, -1))]
+                for row in triangles.tolist()]
+    assert keys.tolist() == expected
+    edges, _, _ = _edge_topology(triangles, nv)
+    assert edges.tolist() == sorted(sorted(map(int, pair))
+                                    for row in triangles for pair in zip(row, np.roll(row, -1)))
+
+
+@pytest.mark.parametrize("index", [3, 2 ** 31, 2 ** 32 + 1, -1, -(2 ** 32) + 1])
+def test_mesh_rejects_indices_before_narrowing(index):
+    # 2**32 + 1 would wrap to 1 as int32, and -(2**32) + 1 to 1 as well
+    with pytest.raises(MeshError, match="triangle 1 references a vertex index out of range"):
+        Mesh(vertices=[[0, 0], [1, 0], [0, 1]],
+             triangles=[[0, 1, 2], [0, 1, index]],
+             boundary=[True, True, True])
+
+
+def test_vertex_cap_beyond_int32_refused():
+    with pytest.raises(MeshError, match="cap 2147483648 must be below 2\\*\\*31"):
+        build_hierarchy(unit_square_mesh(1 / 2), 2, max_vertices=2 ** 31)
+    build_hierarchy(unit_square_mesh(1 / 2), 2, max_vertices=2 ** 31 - 1)
+
+
 def test_mesh_rejects_non_manifold_edge():
     with pytest.raises(MeshError, match="non-manifold"):
         Mesh(vertices=[[0, 0], [1, 0], [0.5, 1], [0.5, 2], [0.5, 3]],
