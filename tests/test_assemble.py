@@ -292,6 +292,20 @@ def test_finest_assembly_memory_peak(make_coeffs, quad_order):
     assert peak <= 21 * 2 ** 20
 
 
+@pytest.mark.parametrize("make_coeffs, quad_order",
+                         [(laplace_coefficients, 2), (example2_coefficients, 5)])
+def test_matrices_own_exactly_their_entries(make_coeffs, quad_order):
+    # the stiffness drops the zeros of the criss-cross diagonals in place and
+    # then keeps copies of its nnz entries, not views of the mass-sized buffers
+    for mesh in (unit_square_mesh(1 / 16), renumbered_square(9, 3, jitter=0.1)):
+        forms = assemble_forms(mesh, make_coeffs(), quad_order)
+        for matrix in (forms.stiffness, forms.mass):
+            for array in (matrix.data, matrix.indices):
+                while isinstance(array.base, np.ndarray):
+                    array = array.base
+                assert array.size == matrix.nnz
+
+
 def whole_mesh_entries(mesh, coeffs, quad_order):
     """The element entries of the whole mesh, stiffness and mass each as one
     (2, T, 3) array of contiguous vertex and edge halves."""

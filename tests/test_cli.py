@@ -576,6 +576,19 @@ def test_main_loose_solver_tol_is_the_only_gate(tmp_path):
     assert len(residuals) == 3 and all(r <= 1e-3 for r in residuals)
 
 
+def test_summary_and_work_name_the_gate(tmp_path):
+    # the iteration counts mean little without the gate MINRES stopped at
+    base = "mesh_h = 1/4\nlevels = 2\nbench_max_levels = 2\nsolver_tol = 1e-6\noutput = {}\n"
+    path = write_config(tmp_path, base.format(tmp_path / "gate"))
+    assert main(["solve", str(path)]) == EXIT_OK
+    assert main(["bench", str(path)]) == EXIT_OK
+    summary = (tmp_path / "gate_summary.txt").read_text()
+    assert ("MINRES iterations ; verified relative residuals (gate solver_tol = 1e-06)"
+            in summary)
+    work = (tmp_path / "gate_work.txt").read_text()
+    assert "MINRES iterations at gate solver_tol = 1e-06)" in work
+
+
 def load_perfbench(name):
     """A module of the benchmark harness, loaded by path (it is no package)."""
     spec = importlib.util.spec_from_file_location(

@@ -12,12 +12,13 @@ from newteig.assemble import (assemble_forms, example2_coefficients,
                               laplace_coefficients, rayleigh_quotient)
 from newteig.cli import RunConfig
 from newteig.eigen_newton import BasinWarning, ClusterGapWarning, coarse_solve
-from newteig.linalg import MINRES_MAX_ITERATIONS, SolverError, dense_gen_eig, solve_bordered
+from newteig.linalg import MINRES_MAX_ITERATIONS, SolverError, dense_gen_eig
 from newteig.mesh import build_hierarchy, unit_square_mesh
 from newteig.multilevel import MultilevelError, SolveOptions, run_multilevel
 from newteig.reference import compare_with_direct, evaluate, exact_laplace
 
 from meshgen import l_shaped_mesh, renumbered_square
+from oracle import lu_solve_bordered
 
 EXACT_FIRST = 2 * math.pi ** 2
 
@@ -160,7 +161,7 @@ def run_with_lu_oracle(monkeypatch, hier, coeffs, m):
     """`run_multilevel` with every Newton-step bordered solve done by the
     sparse LU instead of preconditioned MINRES."""
     def direct(matrix, rhs_top, rhs_bottom, tol, preconditioner, stats):
-        return solve_bordered(matrix, rhs_top, rhs_bottom, tol=tol, stats=stats)
+        return lu_solve_bordered(matrix, rhs_top, rhs_bottom, tol=tol, stats=stats)
 
     with monkeypatch.context() as patch:
         patch.setattr(en, "solve_bordered", direct)
@@ -179,7 +180,7 @@ def assert_matches_lu_oracle(monkeypatch, hier, coeffs, m):
 
 def test_minres_iterations_flat_in_n():
     # the multigrid preconditioner is optimal: iterations do not grow with N
-    # (measured 11-13 for laplace up to 261,121 DOFs, 14-25 for example2)
+    # (measured 8-9 for laplace up to 261,121 DOFs, 9-20 for example2)
     laplace = run_multilevel(build_hierarchy(unit_square_mesh(1 / 8), 7),
                              laplace_coefficients(), 1)
     counts = [rec.pairs.iterations[0] for rec in laplace[1:]]
@@ -193,12 +194,30 @@ def test_minres_iterations_flat_in_n():
     assert all(len(row) == 6 and max(row) <= 40 for row in counts), counts
 
 
+@pytest.mark.parametrize("make_coeffs, h, n_levels, m", [
+    (laplace_coefficients, 1 / 8, 5, 1), (example2_coefficients, 1 / 6, 4, 6)])
+def test_default_gate_saves_iterations(make_coeffs, h, n_levels, m):
+    # MINRES stops at the gate it is given: on every level, each eigenpair
+    # takes fewer iterations at the default gate than at 1e-10, and the finest
+    # eigenvalues agree to 1e-10 (counts only; no times are asserted)
+    hier = build_hierarchy(unit_square_mesh(h), n_levels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClusterGapWarning)
+        default = run_multilevel(hier, make_coeffs(), m)
+        tight = run_multilevel(hier, make_coeffs(), m, SolveOptions(solver_tol=1e-10))
+    assert SolveOptions().solver_tol > 1e-10
+    for loose, strict in zip(default[1:], tight[1:]):
+        assert all(a < b for a, b in zip(loose.pairs.iterations, strict.pairs.iterations)), (
+            loose.pairs.iterations, strict.pairs.iterations)
+    assert_allclose(default[-1].eigenvalues, tight[-1].eigenvalues, rtol=1e-10, atol=0)
+
+
 def test_true_residual_gates_every_solve():
     # Strongly varying, cross-coupled diffusion.  Pair 2's coarse iterate lies
     # outside its basin at this h (its Rayleigh quotient rises on level 4,
-    # through the sparse LU too), so its shifted core is strongly indefinite,
-    # and MINRES's own stopping estimate leaves a true relative residual of
-    # ~5e-10 there; the restart on the explicit residual must close the gap.
+    # through the sparse LU too), so its shifted core is strongly indefinite.
+    # MINRES stops on its residual recurrence only once an explicit product
+    # confirms the gate, so every reported residual is a verified one.
     coeffs = custom_coefficients(
         a11="1 + 50*sin(3*pi*x1)^2*sin(3*pi*x2)^2",
         a22="1 + 50*sin(3*pi*x1)^2*sin(3*pi*x2)^2",
@@ -216,7 +235,7 @@ def test_true_residual_gates_every_solve():
 
 def test_anisotropic_steps_match_lu_oracle(monkeypatch):
     # 100:1 anisotropy weakens point smoothing; MINRES needs more
-    # iterations (38-69 measured) but must reach the same eigenvalues
+    # iterations (28-46 measured) but must reach the same eigenvalues
     coeffs = custom_coefficients(a22="0.01")
     counts = assert_matches_lu_oracle(
         monkeypatch, build_hierarchy(unit_square_mesh(1 / 8), 5), coeffs, 2)
@@ -225,7 +244,7 @@ def test_anisotropic_steps_match_lu_oracle(monkeypatch):
 
 def test_l_shaped_domain_matches_lu_oracle(monkeypatch):
     # the re-entrant corner makes the eigenfunctions singular, the hard
-    # case for multigrid (15-17 iterations measured)
+    # case for multigrid (10-11 iterations measured)
     hier = build_hierarchy(l_shaped_mesh(8), 4)
     assert_matches_lu_oracle(monkeypatch, hier, laplace_coefficients(), 2)
 
