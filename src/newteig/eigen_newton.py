@@ -119,7 +119,7 @@ def newton_step_multi(forms_fine, prev_set, prolong, tol=DEFAULT_SOLVER_TOL, cyc
     if cycle is None:
         cycle = VCycle(stiffness, prolong, VCycle(prolong.T @ stiffness @ prolong))
     basis = prolong @ prev_set.vectors              # (n_fine, m)
-    mass_basis = np.asfortranarray(mass @ basis)    # the order `BorderedMatrix` keeps
+    mass_basis = mass @ basis
     preconditioner = block_preconditioner(cycle, mass_basis)
 
     trial = np.empty((forms_fine.n_free, m))

@@ -15,8 +15,8 @@ def assembled(matrix):
 
 def lu_solve_bordered(matrix, rhs_top, rhs_bottom, tol=DEFAULT_SOLVER_TOL, stats=None):
     """`linalg.solve_bordered` by one sparse LU (SuperLU, COLAMD order) of the
-    assembled matrix, with the same verified-residual gate and the same
-    `SolverError`s; `stats` receives ``iterations = 0``."""
+    assembled matrix, held to the same verified-residual gate and raising
+    `SolverError` like it; `stats` receives ``iterations = 0``."""
     n = matrix.n
     rhs = np.concatenate([rhs_top, -np.atleast_1d(rhs_bottom)])
     try:
