@@ -324,93 +324,47 @@ def cmd_solve(config):
     return EXIT_OK, record
 
 
-@dataclass
-class WorkReport:
-    """Scaling data of a benchmark sweep over hierarchy depths."""
-
-    depths: list                        # n per depth
-    finest_sizes: list                  # N_n per depth
-    totals: list                        # assemble + solve seconds of levels 0..n-1
-    level_sizes: list                   # N_k of the deepest run
-    level_times: list                   # (assemble, solve) per level of deepest run
-    level_iterations: list              # MINRES iterations per eigenpair, per level
-    exponent: float                     # fit of log(total) vs log(N_n)
-    fit_residual: float
-    local_exponent: float               # slope over the last two doublings of N
-    note: str = ""
+def local_exponent(levels):
+    """Slope of log(total seconds) against log(N) between the two deepest
+    depths of a `bench` sweep, from the `levels` of its deepest run; nan with
+    fewer than two depths.  The total of depth n sums the assembly and solve
+    seconds of levels 0..n-1."""
+    if len(levels) < 3:
+        return float("nan")
+    totals = np.cumsum([rec.wall_time_assemble + rec.wall_time_solve for rec in levels])
+    return float(np.log(totals[-1] / totals[-2])
+                 / np.log(levels[-1].n_free / levels[-2].n_free))
 
 
 def run_bench(config):
-    """Benchmark sweep: depths 2..bench_max_levels on the same coarse mesh.
-
-    One `run_multilevel` over the deepest hierarchy times every depth: the
-    total of depth n sums the assembly and solve times of its levels 0..n-1.
-    The hierarchy build is not timed and no errors are evaluated.
-    """
-    deepest = run_multilevel(_build_hierarchy(config, config.bench_max_levels),
-                             config.coefficients(), config.eigen_count,
-                             config.solve_options())
-    depths = list(range(2, config.bench_max_levels + 1))
-    running = np.cumsum([rec.wall_time_assemble + rec.wall_time_solve for rec in deepest])
-    totals = [float(running[n - 1]) for n in depths]
-    finest = [deepest[n - 1].n_free for n in depths]
-    if len(depths) >= 3:
-        logs = np.polyfit(np.log(finest), np.log(totals), 1, full=True)
-        exponent = float(logs[0][0])
-        residuals = logs[1]
-        fit_residual = float(np.sqrt(residuals[0] / len(depths))) if len(residuals) else 0.0
-        note = ""
-    else:
-        exponent = float("nan")
-        fit_residual = float("nan")
-        note = "exponent fit skipped (needs >= 3 depths)"
-    return WorkReport(
-        depths=depths,
-        finest_sizes=finest,
-        totals=totals,
-        level_sizes=[rec.n_free for rec in deepest],
-        level_times=[(rec.wall_time_assemble, rec.wall_time_solve) for rec in deepest],
-        level_iterations=[rec.pairs.iterations for rec in deepest],
-        exponent=exponent,
-        fit_residual=fit_residual,
-        local_exponent=(float(np.log(totals[-1] / totals[-2])
-                              / np.log(finest[-1] / finest[-2]))
-                        if len(depths) >= 2 else float("nan")),
-        note=note,
-    )
+    """One `run_multilevel` over the `bench_max_levels` hierarchy: its
+    `LevelRecord`s time every depth 2..bench_max_levels of the sweep.  The
+    hierarchy build is not timed and no errors are evaluated."""
+    return run_multilevel(_build_hierarchy(config, config.bench_max_levels),
+                          config.coefficients(), config.eigen_count, config.solve_options())
 
 
 def cmd_bench(config):
-    """Run the benchmark sweep and write ``<output>_work.txt``."""
-    report = run_bench(config)
+    """Run the benchmark sweep and write ``<output>_work.txt``; returns
+    (exit_code, the deepest run's records)."""
+    levels = run_bench(config)
+    totals = np.cumsum([rec.wall_time_assemble + rec.wall_time_solve for rec in levels])
     lines = ["benchmark sweep (depth, finest N, total seconds)"]
-    for n, size, total in zip(report.depths, report.finest_sizes, report.totals):
-        lines.append("{:>3} {:>10} {:>12.4f}".format(n, size, total))
-    lines.append("")
-    lines.append("deepest run per level (N_k, assemble s, solve s, MINRES iterations "
-                 "at gate solver_tol = {})".format(_fmt(config.solver_tol)))
-    for size, (ta, ts), counts in zip(report.level_sizes, report.level_times,
-                                      report.level_iterations):
+    for n in range(2, len(levels) + 1):
+        lines.append("{:>3} {:>10} {:>12.4f}".format(n, levels[n - 1].n_free, totals[n - 1]))
+    lines += ["", "deepest run per level (N_k, assemble s, solve s, MINRES iterations "
+              "at gate solver_tol = {})".format(_fmt(config.solver_tol))]
+    for rec in levels:
+        counts = rec.pairs.iterations
         lines.append("{:>10} {:>12.4f} {:>12.4f}  {}".format(
-            size, ta, ts, "-" if counts is None else " ".join(str(c) for c in counts)))
-    lines.append("")
-    if np.isnan(report.local_exponent):
-        lines.append("local exponent skipped (needs >= 2 depths)")
-    else:
-        lines.append("local exponent over the last two doublings of N: N^{:.3f}".format(
-            report.local_exponent))
-    if report.note:
-        lines.append(report.note)
-    else:
-        lines.append("whole-sweep fit: total time ~ N^{:.3f} (fit residual {:.3e}); "
-                     "linear-work scaling corresponds to exponent 1.0, which the "
-                     "multigrid-preconditioned MINRES of the Newton steps allows "
-                     "while its iteration counts stay flat in N".format(
-                         report.exponent, report.fit_residual))
-    lines.append("")
+            rec.n_free, rec.wall_time_assemble, rec.wall_time_solve,
+            "-" if counts is None else " ".join(str(c) for c in counts)))
+    exponent = local_exponent(levels)
+    lines += ["", "local exponent skipped (needs >= 2 depths)" if np.isnan(exponent) else
+              "local exponent over the last two doublings of N: N^{:.3f}".format(exponent), ""]
     with open(config.output + "_work.txt", "w", encoding="utf-8") as f:
         f.write("\n".join(lines))
-    return EXIT_OK, report
+    return EXIT_OK, levels
 
 
 def cmd_meshinfo(path):

@@ -6,8 +6,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy import sparse as sp
-from scipy.linalg.blas import daxpy, dgemv
+from scipy.linalg.blas import daxpy, ddot, dgemm, dgemv
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, splu
+
+# The bordered solves take every dense product from scipy's BLAS library.
+# numpy bundles a second copy with its own thread pool, and alternating
+# between two pools of spinning threads stalls each call for milliseconds
+# once BLAS runs multi-threaded on two cores.
 
 # pencils below this many free DOFs are solved densely by `pencil_eigs`
 DENSE_CUTOFF = 300
@@ -71,7 +76,18 @@ class BorderedMatrix:
         # BLAS gemv in place on the Fortran-ordered transpose: numpy's matmul
         # takes ~7x longer on an (n, 1) border
         top = dgemv(-1.0, self.border.T, g, beta=1.0, y=top, overwrite_y=True, trans=1)
-        return np.concatenate([top, -(self.border.T @ w)])
+        return np.concatenate([top, -_transpose_product(self.border, w)])
+
+
+def _transpose_product(border, x):
+    """``border.T @ x`` for an (n,) or (n, m) `x`, by the BLAS routine numpy's
+    matmul picks, so the sums run in its order: a dot product for one
+    column, else gemv for a vector and gemm for a matrix."""
+    if border.shape[1] == 1:
+        return np.full((1,) * x.ndim, ddot(border[:, 0], x.ravel()))
+    if x.ndim == 1:
+        return dgemv(1.0, border.T, x)
+    return dgemm(1.0, x.T, border.T, trans_b=1).T
 
 
 class VCycle:
@@ -131,7 +147,7 @@ def block_preconditioner(cycle, border):
     `cycle` approximately inverts.
     """
     n = border.shape[0]
-    schur = border.T @ np.column_stack([cycle(column) for column in border.T])
+    schur = _transpose_product(border, np.column_stack([cycle(column) for column in border.T]))
     try:
         factor = scipy.linalg.cho_factor(0.5 * (schur + schur.T))
     except np.linalg.LinAlgError as exc:
@@ -172,7 +188,7 @@ def solve_bordered(matrix, rhs_top, rhs_bottom, tol=DEFAULT_SOLVER_TOL, precondi
     if rhs_top.shape != (n,) or rhs_bottom.shape != (m,):
         raise ValueError("right-hand side blocks must have shapes ({},) and ({},)".format(n, m))
     rhs = np.concatenate([rhs_top, -rhs_bottom])
-    rhs_norm = float(np.linalg.norm(rhs))
+    rhs_norm = math.sqrt(ddot(rhs, rhs))
     if rhs_norm == 0.0:
         z, iterations, achieved = np.zeros(n + m), 0, 0.0
     else:
@@ -206,7 +222,7 @@ def _minres(matrix, rhs, target, preconditioner):
     for iteration in range(1, MINRES_MAX_ITERATIONS + 1):
         v = q / beta
         y = daxpy(z_old, matrix.apply(v), a=-beta / old_beta)
-        alpha = float(v @ y)
+        alpha = ddot(v, y)
         z_old, z = z, daxpy(z, y, a=-alpha / beta)
         q = preconditioner(z)
         old_beta, beta = beta, _beta(z, q)
@@ -240,12 +256,13 @@ def _minres(matrix, rhs, target, preconditioner):
 
 
 def _gated_norm(residual, n):
-    return max(float(np.linalg.norm(residual[:n])), float(np.linalg.norm(residual[n:])))
+    top, bottom = residual[:n], residual[n:]
+    return math.sqrt(max(ddot(top, top), ddot(bottom, bottom)))
 
 
 def _beta(z, q):
     """The preconditioned norm ``sqrt(z . q)`` of a Lanczos vector."""
-    square = float(z @ q)
+    square = ddot(z, q)
     if not math.isfinite(square):
         raise SolverError("bordered solve produced non-finite values (singular system; "
                           "the coarse iterate may be outside the basin of attraction)")

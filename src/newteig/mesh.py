@@ -6,6 +6,8 @@ import numpy as np
 from scipy import sparse as sp
 
 DEFAULT_VERTEX_CAP = 8_000_000
+# squared lengths and areas of coordinates up to this magnitude stay finite
+MAX_COORDINATE = 1e150
 
 
 class MeshError(Exception):
@@ -138,10 +140,12 @@ class Mesh:
     Raises
     ------
     MeshError
-        If a coordinate is not finite, a triangle has nonpositive signed
-        area, an index is out of range, an edge is shared by more than two
-        triangles, boundary flags disagree with the edge topology, a vertex
-        is unused, or two vertices coincide.
+        If a coordinate is not finite or exceeds `MAX_COORDINATE` in
+        magnitude, a triangle has nonpositive signed area, an index is out of
+        range, an edge is shared by more than two triangles, boundary flags
+        disagree with the edge topology, a vertex is unused, two vertices
+        coincide, or two triangles run their shared edge the same way (they
+        overlap, so the mesh is not consistently oriented).
     """
 
     def __init__(self, vertices, triangles, boundary):
@@ -203,6 +207,10 @@ class Mesh:
         if not np.isfinite(self.vertices).all():
             raise MeshError("vertex {} has non-finite coordinates".format(
                 np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))[0]))
+        if np.abs(self.vertices).max() > MAX_COORDINATE:
+            bad = np.flatnonzero((np.abs(self.vertices) > MAX_COORDINATE).any(axis=1))[0]
+            raise MeshError("vertex {} has a coordinate beyond {:g} in magnitude, where squared "
+                            "lengths overflow".format(bad, MAX_COORDINATE))
         stop = min(self.num_vertices, 2 ** 31)     # an int32 index of 2**31 or more wraps
         if self.triangles.min() < 0 or self.triangles.max() >= stop:
             bad = np.flatnonzero((self.triangles < 0).any(axis=1)
@@ -232,6 +240,14 @@ class Mesh:
         pair = _coincident_pair(self.vertices, 1e-12 * max(self.domain_diameter(), 1e-300))
         if pair is not None:
             raise MeshError("vertices {} and {} coincide".format(*pair))
+        # counterclockwise neighbours run their shared edge opposite ways, so an
+        # interior edge is traversed low-to-high index by exactly one of its triangles
+        ascending = np.bincount(triangle_edges[self.triangles < self.triangles[:, [1, 2, 0]]],
+                                minlength=len(edges))
+        folded = ~self.edge_on_boundary & (ascending != 1)
+        if folded.any():
+            raise MeshError("edge ({}, {}) runs the same way in both its triangles: they "
+                            "overlap".format(*edges[np.argmax(folded)]))
         x, y = self.vertices[:, 0], self.vertices[:, 1]
         dx, dy = x[edges[:, 0]] - x[edges[:, 1]], y[edges[:, 0]] - y[edges[:, 1]]
         self._max_diameter = math.sqrt(float((dx * dx + dy * dy).max()))

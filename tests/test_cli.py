@@ -19,10 +19,10 @@ import newteig.eigen_newton
 import newteig.multilevel
 import newteig.reference
 from newteig.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, ConfigError,
-                         RunConfig, cmd_bench, cmd_solve, main, parse_config,
-                         run_bench)
+                         RunConfig, cmd_bench, cmd_solve, local_exponent, main,
+                         parse_config, run_bench)
 from newteig.linalg import SolverError, solve_bordered
-from newteig.mesh import MeshFormatError, load_mesh, save_mesh, unit_square_mesh
+from newteig.mesh import MeshError, MeshFormatError, load_mesh, save_mesh, unit_square_mesh
 
 from meshgen import renumbered_square
 
@@ -143,6 +143,15 @@ def test_parse_config_raises_nothing_but_config_errors(tmp_path, lines, custom, 
         assert isinstance(parse_config(path, strict=strict), RunConfig)
     except ConfigError:
         pass
+
+
+def test_readme_config_table_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | default | meaning |\n| --- | --- | --- |\n", 1)[1]
+    rows = [line.split("|")[1].strip().strip("`").split()
+            for line in table.split("\n\n", 1)[0].splitlines()]
+    assert sorted(key for row in rows for key in row) == sorted(CONFIG_KEYS)
+    assert ["a11", "a12", "a22", "phi", "rho"] in rows
 
 
 def test_solve_minimal_run(tmp_path):
@@ -356,37 +365,68 @@ def test_solver_runs_no_reference_solves(monkeypatch):
     hier = nt.build_hierarchy(unit_square_mesh(1 / 4), 3)
     levels = nt.run_multilevel(hier, nt.example2_coefficients(), 2)
     assert len(levels) == 3
-    report = run_bench(RunConfig(problem="example2", mesh_h=1 / 4, eigen_count=2,
+    levels = run_bench(RunConfig(problem="example2", mesh_h=1 / 4, eigen_count=2,
                                  bench_max_levels=3, output="unused"))
-    assert report.depths == [2, 3]
+    assert len(levels) == 3
 
 
-def test_bench_two_depths_skips_fit(tmp_path):
+def test_bench_two_depths_lists_iterations_per_level(tmp_path):
     config = parse_config(write_config(
         tmp_path, "mesh_h = 1/4\nbench_max_levels = 3\noutput = {}\n".format(
             tmp_path / "bench")))
-    code, report = cmd_bench(config)
+    code, levels = cmd_bench(config)
     assert code == EXIT_OK
-    assert math.isnan(report.exponent)
-    assert math.isfinite(report.local_exponent)
+    assert math.isfinite(local_exponent(levels))
     text = (tmp_path / "bench_work.txt").read_text()
-    assert "skipped" in text
-    assert "last two doublings of N: N^{:.3f}".format(report.local_exponent) in text
+    assert "last two doublings of N: N^{:.3f}".format(local_exponent(levels)) in text
     # per-level table: no MINRES on the coarse level, one count per step after
-    assert report.level_iterations[0] is None
+    assert levels[0].pairs.iterations is None
     rows = text.split("deepest run per level")[1].splitlines()[1:4]
     assert rows[0].split()[-1] == "-"
     assert [row.split()[-1] for row in rows[1:]] == [
-        str(counts[0]) for counts in report.level_iterations[1:]]
+        str(rec.pairs.iterations[0]) for rec in levels[1:]]
 
 
-def test_bench_one_depth_skips_both_exponents(tmp_path):
+def test_bench_one_depth_skips_the_local_exponent(tmp_path):
     path = write_config(tmp_path, "mesh_h = 1/4\nbench_max_levels = 2\noutput = {}\n".format(
         tmp_path / "bench"))
     assert main(["bench", str(path)]) == EXIT_OK
     text = (tmp_path / "bench_work.txt").read_text()
     assert "local exponent skipped" in text
-    assert "exponent fit skipped" in text
+
+
+def test_bench_work_file_agrees_with_itself(tmp_path):
+    # each depth's total sums the printed rows of its levels, and the printed
+    # exponent is the slope between the two deepest totals; every printed
+    # second is rounded to 0.5e-4
+    config = parse_config(write_config(
+        tmp_path, "mesh_h = 1/4\nbench_max_levels = 4\noutput = {}\n".format(
+            tmp_path / "bench")))
+    _, levels = cmd_bench(config)
+    sweep, table, exponent = (tmp_path / "bench_work.txt").read_text().split("\n\n")[:3]
+    sweep = [line.split() for line in sweep.splitlines()[1:]]
+    table = [line.split() for line in table.splitlines()[1:]]
+    assert [int(row[0]) for row in sweep] == [2, 3, 4]
+    assert [int(row[0]) for row in table] == [rec.n_free for rec in levels]
+    half = 0.5e-4
+    for n, size, total in sweep:
+        n = int(n)
+        assert int(size) == int(table[n - 1][0])
+        rows = sum(float(row[1]) + float(row[2]) for row in table[:n])
+        assert abs(float(total) - rows) <= (2 * n + 1) * half + 1e-12
+    totals = np.cumsum([rec.wall_time_assemble + rec.wall_time_solve for rec in levels])
+    assert [row[2] for row in sweep] == ["{:.4f}".format(t) for t in totals[1:]]
+    slope = math.log(totals[-1] / totals[-2]) / math.log(levels[-1].n_free / levels[-2].n_free)
+    assert local_exponent(levels) == pytest.approx(slope, rel=1e-12)
+    assert exponent.strip() == "local exponent over the last two doublings of N: N^{:.3f}".format(
+        slope)
+    # the same slope, bracketed from the printed totals alone
+    printed = float(exponent.rsplit("N^", 1)[1])
+    low, high = (float(row[2]) for row in sweep[-2:])
+    ratio = int(sweep[-1][1]) / int(sweep[-2][1])
+    bounds = [math.log(a / b) / math.log(ratio)
+              for a in (high - half, high + half) for b in (low - half, low + half)]
+    assert min(bounds) - 5e-4 <= printed <= max(bounds) + 5e-4
 
 
 def test_bench_work_ratios_with_min_timing():
@@ -690,6 +730,77 @@ def test_meshinfo_rejects_non_finite_coordinates(tmp_path, capsys, spelling):
 
 def test_main_meshinfo_missing_file(tmp_path):
     assert main(["meshinfo", str(tmp_path / "nope.mesh")]) == EXIT_IO
+
+
+FOLDED_SQUARE = "mesh2d 4 2\n0 0 1\n1 0 1\n1 1 1\n0 1 1\n0 1 2\n0 1 3\n"
+
+
+def test_folded_mesh_file_exits_config(tmp_path, capsys):
+    path = tmp_path / "folded.mesh"
+    path.write_text(FOLDED_SQUARE)
+    config = write_config(tmp_path, "mesh_file = {}\nlevels = 2\noutput = {}\n".format(
+        path, tmp_path / "folded"))
+    for argv in (["meshinfo", str(path)], ["solve", str(config)]):
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: edge (0, 1) runs the same way in both its triangles: they overlap\n")
+    assert not (tmp_path / "folded_levels.csv").exists()
+
+
+def _mutate_mesh_lines(lines, edits):
+    lines = list(lines)
+    for kind, where, token in edits:
+        i = where % (len(lines) or 1)
+        if kind == "token" and lines:
+            parts = lines[i].split() or [""]
+            parts[(where // len(lines)) % len(parts)] = token
+            lines[i] = " ".join(parts)
+        elif kind == "insert":
+            lines.insert(i, token)
+        elif kind == "delete" and lines:
+            del lines[i]
+        elif kind == "duplicate" and lines:
+            lines.insert(i, lines[i])
+        elif kind == "swap" and lines:
+            j = (where // len(lines)) % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+MESH_TOKENS = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.sampled_from(["0.5", "1e999", "nan", "-inf", "1e308", "-1e308", "1e-320", "mesh2d",
+                     "mesh2d 9 8", "#", "0 1 2", "4 0 0", "99999999999999999999", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(["token", "insert", "delete", "duplicate", "swap"]),
+                          st.integers(0, 10 ** 4), MESH_TOKENS), min_size=1, max_size=4))
+@example([("token", 2997, "1e308")])       # vertex 8 at y = 1e308: squared lengths overflow
+def test_fuzzed_mesh_files_fail_as_mesh_errors(tmp_path, capsys, edits):
+    # a 9-vertex, 8-triangle file with lines and tokens mutated: loading raises
+    # nothing but mesh errors, and meshinfo reports them in one line with exit 2
+    base = tmp_path / "base.mesh"
+    save_mesh(unit_square_mesh(1 / 2), base)
+    path = tmp_path / "fuzz.mesh"
+    path.write_text("\n".join(_mutate_mesh_lines(base.read_text().splitlines(), edits)) + "\n",
+                    encoding="utf-8")
+    try:
+        load_mesh(path)
+        expected = EXIT_OK
+    except MeshError:
+        expected = EXIT_CONFIG
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["meshinfo", str(path)]) == expected
+    err = capsys.readouterr().err
+    if expected == EXIT_CONFIG:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
 
 
 def test_solve_from_mesh_file(tmp_path):

@@ -12,7 +12,8 @@ from newteig.assemble import (CoefficientSet, assemble_forms, example2_coefficie
                               rayleigh_quotient)
 import newteig.linalg
 from newteig.linalg import (JACOBI_L1_CAP, JACOBI_WEIGHT, BorderedMatrix, SolverError, VCycle,
-                            block_preconditioner, dense_gen_eig, pencil_eigs, solve_bordered)
+                            _transpose_product, block_preconditioner, dense_gen_eig, pencil_eigs,
+                            solve_bordered)
 from newteig.mesh import refine_regular, unit_square_mesh
 
 from meshgen import renumbered_square
@@ -180,6 +181,19 @@ def test_one_pass_solve_makes_one_residual_product(monkeypatch):
     assert stats["iterations"] >= 1 and stats["residual"] <= 1e-8
     assert len(products) == stats["iterations"] + 1
     assert_allclose(np.concatenate([w, g]), exact, rtol=0, atol=1e-6 * np.abs(exact).max())
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_transpose_product_sums_in_matmul_order(m):
+    # scipy's BLAS computes the border's products by the routine numpy's
+    # matmul picks (dot, gemv or gemm), so both give the same bits; at 1500
+    # rows OpenBLAS runs none of them threaded
+    rng = np.random.default_rng(m)
+    border = rng.standard_normal((1500, m))
+    vector = rng.standard_normal(1500)
+    columns = np.column_stack([rng.standard_normal(1500) for _ in range(m)])
+    assert _transpose_product(border, vector).tobytes() == (border.T @ vector).tobytes()
+    assert _transpose_product(border, columns).tobytes() == (border.T @ columns).tobytes()
 
 
 def test_minres_stops_at_the_first_iterate_that_meets_the_gate(monkeypatch):

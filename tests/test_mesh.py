@@ -404,11 +404,35 @@ def test_mesh_rejects_non_finite_coordinates(value):
              boundary=[True, True, True])
 
 
+def test_mesh_rejects_coordinates_whose_squares_overflow():
+    # left in, the domain diameter overflows and every vertex pair reads as coincident
+    with pytest.raises(MeshError, match="vertex 2 has a coordinate beyond 1e\\+150"):
+        Mesh(vertices=[[0, 0], [1, 0], [0, 1e300]],
+             triangles=[[0, 1, 2]],
+             boundary=[True, True, True])
+
+
 def test_mesh_rejects_clockwise_triangle():
     with pytest.raises(MeshError, match="area"):
         Mesh(vertices=[[0, 0], [1, 0], [0, 1]],
              triangles=[[0, 2, 1]],
              boundary=[True, True, True])
+
+
+def test_mesh_rejects_a_doubled_triangle():
+    # every edge is shared twice, so no boundary is found and area() would read 1.0
+    with pytest.raises(MeshError, match=r"edge \(0, 1\) runs the same way"):
+        Mesh(vertices=[[0, 0], [1, 0], [0, 1]],
+             triangles=[[0, 1, 2], [0, 1, 2]],
+             boundary=[False, False, False])
+
+
+def test_mesh_rejects_a_folded_square():
+    # both triangles are counterclockwise and lie on the same side of edge 01
+    with pytest.raises(MeshError, match=r"edge \(0, 1\) runs the same way"):
+        Mesh(vertices=[[0, 0], [1, 0], [1, 1], [0, 1]],
+             triangles=[[0, 1, 2], [0, 1, 3]],
+             boundary=[True] * 4)
 
 
 def test_mesh_is_immutable():
