@@ -324,30 +324,40 @@ def cmd_solve(config):
     return EXIT_OK, record
 
 
-def local_exponent(levels):
+def local_exponent(levels, seconds=None):
     """Slope of log(total seconds) against log(N) between the two deepest
     depths of a `bench` sweep, from the `levels` of its deepest run; nan with
-    fewer than two depths.  The total of depth n sums the assembly and solve
-    seconds of levels 0..n-1."""
+    fewer than two depths.  The total of depth n sums the `seconds` of levels
+    0..n-1, by default their assembly and solve seconds."""
     if len(levels) < 3:
         return float("nan")
-    totals = np.cumsum([rec.wall_time_assemble + rec.wall_time_solve for rec in levels])
+    if seconds is None:
+        seconds = [rec.wall_time_assemble + rec.wall_time_solve for rec in levels]
+    totals = np.cumsum(seconds)
     return float(np.log(totals[-1] / totals[-2])
                  / np.log(levels[-1].n_free / levels[-2].n_free))
 
 
-def run_bench(config):
-    """One `run_multilevel` over the `bench_max_levels` hierarchy: its
-    `LevelRecord`s time every depth 2..bench_max_levels of the sweep.  The
-    hierarchy build is not timed and no errors are evaluated."""
-    return run_multilevel(_build_hierarchy(config, config.bench_max_levels),
-                          config.coefficients(), config.eigen_count, config.solve_options())
+def run_bench(config, hierarchy=None):
+    """One `run_multilevel` over the `bench_max_levels` hierarchy (built here
+    unless given): its `LevelRecord`s time every depth 2..bench_max_levels of
+    the sweep.  No errors are evaluated."""
+    if hierarchy is None:
+        hierarchy = _build_hierarchy(config, config.bench_max_levels)
+    return run_multilevel(hierarchy, config.coefficients(), config.eigen_count,
+                          config.solve_options())
+
+
+def _exponent_line(exponent, what):
+    return ("{} skipped (needs >= 2 depths)".format(what) if np.isnan(exponent) else
+            "{} over the last two doublings of N: N^{:.3f}".format(what, exponent))
 
 
 def cmd_bench(config):
     """Run the benchmark sweep and write ``<output>_work.txt``; returns
     (exit_code, the deepest run's records)."""
-    levels = run_bench(config)
+    hierarchy = _build_hierarchy(config, config.bench_max_levels)
+    levels = run_bench(config, hierarchy)
     totals = np.cumsum([rec.wall_time_assemble + rec.wall_time_solve for rec in levels])
     lines = ["benchmark sweep (depth, finest N, total seconds)"]
     for n in range(2, len(levels) + 1):
@@ -359,9 +369,12 @@ def cmd_bench(config):
         lines.append("{:>10} {:>12.4f} {:>12.4f}  {}".format(
             rec.n_free, rec.wall_time_assemble, rec.wall_time_solve,
             "-" if counts is None else " ".join(str(c) for c in counts)))
-    exponent = local_exponent(levels)
-    lines += ["", "local exponent skipped (needs >= 2 depths)" if np.isnan(exponent) else
-              "local exponent over the last two doublings of N: N^{:.3f}".format(exponent), ""]
+    lines += ["", _exponent_line(local_exponent(levels), "local exponent"), "",
+              "hierarchy per level (N_k, refine-and-validate s)"]
+    build = [0.0] + hierarchy.refine_seconds
+    for k, rec in enumerate(levels):
+        lines.append("{:>10} {:>12}".format(rec.n_free, "{:.4f}".format(build[k]) if k else "-"))
+    lines += ["", _exponent_line(local_exponent(levels, build), "hierarchy local exponent"), ""]
     with open(config.output + "_work.txt", "w", encoding="utf-8") as f:
         f.write("\n".join(lines))
     return EXIT_OK, levels

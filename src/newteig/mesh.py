@@ -1,6 +1,7 @@
 """Triangulations of polygonal domains and nested regular-refinement hierarchies."""
 
 import math
+import time
 
 import numpy as np
 from scipy import sparse as sp
@@ -48,7 +49,7 @@ def _edge_topology(triangles, nv):
     edges : (E, 2) int32 array
         Sorted vertex-index pairs in lexicographic order.
     triangle_edges : (T, 3) int32 array
-        Edge index of the local edges (01, 12, 02) of every triangle.
+        Edge index of the local edges (01, 12, 20) of every triangle.
     counts : (E,) int array
         Number of triangles sharing each edge (1 = boundary edge).
     """
@@ -63,6 +64,42 @@ def _edge_topology(triangles, nv):
     triangle_edges[order] = np.cumsum(first, dtype=np.int32) - 1
     edges = np.column_stack(np.divmod(keys[starts], nv)).astype(np.int32)
     return edges, triangle_edges.reshape(-1, 3), np.diff(starts, append=len(keys))
+
+
+def _verified_counts(triangles, nv, edges, triangle_edges):
+    """Number of triangles sharing each edge of a given topology, after
+    checking in O(N), without a sort, that it is the one `_edge_topology`
+    returns for these triangles.
+
+    The checks: every edge (lo, hi) has lo < hi and the keys ``lo*nv + hi``
+    strictly increase, so the edges are distinct and in lexicographic order;
+    each triangle's local edges (01, 12, 20) index edges equal to their own
+    sorted vertex pairs; and every edge belongs to some triangle.  Then the
+    edges are exactly the triangles' sorted pairs, each once and in order.
+    """
+    if edges.ndim != 2 or edges.shape[1] != 2 or triangle_edges.shape != triangles.shape:
+        raise MeshError("given edge topology must have shapes (E, 2) and (T, 3)")
+    lo, hi = edges[:, 0], edges[:, 1]
+    keys = lo.astype(np.int64)
+    keys *= nv
+    keys += hi
+    if not ((lo < hi).all() and (keys[1:] > keys[:-1]).all()):
+        raise MeshError("given edges are not distinct sorted vertex pairs in lexicographic order")
+    if triangle_edges.min() < 0 or triangle_edges.max() >= len(edges):
+        raise MeshError("given triangle edges index an edge out of range")
+    # a contiguous int32 pair read as one int64, so each pair is one gather
+    rows = edges.view(np.int64).ravel()
+    pair = np.empty((len(triangles), 2), dtype=np.int32)
+    for j in range(3):
+        a, b = triangles[:, j], triangles[:, (j + 1) % 3]
+        np.minimum(a, b, out=pair[:, 0])
+        np.maximum(a, b, out=pair[:, 1])
+        if not (rows[triangle_edges[:, j]] == pair.view(np.int64).ravel()).all():
+            raise MeshError("given triangle edges disagree with the triangles' vertex pairs")
+    counts = np.bincount(triangle_edges.ravel(), minlength=len(edges))
+    if counts.min() < 1:
+        raise MeshError("given edge {} belongs to no triangle".format(np.argmin(counts)))
+    return counts
 
 
 def _bounds(points):
@@ -82,7 +119,10 @@ def _coincident_pair(points, radius):
     packs its column and row, so after one sort of the keys two
     `searchsorted` ranges per point hold every candidate pair once: the rest
     of its own cell and the cell above it, and the three cells of the next
-    column.  Only the candidates get their distance tested.
+    column.  Only the candidates get their distance tested.  A screen comes
+    first: when no cell holds two points and none of those four neighbours
+    of an occupied cell is occupied (the sorted keys and one `searchsorted`
+    show it), there is no candidate and nothing is enumerated.
     """
     lo, hi = _bounds(points)
     # at most 2^30 cells a side, so two cell indices pack into one int64 key
@@ -92,6 +132,12 @@ def _coincident_pair(points, radius):
     keys = cells[:, 0] * height + cells[:, 1]
     order = np.argsort(keys)
     keys = keys[order]
+    # screen: no candidate exists when no cell holds two points and no occupied
+    # cell has an occupied one above it or among the three of the next column
+    if (np.diff(keys) > 1).all():
+        ahead = np.append(keys, np.iinfo(np.int64).max)[np.searchsorted(keys, keys + height - 1)]
+        if (ahead > keys + height + 1).all():
+            return None
     n = len(keys)
     start = np.concatenate([np.arange(1, n + 1), np.searchsorted(keys, keys + height - 1)])
     stop = np.concatenate([np.searchsorted(keys, keys + 1, side="right"),
@@ -119,6 +165,10 @@ class Mesh:
         Vertex indices per triangle, counterclockwise.
     boundary : (V,) array_like of bool
         True for vertices on the domain boundary.
+    topology : ((E, 2), (T, 3)) pair of int32 arrays, optional
+        The `edge_vertices` and `triangle_edges` of these triangles, known by
+        construction (`refine_regular` builds them from the parent's).  They
+        are verified in O(N) instead of discovered by a sort.
 
     Attributes
     ----------
@@ -130,12 +180,13 @@ class Mesh:
     edge_vertices : (E, 2) int32 array
         Sorted vertex pairs of the edges, in lexicographic order.
     triangle_edges : (T, 3) int32 array
-        Edge index of the local edges (01, 12, 02) of every triangle.
+        Edge index of the local edges (01, 12, 20) of every triangle.
     edge_on_boundary : (E,) bool array
         True for edges of exactly one triangle.
 
-    The edge arrays come from the one `_edge_topology` pass of validation;
-    refinement and assembly read them.
+    Validation discovers the edge arrays by one `_edge_topology` sort, or
+    verifies a given `topology` with `_verified_counts`; both give the same
+    arrays, which refinement and assembly read.
 
     Raises
     ------
@@ -144,11 +195,12 @@ class Mesh:
         magnitude, a triangle has nonpositive signed area, an index is out of
         range, an edge is shared by more than two triangles, boundary flags
         disagree with the edge topology, a vertex is unused, two vertices
-        coincide, or two triangles run their shared edge the same way (they
-        overlap, so the mesh is not consistently oriented).
+        coincide, two triangles run their shared edge the same way (they
+        overlap, so the mesh is not consistently oriented), or a given
+        `topology` is not the triangles' own.
     """
 
-    def __init__(self, vertices, triangles, boundary):
+    def __init__(self, vertices, triangles, boundary, topology=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles)
         if self.triangles.dtype != np.int32:     # range-checked as int64, then narrowed
@@ -160,7 +212,7 @@ class Mesh:
             raise MeshError("triangles must have shape (T, 3)")
         if self.boundary.shape != (self.num_vertices,):
             raise MeshError("boundary flags must have shape (V,)")
-        self._validate()
+        self._validate(topology)
         for arr in (self.vertices, self.triangles, self.boundary, self.edge_vertices,
                     self.triangle_edges, self.edge_on_boundary):
             arr.flags.writeable = False
@@ -201,7 +253,7 @@ class Mesh:
         lo, hi = _bounds(self.vertices)
         return float(np.sqrt(((hi - lo) ** 2).sum()))
 
-    def _validate(self):
+    def _validate(self, topology):
         if self.num_triangles == 0:
             raise MeshError("mesh has no triangles")
         if not np.isfinite(self.vertices).all():
@@ -226,7 +278,11 @@ class Mesh:
         used[self.triangles] = True
         if not used.all():
             raise MeshError("vertex {} belongs to no triangle".format(np.flatnonzero(~used)[0]))
-        edges, triangle_edges, counts = _edge_topology(self.triangles, self.num_vertices)
+        if topology is None:
+            edges, triangle_edges, counts = _edge_topology(self.triangles, self.num_vertices)
+        else:
+            edges, triangle_edges = (np.ascontiguousarray(a, dtype=np.int32) for a in topology)
+            counts = _verified_counts(self.triangles, self.num_vertices, edges, triangle_edges)
         if (counts > 2).any():
             raise MeshError("edge shared by more than two triangles (non-manifold)")
         self.edge_vertices, self.triangle_edges = edges, triangle_edges
@@ -299,12 +355,61 @@ def unit_square_counts(h):
     return (m + 1) ** 2, m * (3 * m + 2), 2 * m * m
 
 
+def _refined_topology(mesh):
+    """`edge_vertices` and `triangle_edges` of `refine_regular`'s children of
+    `mesh`, built from its own topology without sorting a child key.
+
+    With parent edge e's midpoint numbered nv+e, the child edges in
+    lexicographic order are first the halves (v, nv+e) of the parent edges,
+    grouped by endpoint v and by e within a group: one stable argsort of the
+    parent's endpoints, whose edges are sorted.  Then come the three edges
+    joining the midpoints of each parent triangle, ordered by one argsort of
+    their 3T parent-edge keys.  A child's edges follow by gathers.
+    """
+    nv, ne, nt = mesh.num_vertices, mesh.num_edges, mesh.num_triangles
+    tris, tri_edges = mesh.triangles, mesh.triangle_edges
+    ends = mesh.edge_vertices.ravel()
+    halves = np.argsort(ends, kind="stable")       # half 2e+s runs from endpoint s of e
+    # midpoint pairs (m01, m12), (m12, m20), (m20, m01) of every parent triangle
+    inner_keys = _edge_keys(tri_edges, ne).ravel()
+    inner = np.argsort(inner_keys)
+    edges = np.empty((2 * ne + 3 * nt, 2), dtype=np.int32)
+    edges[:2 * ne, 0] = ends[halves]
+    edges[:2 * ne, 1] = nv + halves // 2
+    edges[2 * ne:, 0], edges[2 * ne:, 1] = np.divmod(inner_keys[inner], ne)
+    edges[2 * ne:] += nv
+    half_index = np.empty(2 * ne, dtype=np.int32)
+    half_index[halves] = np.arange(2 * ne, dtype=np.int32)
+    inner_index = np.empty(3 * nt, dtype=np.int32)
+    inner_index[inner] = np.arange(2 * ne, 2 * ne + 3 * nt, dtype=np.int32)
+    inner_index = inner_index.reshape(nt, 3)
+    # the half of local edge j from vertex j, and the one from vertex j+1
+    larger = tris > tris[:, [1, 2, 0]]
+    head = half_index[2 * tri_edges + larger]
+    tail = half_index[2 * tri_edges + ~larger]
+    previous = [2, 0, 1]
+    return edges, _four_children(head, inner_index[:, previous], tail[:, previous], inner_index)
+
+
+def _four_children(corner, second, third, center):
+    """(4T, 3) int32 rows of `refine_regular`'s children from (T, 3) arrays:
+    ``[corner[t, j], second[t, j], third[t, j]]`` for corner child j = 0, 1,
+    2 of every triangle t, then the rows of `center`."""
+    out = np.empty((4,) + center.shape, dtype=np.int32)
+    for k, column in enumerate((corner, second, third)):
+        out[:3, :, k] = column.T
+    out[3] = center
+    return out.reshape(-1, 3)
+
+
 def refine_regular(mesh):
     """Split every triangle into four congruent children at the edge midpoints.
 
     New vertices are deduplicated through the shared-edge index pairs, so no
     coordinate tolerance is involved.  Midpoints of boundary edges are
-    flagged boundary; surviving vertices keep their flags.
+    flagged boundary; surviving vertices keep their flags.  The children's
+    edge topology is built from the parent's (`_refined_topology`) and
+    verified, not sorted for.
 
     Returns
     -------
@@ -317,19 +422,16 @@ def refine_regular(mesh):
     tris = mesh.triangles
     nv = mesh.num_vertices
     edges = mesh.edge_vertices
-    # midpoint vertex index of local edges (01, 12, 02) per triangle
+    # midpoint vertex index of local edges (01, 12, 20) per triangle
     mid = nv + mesh.triangle_edges
 
     vertices = np.vstack([mesh.vertices,
                           0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])])
-    m01, m12, m02 = mid[:, 0], mid[:, 1], mid[:, 2]
-    children = np.vstack([
-        np.column_stack([tris[:, 0], m01, m02]),
-        np.column_stack([tris[:, 1], m12, m01]),
-        np.column_stack([tris[:, 2], m02, m12]),
-        np.column_stack([m01, m12, m02]),
-    ])
-    fine = Mesh(vertices, children, np.concatenate([mesh.boundary, mesh.edge_on_boundary]))
+    # corner j keeps vertex j and the midpoints of local edges j and j-1; the
+    # center child joins the three midpoints
+    children = _four_children(tris, mid, mid[:, [2, 0, 1]], mid)
+    fine = Mesh(vertices, children, np.concatenate([mesh.boundary, mesh.edge_on_boundary]),
+                topology=_refined_topology(mesh))
 
     # rows: surviving vertices, then one row of two 1/2 entries per edge midpoint
     ne = len(edges)
@@ -347,9 +449,12 @@ class MeshHierarchy:
     levels : list of Mesh
     prolongations : list of csr_matrix
         prolongations[k] maps nodal values from levels[k] to levels[k+1].
+    refine_seconds : list of float or None
+        refine_seconds[k] is the wall time `build_hierarchy` took to refine
+        levels[k] into levels[k+1] and validate it; None when not given.
     """
 
-    def __init__(self, levels, prolongations):
+    def __init__(self, levels, prolongations, refine_seconds=None):
         if len(levels) < 1 or len(prolongations) != len(levels) - 1:
             raise ValueError("need one prolongation per refinement step")
         for k in range(len(levels) - 1):
@@ -362,6 +467,7 @@ class MeshHierarchy:
                                 "{} and {}".format(k, k + 1))
         self.levels = list(levels)
         self.prolongations = list(prolongations)
+        self.refine_seconds = None if refine_seconds is None else list(refine_seconds)
 
     def __len__(self):
         return len(self.levels)
@@ -402,6 +508,7 @@ def build_hierarchy(coarse, n_levels, max_vertices=DEFAULT_VERTEX_CAP):
     Returns
     -------
     MeshHierarchy
+        With the refine-and-validate seconds of each refined level.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be at least 1")
@@ -409,11 +516,14 @@ def build_hierarchy(coarse, n_levels, max_vertices=DEFAULT_VERTEX_CAP):
                      max_vertices)
     levels = [coarse]
     prolongations = []
+    seconds = []
     for _ in range(n_levels - 1):
+        start = time.perf_counter()
         fine, prolong = refine_regular(levels[-1])
+        seconds.append(time.perf_counter() - start)
         levels.append(fine)
         prolongations.append(prolong)
-    return MeshHierarchy(levels, prolongations)
+    return MeshHierarchy(levels, prolongations, seconds)
 
 
 def save_mesh(mesh, path):

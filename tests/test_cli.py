@@ -393,6 +393,7 @@ def test_bench_one_depth_skips_the_local_exponent(tmp_path):
     assert main(["bench", str(path)]) == EXIT_OK
     text = (tmp_path / "bench_work.txt").read_text()
     assert "local exponent skipped" in text
+    assert "hierarchy local exponent skipped" in text
 
 
 def test_bench_work_file_agrees_with_itself(tmp_path):
@@ -427,6 +428,30 @@ def test_bench_work_file_agrees_with_itself(tmp_path):
     bounds = [math.log(a / b) / math.log(ratio)
               for a in (high - half, high + half) for b in (low - half, low + half)]
     assert min(bounds) - 5e-4 <= printed <= max(bounds) + 5e-4
+
+
+def test_bench_work_file_times_the_hierarchy(tmp_path, monkeypatch):
+    # one row per level with the refine-and-validate seconds of the hierarchy
+    # the sweep ran on (none for the coarse level), and their local exponent
+    built = []
+    build = newteig.cli._build_hierarchy
+    monkeypatch.setattr(newteig.cli, "_build_hierarchy",
+                        lambda *args: built.append(build(*args)) or built[-1])
+    config = parse_config(write_config(
+        tmp_path, "mesh_h = 1/4\nbench_max_levels = 4\noutput = {}\n".format(
+            tmp_path / "bench")))
+    _, levels = cmd_bench(config)
+    (hierarchy,) = built
+    assert len(hierarchy.refine_seconds) == 3 and min(hierarchy.refine_seconds) > 0
+    table, exponent = (tmp_path / "bench_work.txt").read_text().split("\n\n")[3:5]
+    assert table.splitlines()[0] == "hierarchy per level (N_k, refine-and-validate s)"
+    rows = [line.split() for line in table.splitlines()[1:]]
+    assert rows == [[str(rec.n_free), "{:.4f}".format(s) if k else "-"]
+                    for k, (rec, s) in enumerate(zip(levels, [0.0] + hierarchy.refine_seconds))]
+    totals = np.cumsum(hierarchy.refine_seconds)
+    slope = math.log(totals[-1] / totals[-2]) / math.log(levels[-1].n_free / levels[-2].n_free)
+    assert exponent.strip() == ("hierarchy local exponent over the last two doublings of N: "
+                                "N^{:.3f}".format(slope))
 
 
 def test_bench_work_ratios_with_min_timing():

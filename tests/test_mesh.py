@@ -120,7 +120,15 @@ def test_hierarchy_single_level():
     hier = build_hierarchy(coarse, 1)
     assert len(hier) == 1
     assert hier.levels[0] is coarse
-    assert hier.prolongations == []
+    assert hier.prolongations == [] and hier.refine_seconds == []
+
+
+def test_hierarchy_times_each_refinement(monkeypatch):
+    ticks = iter(range(100))
+    monkeypatch.setattr(newteig.mesh.time, "perf_counter", lambda: next(ticks) ** 2)
+    hier = build_hierarchy(unit_square_mesh(1 / 2), 4)
+    # one start and one stop per refinement: 1 - 0, 9 - 4, 25 - 16
+    assert hier.refine_seconds == [1, 5, 9]
 
 
 def test_hierarchy_free_dof_counts():
@@ -185,16 +193,66 @@ def test_edge_topology_once_per_validation_and_refinement(monkeypatch):
 
     def counting(triangles, nv):
         calls.append(nv)
-        return _edge_keys(triangles, nv)
+        return _edge_topology(triangles, nv)
 
-    monkeypatch.setattr(newteig.mesh, "_edge_keys", counting)
+    monkeypatch.setattr(newteig.mesh, "_edge_topology", counting)
     hier = build_hierarchy(unit_square_mesh(1 / 4), 4)
     run_multilevel(hier, laplace_coefficients(), 1)
-    # one pass per validated mesh; refinement and assembly read what it stored
-    assert calls == [m.num_vertices for m in hier.levels]
+    # the coarse mesh sorts for its topology; every refined level gets its own
+    # by construction, and refinement and assembly read what validation stored
+    assert calls == [hier.levels[0].num_vertices]
     calls.clear()
     assemble_forms(hier.levels[-1], laplace_coefficients())
     assert calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.builds(renumbered_square, st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+                           st.floats(0.0, 0.15)),
+                 st.builds(l_shaped_mesh, st.sampled_from([2, 4, 6]))))
+def test_refined_topology_equals_discovery(mesh):
+    for _ in range(2):
+        mesh, _ = refine_regular(mesh)
+        edges, triangle_edges, counts = _edge_topology(mesh.triangles, mesh.num_vertices)
+        for name, expected in (("edge_vertices", edges), ("triangle_edges", triangle_edges),
+                               ("edge_on_boundary", counts == 1)):
+            built = getattr(mesh, name)
+            assert built.dtype == expected.dtype and built.shape == expected.shape, name
+            assert built.tobytes() == expected.tobytes(), name
+
+
+def corrupt_topology(fine, how):
+    """The `edge_vertices` and `triangle_edges` of a refined mesh, corrupted
+    in one way."""
+    edges, triangle_edges = fine.edge_vertices.copy(), fine.triangle_edges.copy()
+    if how == "swapped rows":
+        edges[[4, 5]] = edges[[5, 4]]
+    elif how == "neighbouring edge":
+        # local edge 01 of triangle 0 points at another edge of its vertex 0
+        e = triangle_edges[0, 0]
+        others = np.flatnonzero((edges == fine.triangles[0, 0]).any(axis=1))
+        triangle_edges[0, 0] = others[others != e][0]
+    elif how == "unused edge":
+        # (0, j) for the first vertex j not joined to 0, in its sorted place
+        j = np.setdiff1d(np.arange(1, fine.num_vertices), edges[edges[:, 0] == 0, 1])[0]
+        at = np.searchsorted(edges[:, 0] * fine.num_vertices + edges[:, 1], j)
+        edges = np.insert(edges, at, [0, j], axis=0)
+        triangle_edges += triangle_edges >= at
+    return edges.astype(np.int32), triangle_edges
+
+
+@pytest.mark.parametrize("how, message", [
+    ("swapped rows", "not distinct sorted vertex pairs"),
+    ("neighbouring edge", "disagree with the triangles' vertex pairs"),
+    ("unused edge", "belongs to no triangle"),
+])
+def test_mesh_rejects_a_corrupted_topology(how, message):
+    fine, _ = refine_regular(renumbered_square(3, 7, jitter=0.1))
+    args = (fine.vertices, fine.triangles, fine.boundary)
+    intact = Mesh(*args, topology=(fine.edge_vertices, fine.triangle_edges))
+    assert intact.edge_vertices.tobytes() == fine.edge_vertices.tobytes()
+    with pytest.raises(MeshError, match=message):
+        Mesh(*args, topology=corrupt_topology(fine, how))
 
 
 def test_cli_import_leaves_out_scipy_spatial():
@@ -207,7 +265,8 @@ def test_cli_import_leaves_out_scipy_spatial():
 
 def test_hierarchy_build_memory_peak():
     # every level keeps its edge topology from validation as int32 and bool
-    # arrays, and validation builds it from one sort of the edge keys
+    # arrays; the coarse level sorts for it, every refined level builds it
+    # from its parent's and verifies it without a sort
     coarse = unit_square_mesh(1 / 8)
     tracemalloc.start()
     try:
@@ -385,6 +444,18 @@ def test_coincident_pair_across_every_cell_neighbour(dx, dy):
     corner = np.array([2.0, 2.0])
     offset = 0.2 * np.array([dx, dy])
     points = np.array([[0.0, 0.0], [4.0, 4.0], corner - offset, corner + offset + [0, 1e-3]])
+    assert _coincident_pair(points, 1.0) == (2, 3)
+    assert min(cKDTree(points).query_pairs(1.0)) == (2, 3)
+
+
+@pytest.mark.parametrize("dx", [-1, 0, 1])
+@pytest.mark.parametrize("dy", [-1, 0, 1])
+def test_coincident_screen_finds_a_lone_pair(dx, dy):
+    # as above with an 8 x 8 box and the pair at (4, 4): no other cell is
+    # near the pair's cells, so only the pair itself can fail the screen
+    corner = np.array([4.0, 4.0])
+    offset = 0.2 * np.array([dx, dy])
+    points = np.array([[0.0, 0.0], [8.0, 8.0], corner - offset, corner + offset + [0, 1e-3]])
     assert _coincident_pair(points, 1.0) == (2, 3)
     assert min(cKDTree(points).query_pairs(1.0)) == (2, 3)
 
