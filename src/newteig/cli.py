@@ -23,7 +23,7 @@ from .mesh import (DEFAULT_VERTEX_CAP, MeshError, build_hierarchy, check_vertex_
                    load_mesh, unit_square_counts, unit_square_mesh)
 from .multilevel import (MultilevelError, SolveOptions, assemble_levels, check_eigen_count,
                          run_multilevel)
-from .reference import DEFAULT_DIRECT_TOL, compare_with_direct, evaluate, reference_levels
+from .reference import DEFAULT_DIRECT_TOL, evaluate, reference_levels
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -224,61 +224,58 @@ def _csv_header(m, compare):
     return ",".join(cols)
 
 
-def _write_csv(path, levels, m, record=None, comparison=None, aborted=None):
-    """Write one row per level; without an evaluated `record` (an aborted run)
-    the error cells read nan and the energy cells stay empty.  `aborted` names
-    what failed in the ``# ABORTED`` trailer."""
+def _write_csv(path, levels, m, compare, record=None, aborted=None):
+    """Write one row per level, with direct-comparison columns if `compare`; without
+    an evaluated `record` (an aborted run) the error and comparison cells read nan and
+    the energy cells stay empty.  `aborted` names what failed in the ``# ABORTED`` trailer."""
+    nan = np.full(m, np.nan)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(_csv_header(m, comparison is not None) + "\n")
+        f.write(_csv_header(m, compare) + "\n")
         for k, rec in enumerate(levels):
-            errors = record.eigenvalue_errors[k] if record else np.full(m, np.nan)
+            errors = record.eigenvalue_errors[k] if record else nan
             energies = record.energy_errors[k] if record else [None] * m
             cells = [rec.level, rec.h, rec.n_free, rec.wall_time_assemble,
                      rec.wall_time_solve]
             for i in range(m):
                 cells += [rec.eigenvalues[i], errors[i], energies[i]]
-            if comparison is not None:
+            if compare:
+                direct = record.direct_values[k] if record else nan
+                diffs = record.value_diffs[k] if record else nan
                 for i in range(m):
-                    cells += [comparison.direct_values[k][i], comparison.value_diffs[k][i]]
+                    cells += [direct[i], diffs[i]]
             f.write(",".join(_fmt(c) for c in cells) + "\n")
         if aborted is not None:
             f.write("# ABORTED {}\n".format(aborted))
 
 
-def _write_summary(path, config, record, comparison=None):
-    lines = []
-    lines.append("multilevel Newton eigenvalue run")
-    lines.append("problem={} levels={} m={} mesh={}".format(
-        config.problem, config.levels, config.eigen_count,
-        config.mesh_file or "structured h={}".format(_fmt(config.mesh_h))))
-    lines.append("")
-    lines.append("{:>5} {:>12} {:>8} {}".format("level", "h", "n_free", "eigenvalues"))
+def _write_summary(path, config, record):
+    lines = ["multilevel Newton eigenvalue run",
+             "problem={} levels={} m={} mesh={}".format(
+                 config.problem, config.levels, config.eigen_count,
+                 config.mesh_file or "structured h={}".format(_fmt(config.mesh_h))),
+             "", "{:>5} {:>12} {:>8} {}".format("level", "h", "n_free", "eigenvalues")]
     for rec in record.levels:
         lines.append("{:>5} {:>12.6g} {:>8} {}".format(
             rec.level, rec.h, rec.n_free,
             " ".join("{:.12g}".format(v) for v in rec.eigenvalues)))
-    lines.append("")
-    lines.append("level, per eigenpair: MINRES iterations ; verified relative residuals "
-                 "(gate solver_tol = {})".format(_fmt(config.solver_tol)))
+    lines += ["", "level, per eigenpair: MINRES iterations ; verified relative residuals "
+              "(gate solver_tol = {})".format(_fmt(config.solver_tol))]
     for rec in record.levels[1:]:
         lines.append("{:>5} {} ; {}".format(
             rec.level, " ".join(str(c) for c in rec.pairs.iterations),
             " ".join("{:.2e}".format(r) for r in rec.pairs.residuals)))
-    lines.append("")
-    lines.append("reference values: " + " ".join(
-        "{:.12g}".format(v) for v in record.reference_values))
-    lines.append("observed eigenvalue orders (log err vs log h, last 3 levels): "
-                 + " ".join("{:.3f}".format(o) for o in record.observed_orders))
     energy = ["{:.3f}".format(o) if np.isfinite(o) else "-"
               for o in record.energy_orders]
-    lines.append("observed energy-error orders: " + " ".join(energy))
-    if comparison is not None:
-        lines.append("")
-        lines.append("per-level max |lambda_ml - lambda_dir|: " + " ".join(
-            "{:.3e}".format(d.max()) for d in comparison.value_diffs))
-    lines.append("")
+    lines += ["", "reference values: " + " ".join(
+                  "{:.12g}".format(v) for v in record.reference_values),
+              "observed eigenvalue orders (log err vs log h, last 3 levels): "
+              + " ".join("{:.3f}".format(o) for o in record.observed_orders),
+              "observed energy-error orders: " + " ".join(energy)]
+    if record.value_diffs is not None:
+        lines += ["", "per-level max |lambda_ml - lambda_dir|: " + " ".join(
+            "{:.3e}".format(d.max()) for d in record.value_diffs)]
     with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines))
+        f.write("\n".join(lines) + "\n")
 
 
 def cmd_solve(config):
@@ -305,22 +302,21 @@ def cmd_solve(config):
         try:
             levels = run_multilevel(hierarchy, coeffs, m, options, assembled)
         except MultilevelError as exc:
-            _write_csv(csv_path, exc.records, m, aborted="level={}".format(exc.level))
+            _write_csv(csv_path, exc.records, m, config.compare_direct,
+                       aborted="level={}".format(exc.level))
             print("error: {}".format(exc), file=sys.stderr)
             return EXIT_SOLVER, None
         try:
             record = evaluate(hierarchy, coeffs, levels, direct_tol=config.direct_tol,
+                              compare=config.compare_direct,
                               direct_solves={k: f.result() for k, f in solves.items()})
-            comparison = None
-            if config.compare_direct:
-                comparison = compare_with_direct(record)
         except SolverError:
-            _write_csv(csv_path, levels, m, aborted="evaluation")
+            _write_csv(csv_path, levels, m, config.compare_direct, aborted="evaluation")
             raise
     finally:
         pool.shutdown(cancel_futures=True)
-    _write_csv(csv_path, levels, m, record, comparison)
-    _write_summary(config.output + "_summary.txt", config, record, comparison)
+    _write_csv(csv_path, levels, m, config.compare_direct, record)
+    _write_summary(config.output + "_summary.txt", config, record)
     return EXIT_OK, record
 
 

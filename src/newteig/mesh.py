@@ -203,9 +203,15 @@ class Mesh:
     def __init__(self, vertices, triangles, boundary, topology=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles)
+        if self.triangles.dtype.kind not in "iu":
+            raise MeshError("triangle vertex indices must be integers, got dtype {}".format(
+                self.triangles.dtype))
         if self.triangles.dtype != np.int32:     # range-checked as int64, then narrowed
             self.triangles = np.asarray(self.triangles, dtype=np.int64)
-        self.boundary = np.ascontiguousarray(boundary, dtype=bool)
+        self.boundary = np.asarray(boundary)
+        if self.boundary.dtype != bool and not np.isin(self.boundary, (0, 1)).all():
+            raise MeshError("boundary flags must be 0 or 1 (False or True)")
+        self.boundary = np.ascontiguousarray(self.boundary, dtype=bool)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must have shape (V, 2)")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
@@ -234,13 +240,21 @@ class Mesh:
                                                         self.num_triangles)
 
     def signed_areas(self):
-        """Signed area of every triangle (positive for counterclockwise)."""
-        x, y = self.vertices[:, 0], self.vertices[:, 1]
+        """Signed area of every triangle (positive for counterclockwise), formed
+        in place one coordinate axis at a time: five T-long arrays at most."""
         t0, t1, t2 = self.triangles.T
-        x0, y0 = x[t0], y[t0]
-        dx1, dy1 = x[t1] - x0, y[t1] - y0
-        dx2, dy2 = x[t2] - x0, y[t2] - y0
-        return 0.5 * (dx1 * dy2 - dy1 * dx2)
+        diffs = []
+        for c in self.vertices.T:
+            c0 = c[t0]
+            for t in (t1, t2):
+                diffs.append(c[t])
+                diffs[-1] -= c0
+        dx1, dx2, dy1, dy2 = diffs
+        dx1 *= dy2
+        dy1 *= dx2
+        dx1 -= dy1
+        dx1 *= 0.5
+        return dx1
 
     def area(self):
         return float(self.signed_areas().sum())
@@ -343,9 +357,7 @@ def unit_square_mesh(h):
     upper = np.column_stack([v00, v11, v01])
     triangles = np.vstack([lower, upper])
 
-    boundary = np.zeros(len(vertices), dtype=bool)
-    gi, gj = np.meshgrid(np.arange(m + 1), np.arange(m + 1))
-    boundary[((gi == 0) | (gi == m) | (gj == 0) | (gj == m)).ravel()] = True
+    boundary = ((xx == 0) | (xx == 1) | (yy == 0) | (yy == 1)).ravel()
     return Mesh(vertices, triangles, boundary)
 
 

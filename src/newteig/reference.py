@@ -103,7 +103,7 @@ def direct_solve(forms, m, tol=DEFAULT_DIRECT_TOL, max_iter=200, dense_cutoff=DE
 
 @dataclass
 class ConvergenceRecord:
-    """Level records of a run with their errors and fitted convergence orders."""
+    """Level records of a run with errors and orders; with `compare`, direct-solve gaps too."""
 
     levels: list                             # LevelRecord per level, coarsest first
     eigenvalue_errors: list                  # |lambda - reference|, (m,) array per level
@@ -111,27 +111,15 @@ class ConvergenceRecord:
     observed_orders: list                    # slope of log(err) vs log(h), per eigenvalue
     energy_orders: list                      # same for energy errors (nan if unavailable)
     reference_values: np.ndarray
-    m: int
-    preset: str
-    direct_tol: float                        # tolerance of the direct solves
-    direct_solves: dict                      # level index -> EigenpairSet solved for the reference
-
-
-@dataclass
-class ComparisonRecord:
-    """Evaluated run paired with per-level direct solves on the same pencils."""
-
-    multilevel: ConvergenceRecord
-    direct_values: list                      # (m,) array per level
-    value_diffs: list                        # |lambda_ml - lambda_dir| per level
-    energy_diffs: list                       # sign-aligned a-norm diffs (None for clusters)
+    direct_values: list = None               # (m,) array per level
+    value_diffs: list = None                 # |lambda_ml - lambda_dir| per level
+    energy_diffs: list = None                # sign-aligned a-norm diffs (None for clusters)
 
 
 def _fit_order(hs, errors):
     """Least-squares slope of log(error) against log(h) over the last 3 levels."""
     pts = [(h, e) for h, e in zip(hs, errors)
-           if e is not None and np.isfinite(e) and e > 0]
-    pts = pts[-3:]
+           if e is not None and np.isfinite(e) and e > 0][-3:]
     if len(pts) < 2:
         return float("nan")
     x = np.log([p[0] for p in pts])
@@ -143,7 +131,7 @@ def reference_levels(preset, n_levels, compare=False):
     """Indices of the levels whose pencils evaluation solves directly, in
     solving order, finest first: the two finest behind a Richardson reference
     (none for the laplace preset, whose reference is exact), then with
-    `compare` (see `compare_with_direct`) every other level above the coarse one."""
+    `compare` (see `evaluate`) every other level above the coarse one."""
     wanted = [] if preset == "laplace" or n_levels < 2 else [n_levels - 1, n_levels - 2]
     if compare:
         wanted += [k for k in range(n_levels - 1, 0, -1) if k not in wanted]
@@ -161,20 +149,41 @@ def _reference_values(preset, m, n_levels, solves):
     return richardson(solves[n_levels - 2].values, solves[n_levels - 1].values)
 
 
+def _simple(preset, i):
+    """Whether the `i`-th eigenvalue is known to be simple: by its exact
+    multiplicity for the laplace preset, otherwise only the first (the first
+    elliptic eigenvalue is always simple)."""
+    return exact_multiplicity(i) == 1 if preset == "laplace" else i == 0
+
+
 def _energy_error_entries(record, mesh, preset, m):
     """Energy errors against exact eigenfunctions; simple laplace modes only."""
     entries = [None] * m
     if preset != "laplace":
         return entries
     for i, mode in enumerate(exact_laplace(m)):
-        if exact_multiplicity(i) != 1:
-            continue
-        entries[i] = energy_error_vs_exact(record.forms, mesh, record.pairs.vectors[:, i],
-                                           mode.eigenfunction, mode.gradient)
+        if _simple(preset, i):
+            entries[i] = energy_error_vs_exact(record.forms, mesh, record.pairs.vectors[:, i],
+                                               mode.eigenfunction, mode.gradient)
     return entries
 
 
-def evaluate(hierarchy, coeffs, levels, direct_tol=DEFAULT_DIRECT_TOL, direct_solves=None):
+def _vector_diffs(record, direct, preset, m):
+    """Sign-aligned a-norm differences of the eigenvectors of `record` and `direct`
+    for simple eigenvalues; None inside clusters, where they are basis-dependent."""
+    diffs = [None] * m
+    for i in range(m):
+        if _simple(preset, i):
+            u_ml = record.pairs.vectors[:, i]
+            u_dir = direct.vectors[:, i]
+            if float(u_ml @ (record.forms.mass @ u_dir)) < 0:
+                u_dir = -u_dir
+            diffs[i] = a_norm(record.forms, u_ml - u_dir)
+    return diffs
+
+
+def evaluate(hierarchy, coeffs, levels, direct_tol=DEFAULT_DIRECT_TOL, compare=False,
+             direct_solves=None):
     """Errors and observed convergence orders of a finished multilevel run.
 
     Parameters
@@ -185,26 +194,38 @@ def evaluate(hierarchy, coeffs, levels, direct_tol=DEFAULT_DIRECT_TOL, direct_so
     levels : list of LevelRecord
         The output of `multilevel.run_multilevel`.
     direct_tol : float
-        Tolerance of the direct solves behind Richardson references.
+        Tolerance of the direct solves.
+    compare : bool
+        Also compare every level with a direct solve of its pencil: value
+        differences for every eigenvalue, vector ones for simple eigenvalues.
+        The coarse level is compared with its own solve, so they read 0 there.
     direct_solves : dict, optional
-        Level index -> `direct_solve` of that level's pencil at `direct_tol`,
-        covering at least `reference_levels(coeffs.preset, len(levels))`
-        (the CLI solves them beside the multilevel run).  Solved here, in
-        that order, when omitted.
+        Level index -> `direct_solve` of that level's pencil at `direct_tol`
+        (the CLI solves them beside the multilevel run).  Every level of
+        `reference_levels(coeffs.preset, len(levels), compare)` missing from
+        it is solved here, in that order.
 
     Returns
     -------
     ConvergenceRecord
     """
     m = len(levels[0].pairs)
-    if direct_solves is None:
-        direct_solves = {k: direct_solve(levels[k].forms, m, tol=direct_tol)
-                         for k in reference_levels(coeffs.preset, len(levels))}
-    ref = _reference_values(coeffs.preset, m, len(levels), direct_solves)
+    given = direct_solves or {}
+    solves = {k: given[k] if k in given else direct_solve(levels[k].forms, m, tol=direct_tol)
+              for k in reference_levels(coeffs.preset, len(levels), compare)}
+    ref = _reference_values(coeffs.preset, m, len(levels), solves)
     errors = [np.abs(rec.eigenvalues - ref) for rec in levels]
     energies = [_energy_error_entries(rec, hierarchy.levels[k], coeffs.preset, m)
                 for k, rec in enumerate(levels)]
     hs = [rec.h for rec in levels]
+    comparison = {}
+    if compare:
+        direct = [levels[0].pairs] + [solves[k] for k in range(1, len(levels))]
+        comparison = dict(
+            direct_values=[d.values for d in direct],
+            value_diffs=[np.abs(rec.eigenvalues - d.values) for rec, d in zip(levels, direct)],
+            energy_diffs=[_vector_diffs(rec, d, coeffs.preset, m)
+                          for rec, d in zip(levels, direct)])
     return ConvergenceRecord(
         levels=levels,
         eigenvalue_errors=errors,
@@ -212,53 +233,5 @@ def evaluate(hierarchy, coeffs, levels, direct_tol=DEFAULT_DIRECT_TOL, direct_so
         observed_orders=[_fit_order(hs, [e[i] for e in errors]) for i in range(m)],
         energy_orders=[_fit_order(hs, [e[i] for e in energies]) for i in range(m)],
         reference_values=ref,
-        m=m,
-        preset=coeffs.preset,
-        direct_tol=direct_tol,
-        direct_solves=direct_solves,
-    )
-
-
-def compare_with_direct(record):
-    """Pair an evaluated run with per-level direct solves on the same pencils,
-    at the record's `direct_tol`; the solves `evaluate` made for the
-    reference are reused.
-
-    Returns value differences for every eigenvalue and sign-aligned energy
-    (a-norm) vector differences for eigenvalues that are simple (vector
-    comparisons inside a degenerate cluster are basis-dependent and skipped).
-    """
-    m = record.m
-    direct_values = []
-    value_diffs = []
-    energy_diffs = []
-    for k, rec in enumerate(record.levels):
-        if k == 0:
-            # the same pencil solve; reuse it so the coarse level is bit-equal
-            direct = rec.pairs
-        elif k in record.direct_solves:
-            direct = record.direct_solves[k]
-        else:
-            direct = direct_solve(rec.forms, m, tol=record.direct_tol)
-        direct_values.append(direct.values)
-        value_diffs.append(np.abs(rec.eigenvalues - direct.values))
-        diffs = [None] * m
-        for i in range(m):
-            if record.preset == "laplace":
-                simple = exact_multiplicity(i) == 1
-            else:
-                simple = i == 0  # the first elliptic eigenvalue is always simple
-            if not simple:
-                continue
-            u_ml = rec.pairs.vectors[:, i]
-            u_dir = direct.vectors[:, i]
-            if float(u_ml @ (rec.forms.mass @ u_dir)) < 0:
-                u_dir = -u_dir
-            diffs[i] = a_norm(rec.forms, u_ml - u_dir)
-        energy_diffs.append(diffs)
-    return ComparisonRecord(
-        multilevel=record,
-        direct_values=direct_values,
-        value_diffs=value_diffs,
-        energy_diffs=energy_diffs,
+        **comparison,
     )

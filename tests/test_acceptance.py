@@ -43,16 +43,16 @@ def laplace_hierarchy():
     return nt.build_hierarchy(nt.unit_square_mesh(1 / 6), 4)
 
 
-def solve_and_evaluate(hierarchy, coeffs, m):
-    return nt.evaluate(hierarchy, coeffs, nt.run_multilevel(hierarchy, coeffs, m))
+def solve_and_evaluate(hierarchy, coeffs, m, compare=False):
+    return nt.evaluate(hierarchy, coeffs, nt.run_multilevel(hierarchy, coeffs, m),
+                       compare=compare)
 
 
 @pytest.fixture(scope="module")
 def laplace_compare(laplace_hierarchy):
     t0 = time.perf_counter()
-    record = solve_and_evaluate(laplace_hierarchy, nt.laplace_coefficients(), 1)
-    comparison = nt.compare_with_direct(record)
-    return comparison, time.perf_counter() - t0
+    record = solve_and_evaluate(laplace_hierarchy, nt.laplace_coefficients(), 1, compare=True)
+    return record, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +64,7 @@ def laplace_run_m6(laplace_hierarchy):
 
 @pytest.fixture(scope="module")
 def example2_compare(laplace_hierarchy):
-    record = solve_and_evaluate(laplace_hierarchy, nt.example2_coefficients(), 6)
-    return nt.compare_with_direct(record)
+    return solve_and_evaluate(laplace_hierarchy, nt.example2_coefficients(), 6, compare=True)
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +73,7 @@ def bench_levels():
 
 
 def test_criterion_1_laplace_convergence(laplace_compare):
-    comparison, wall = laplace_compare
-    record = comparison.multilevel
+    record, wall = laplace_compare
     eigen_order = record.observed_orders[0]
     energy_order = record.energy_orders[0]
     ok = (abs(eigen_order - 2.0) <= 0.2
@@ -87,13 +85,12 @@ def test_criterion_1_laplace_convergence(laplace_compare):
 
 
 def test_criterion_2_multilevel_equals_direct(laplace_compare, laplace_hierarchy):
-    comparison, _ = laplace_compare
-    record = comparison.multilevel
+    record, _ = laplace_compare
     forms = record.levels[-1].forms
 
-    value_gap = comparison.value_diffs[-1][0]
-    direct_error = abs(comparison.direct_values[-1][0] - FIRST)
-    vector_gap = comparison.energy_diffs[-1][0]
+    value_gap = record.value_diffs[-1][0]
+    direct_error = abs(record.direct_values[-1][0] - FIRST)
+    vector_gap = record.energy_diffs[-1][0]
 
     mode = exact_laplace(1)[0]
     # ||u_dir - interpolant of the exact eigenfunction||_a on the finest level
@@ -126,10 +123,9 @@ def test_criterion_3_six_eigenvalues(laplace_run_m6):
 
 
 def test_criterion_4_example2(example2_compare):
-    comparison = example2_compare
-    record = comparison.multilevel
+    record = example2_compare
     orders = np.array(record.observed_orders)
-    rel = comparison.value_diffs[-1] / np.abs(comparison.direct_values[-1])
+    rel = record.value_diffs[-1] / np.abs(record.direct_values[-1])
     ok = np.all(np.abs(orders - 2.0) <= 0.3) and rel.max() <= 1e-4
     check(4, bool(ok), "orders vs Richardson references {} (2.0 +/- 0.3); "
           "finest |lam_ml - lam_dir|/lam_dir max {:.2e} (<= 1e-4)".format(
@@ -273,12 +269,12 @@ def test_criterion_6_rayleigh_expansion_identity():
 
 
 def test_criterion_7_min_max_lower_bound(laplace_compare, laplace_run_m6):
-    comparison, _ = laplace_compare
+    compared, _ = laplace_compare
     worst = np.inf
-    for record, m in ((comparison.multilevel, 1), (laplace_run_m6, 6)):
+    for record, m in ((compared, 1), (laplace_run_m6, 6)):
         for level in record.levels:
             worst = min(worst, (level.eigenvalues - EXACT[:m]).min())
-    for values in comparison.direct_values:
+    for values in compared.direct_values:
         worst = min(worst, values[0] - FIRST)
     # a direct solve on an independent mesh, sparse path
     forms = nt.assemble_forms(nt.unit_square_mesh(1 / 20), nt.laplace_coefficients())

@@ -154,6 +154,15 @@ def test_readme_config_table_names_every_key():
     assert ["a11", "a12", "a22", "phi", "rho"] in rows
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md (Library use)", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 3 and "nan" not in printed[-1]
+
+
 def test_solve_minimal_run(tmp_path):
     config = parse_config(write_config(
         tmp_path, "mesh_h = 1/2\nlevels = 1\noutput = {}\n".format(tmp_path / "mini")))
@@ -242,17 +251,24 @@ def test_solve_aborts_with_partial_csv(tmp_path, monkeypatch):
         raise SolverError("synthetic failure")
 
     monkeypatch.setattr(newteig.multilevel, "newton_step_multi", boom)
-    config = parse_config(write_config(
-        tmp_path, "mesh_h = 1/4\nlevels = 3\noutput = {}\n".format(tmp_path / "abort")))
-    code, record = cmd_solve(config)
-    assert code == EXIT_SOLVER
-    text = (tmp_path / "abort_levels.csv").read_text()
-    assert text.rstrip().endswith("# ABORTED level=1")
-    header, rows = read_csv(tmp_path / "abort_levels.csv")
-    assert len(rows) == 1      # the coarse level was flushed
-    # an aborted run is not evaluated: no error against a reference
-    assert math.isnan(float(rows[0][header.index("err_lambda_1")]))
-    assert rows[0][header.index("err_energy_1")] == ""
+    for compare in (False, True):
+        config = parse_config(write_config(
+            tmp_path, "mesh_h = 1/4\nlevels = 3\neigen_count = 2\ncompare_direct = {}\n"
+            "output = {}\n".format(compare, tmp_path / "abort")))
+        code, record = cmd_solve(config)
+        assert code == EXIT_SOLVER
+        text = (tmp_path / "abort_levels.csv").read_text()
+        assert text.rstrip().endswith("# ABORTED level=1")
+        header, rows = read_csv(tmp_path / "abort_levels.csv")
+        # the header of a finished run with the same config
+        assert header[-1] == ("diff_dir_2" if compare else "err_energy_2")
+        assert len(rows) == 1      # the coarse level was flushed
+        # an aborted run is not evaluated: no error against a reference
+        assert math.isnan(float(rows[0][header.index("err_lambda_1")]))
+        assert rows[0][header.index("err_energy_1")] == ""
+        if compare:
+            for name in ("lambda_dir_1", "diff_dir_1", "lambda_dir_2", "diff_dir_2"):
+                assert math.isnan(float(rows[0][header.index(name)]))
 
 
 def test_main_failed_evaluation_keeps_the_solved_rows(tmp_path, monkeypatch):

@@ -322,6 +322,40 @@ def test_mesh_rejects_indices_before_narrowing(index):
              boundary=[True, True, True])
 
 
+@pytest.mark.parametrize("triangles", [
+    [[0, 1, 2.9]], np.array([[0, 1, 2]], dtype=float), np.array([[False, True, True]]),
+    np.array([[0, 1, 2]], dtype=object)])
+def test_mesh_rejects_non_integer_indices(triangles):
+    # 2.9 would be truncated to vertex 2 and a bool read as vertex 0 or 1
+    with pytest.raises(MeshError, match="triangle vertex indices must be integers"):
+        Mesh(vertices=[[0, 0], [1, 0], [0, 1]], triangles=triangles, boundary=[1, 1, 1])
+
+
+@pytest.mark.parametrize("boundary", [[1, 1, 7], [1, 1, -1], [1.0, 1.0, 0.5],
+                                      np.array([True, True, None])])
+def test_mesh_rejects_boundary_flags_other_than_zero_or_one(boundary):
+    # a flag of 7 would be read as True
+    with pytest.raises(MeshError, match="boundary flags must be 0 or 1"):
+        Mesh(vertices=[[0, 0], [1, 0], [0, 1]], triangles=[[0, 1, 2]], boundary=boundary)
+
+
+def test_mesh_accepts_zero_one_and_bool_flags():
+    for boundary in ([1, 1, 1], [True, True, True], np.ones(3, dtype=np.uint8), [1.0] * 3):
+        assert Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], boundary).boundary.all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.2))
+def test_signed_areas_match_the_cross_product_bit_for_bit(cells, seed, jitter):
+    mesh = renumbered_square(cells, seed, jitter)
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    t0, t1, t2 = mesh.triangles.T
+    dx1, dy1 = x[t1] - x[t0], y[t1] - y[t0]
+    dx2, dy2 = x[t2] - x[t0], y[t2] - y[t0]
+    expected = 0.5 * (dx1 * dy2 - dy1 * dx2)
+    assert mesh.signed_areas().tobytes() == expected.tobytes()
+
+
 def test_vertex_cap_beyond_int32_refused():
     with pytest.raises(MeshError, match="cap 2147483648 must be below 2\\*\\*31"):
         build_hierarchy(unit_square_mesh(1 / 2), 2, max_vertices=2 ** 31)

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 import newteig.eigen_newton as en
 import newteig.multilevel
+import newteig.reference
 from newteig.assemble import (assemble_forms, example2_coefficients,
                               laplace_coefficients, rayleigh_quotient)
 from newteig.cli import RunConfig
@@ -15,7 +16,7 @@ from newteig.eigen_newton import BasinWarning, ClusterGapWarning, coarse_solve
 from newteig.linalg import MINRES_MAX_ITERATIONS, SolverError, dense_gen_eig
 from newteig.mesh import build_hierarchy, unit_square_mesh
 from newteig.multilevel import MultilevelError, SolveOptions, run_multilevel
-from newteig.reference import compare_with_direct, evaluate, exact_laplace
+from newteig.reference import direct_solve, evaluate, exact_laplace
 
 from meshgen import l_shaped_mesh, renumbered_square
 from oracle import lu_solve_bordered
@@ -23,8 +24,8 @@ from oracle import lu_solve_bordered
 EXACT_FIRST = 2 * math.pi ** 2
 
 
-def solve_and_evaluate(hier, coeffs, m=1, options=None):
-    return evaluate(hier, coeffs, run_multilevel(hier, coeffs, m, options))
+def solve_and_evaluate(hier, coeffs, m=1, options=None, compare=False):
+    return evaluate(hier, coeffs, run_multilevel(hier, coeffs, m, options), compare=compare)
 
 
 @pytest.fixture(scope="module")
@@ -85,16 +86,45 @@ def test_dimension_ratio_tends_to_four(laplace_run_n4):
 
 def test_compare_with_direct_single_level():
     hier = build_hierarchy(unit_square_mesh(1 / 4), 1)
-    comparison = compare_with_direct(solve_and_evaluate(hier, laplace_coefficients()))
-    assert comparison.value_diffs[0][0] == 0.0
-    assert comparison.energy_diffs[0][0] == 0.0
+    record = solve_and_evaluate(hier, laplace_coefficients(), compare=True)
+    assert record.value_diffs[0][0] == 0.0
+    assert record.energy_diffs[0][0] == 0.0
 
 
 def test_compare_with_direct_finest_level_closeness():
     hier = build_hierarchy(unit_square_mesh(1 / 6), 4)
-    comparison = compare_with_direct(solve_and_evaluate(hier, laplace_coefficients()))
-    direct_err = abs(comparison.direct_values[-1][0] - EXACT_FIRST)
-    assert comparison.value_diffs[-1][0] <= 0.05 * direct_err
+    record = solve_and_evaluate(hier, laplace_coefficients(), compare=True)
+    direct_err = abs(record.direct_values[-1][0] - EXACT_FIRST)
+    assert record.value_diffs[-1][0] <= 0.05 * direct_err
+
+
+def test_evaluate_completes_a_partial_set_of_direct_solves():
+    hier = build_hierarchy(unit_square_mesh(1 / 4), 3)
+    coeffs = example2_coefficients()
+    levels = run_multilevel(hier, coeffs, 1)
+    finest = direct_solve(levels[2].forms, 1)
+    record = evaluate(hier, coeffs, levels, direct_solves={2: finest})
+    assert_allclose(record.reference_values, evaluate(hier, coeffs, levels).reference_values,
+                    rtol=0, atol=0)
+
+
+def test_evaluate_with_every_solve_given_solves_nothing(monkeypatch):
+    hier = build_hierarchy(unit_square_mesh(1 / 4), 3)
+    coeffs = example2_coefficients()
+    levels = run_multilevel(hier, coeffs, 2)
+    solves = {k: direct_solve(levels[k].forms, 2) for k in (1, 2)}
+    calls = []
+
+    def spy(forms, *args, **kwargs):
+        calls.append(forms.n_free)
+        return direct_solve(forms, *args, **kwargs)
+
+    monkeypatch.setattr(newteig.reference, "direct_solve", spy)
+    record = evaluate(hier, coeffs, levels, compare=True, direct_solves=solves)
+    assert calls == []
+    assert [d.tolist() for d in record.direct_values] == [
+        levels[0].eigenvalues.tolist()] + [solves[k].values.tolist() for k in (1, 2)]
+    assert record.value_diffs[0].tolist() == [0.0, 0.0]
 
 
 def test_example2_richardson_reference_and_rates():
