@@ -58,12 +58,13 @@ class CoefficientSet:
     """Coefficients of the operator, evaluated pointwise.
 
     Each callable takes coordinate arrays ``(x, y)`` of shape (n,) and
-    returns ``(n, 2, 2)`` for the diffusion matrix, ``(n,)`` otherwise.
+    returns arrays of that shape: three for the diffusion, one otherwise.
 
     Attributes
     ----------
     diffusion : callable
-        Symmetric positive-definite 2x2 matrix field.
+        The entries ``(d11, d12, d22)`` of the symmetric positive-definite
+        matrix field ``D = [[d11, d12], [d12, d22]]``.
     reaction : callable
         Nonnegative zeroth-order coefficient of a(.,.).
     weight : callable
@@ -81,9 +82,8 @@ class CoefficientSet:
 def laplace_coefficients():
     """Identity diffusion, no reaction, unit weight."""
     def diffusion(x, y):
-        out = np.zeros((len(x), 2, 2))
-        out[:, 0, 0] = out[:, 1, 1] = 1.0
-        return out
+        one = np.ones_like(x)
+        return one, np.zeros_like(x), one
 
     return CoefficientSet(diffusion=diffusion,
                           reaction=lambda x, y: np.zeros_like(x),
@@ -99,11 +99,7 @@ def example2_coefficients():
     """
     def diffusion(x, y):
         u, v = x - 0.5, y - 0.5
-        out = np.empty((len(x), 2, 2))
-        out[:, 0, 0] = 1.0 + u ** 2
-        out[:, 0, 1] = out[:, 1, 0] = u * v
-        out[:, 1, 1] = 1.0 + v ** 2
-        return out
+        return 1.0 + u ** 2, u * v, 1.0 + v ** 2
 
     return CoefficientSet(diffusion=diffusion,
                           reaction=lambda x, y: np.exp((x - 0.5) * (y - 0.5)),
@@ -147,19 +143,17 @@ def _quadrature_points(bary, px, py):
 
 
 def _check_coefficients(dq, rq, wq, x, y):
-    d00, d01, d10, d11 = dq[:, 0, 0], dq[:, 0, 1], dq[:, 1, 0], dq[:, 1, 1]
+    d11, d12, d22 = dq
     with np.errstate(all="ignore"):
-        tr, det = d00 + d11, d00 * d11 - d01 * d10
+        tr, det = d11 + d22, d11 * d22 - d12 * d12
         # one cheap pass first: a finite sum means finite entries, NaN fails all
-        if (np.isfinite(dq.sum()) and (d01 == d10).all() and tr.min() > 0 and det.min() > 0
+        if (np.isfinite(dq.sum()) and tr.min() > 0 and det.min() > 0
                 and 0 <= rq.min() and rq.max() < np.inf and 0 < wq.min() and wq.max() < np.inf):
             return
         checks = [("{} coefficient is not finite".format(name),
-                   ~np.isfinite(values).reshape(len(x), -1).all(axis=1))
+                   ~np.isfinite(values).reshape(-1, len(x)).all(axis=0))
                   for name, values in (("diffusion", dq), ("reaction", rq), ("weight", wq))]
-        scale = np.maximum(np.abs(dq).max(axis=(1, 2)), 1e-300)
-        checks += [("diffusion matrix is not symmetric positive definite",
-                    (np.abs(d01 - d10) > 1e-12 * scale) | (tr <= 0) | (det <= 0)),
+        checks += [("diffusion matrix is not positive definite", (tr <= 0) | (det <= 0)),
                    ("reaction coefficient is negative", rq < 0),
                    ("weight coefficient is not positive", wq <= 0)]
     for message, bad in checks:
@@ -170,22 +164,24 @@ def _check_coefficients(dq, rq, wq, x, y):
 
 
 def _weighted_coefficients(coeffs, bary, weights, px, py):
-    """The weight-averaged symmetric part ``(d00, d01, d11)`` of D on every
+    """The weight-averaged entries ``(d11, d12, d22)`` of D on every
     triangle, and its reaction and weight coefficients at each quadrature
     point times the point's weight, (T, n_points) each."""
-    d00, d01, d11 = np.zeros((3, len(px)))
+    d11, d12, d22 = np.zeros((3, len(px)))
     reaction, weight = np.empty((2, len(px), len(weights)))
     for q, (w, (xq, yq)) in enumerate(zip(weights, _quadrature_points(bary, px, py))):
         with np.errstate(all="ignore"):      # non-finite values are rejected below
             dq = np.asarray(coeffs.diffusion(xq, yq), dtype=float)
             rq = np.asarray(coeffs.reaction(xq, yq), dtype=float)
             wq = np.asarray(coeffs.weight(xq, yq), dtype=float)
+        if dq.shape != (3,) + xq.shape:
+            raise AssemblyError("diffusion must return three entries (d11, d12, d22) shaped "
+                                "like the points {}, got shape {}".format(xq.shape, dq.shape))
         _check_coefficients(dq, rq, wq, xq, yq)
-        d00 += w * dq[:, 0, 0]
-        d01 += w * (0.5 * (dq[:, 0, 1] + dq[:, 1, 0]))
-        d11 += w * dq[:, 1, 1]
+        for total, entry in zip((d11, d12, d22), dq):
+            total += w * entry
         reaction[:, q], weight[:, q] = w * rq, w * wq
-    return d00, d01, d11, reaction, weight
+    return d11, d12, d22, reaction, weight
 
 
 def _blocks(count):
@@ -207,7 +203,7 @@ def _element_entries(mesh, coeffs, quad_order):
     outer = (bary[:, [0, 1, 2, 0, 1, 2]] * bary[:, [0, 1, 2, 1, 2, 0]]).reshape(-1, 2, 1, 3)
     for block in _blocks(mesh.num_triangles):
         px, py, ex, ey, area = _triangle_geometry(mesh, block)
-        d00, d01, d11, reaction, weight = _weighted_coefficients(coeffs, bary, weights, px, py)
+        d11, d12, d22, reaction, weight = _weighted_coefficients(coeffs, bary, weights, px, py)
         # summed point by point: a BLAS product rounds by the block's row count
         k, m = np.zeros((2, 2, len(area), 3))
         for q, row in enumerate(outer):
@@ -217,7 +213,7 @@ def _element_entries(mesh, coeffs, quad_order):
         m *= area[:, None]
         # P1 gradients are constant: area grad_i . D grad_j = perp(e_i) . D perp(e_j) / (4 area)
         # with perp(e) = (-ey, ex) and (dnx, dny) = D perp(e)
-        dnx, dny = d01[:, None] * ex - d00[:, None] * ey, d11[:, None] * ex - d01[:, None] * ey
+        dnx, dny = d12[:, None] * ex - d11[:, None] * ey, d22[:, None] * ex - d12[:, None] * ey
         quarter = 0.25 / area[:, None]
         k[0] += (ex * dny - ey * dnx) * quarter
         k[1] += (ex * dny[:, [1, 2, 0]] - ey * dnx[:, [1, 2, 0]]) * quarter

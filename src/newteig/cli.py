@@ -21,8 +21,8 @@ from .expressions import ExpressionError, parse_expression
 from .linalg import DEFAULT_SOLVER_TOL, SolverError
 from .mesh import (DEFAULT_VERTEX_CAP, MeshError, build_hierarchy, check_vertex_cap,
                    load_mesh, unit_square_counts, unit_square_mesh)
-from .multilevel import (MultilevelError, SolveOptions, assemble_levels, check_eigen_count,
-                         run_multilevel)
+from .eigen_newton import check_eigen_count
+from .multilevel import MultilevelError, SolveOptions, assemble_levels, run_multilevel
 from .reference import DEFAULT_DIRECT_TOL, evaluate, reference_levels
 
 EXIT_OK = 0
@@ -108,16 +108,7 @@ class RunConfig:
         e11 = self.expressions.get("a11", one)
         e12 = self.expressions.get("a12", zero)
         e22 = self.expressions.get("a22", one)
-
-        def diffusion(x, y):
-            out = np.empty((len(x), 2, 2))
-            out[:, 0, 0] = e11(x, y)
-            out[:, 0, 1] = e12(x, y)
-            out[:, 1, 0] = out[:, 0, 1]
-            out[:, 1, 1] = e22(x, y)
-            return out
-
-        return CoefficientSet(diffusion=diffusion,
+        return CoefficientSet(diffusion=lambda x, y: (e11(x, y), e12(x, y), e22(x, y)),
                               reaction=self.expressions.get("phi", zero),
                               weight=self.expressions.get("rho", one),
                               preset="custom")
@@ -168,9 +159,9 @@ def parse_config(path, strict=False):
 
     Unknown keys raise in strict mode and warn otherwise; either way the
     report names the key and its line number.  Fractions like ``1/6`` are
-    accepted for numeric values.
+    accepted for numeric values, and a leading UTF-8 byte-order mark is skipped.
     """
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         raw = f.readlines()
     types = {f.name: f.type for f in fields(RunConfig) if f.name != "expressions"}
     config = RunConfig()

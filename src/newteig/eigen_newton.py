@@ -71,17 +71,24 @@ class EigenpairSet:
         return len(self.values)
 
 
+def check_eigen_count(forms, m):
+    """Raise ValueError unless 1 <= `m` <= the free DOFs of the pencil `forms`."""
+    if forms.n_free == 0:
+        raise ValueError("the mesh has no free DOFs: every vertex lies on the boundary")
+    if not 1 <= m <= forms.n_free:
+        raise ValueError("eigen_count must be between 1 and the {} free DOFs of the mesh, "
+                         "got {}".format(forms.n_free, m))
+
+
 def coarse_solve(forms, m):
     """First `m` eigenpairs of the coarse pencil by `linalg.pencil_eigs`.
 
     Warns when the cut between m and m+1 splits a near-degenerate cluster
     (relative gap below 1e-8).
     """
-    n = forms.n_free
-    if not 1 <= m <= n:
-        raise ValueError("m must be between 1 and {}, got {}".format(n, m))
+    check_eigen_count(forms, m)
     values, vectors = pencil_eigs(forms.stiffness, forms.mass, m + 1)
-    if m < n and values[m] - values[m - 1] < 1e-8 * abs(values[m - 1]):
+    if m < forms.n_free and values[m] - values[m - 1] < 1e-8 * abs(values[m - 1]):
         warnings.warn("eigenvalues {} and {} differ by less than 1e-8 relative; "
                       "m={} splits a degenerate cluster".format(m, m + 1, m),
                       ClusterGapWarning, stacklevel=2)

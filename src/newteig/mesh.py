@@ -155,7 +155,7 @@ def _coincident_pair(points, radius):
 
 
 class Mesh:
-    """Immutable 2D triangulation with boundary-vertex flags.
+    """Immutable 2D triangulation; its boundary follows from its edges.
 
     Parameters
     ----------
@@ -163,8 +163,6 @@ class Mesh:
         Vertex coordinates.
     triangles : (T, 3) array_like of int
         Vertex indices per triangle, counterclockwise.
-    boundary : (V,) array_like of bool
-        True for vertices on the domain boundary.
     topology : ((E, 2), (T, 3)) pair of int32 arrays, optional
         The `edge_vertices` and `triangle_edges` of these triangles, known by
         construction (`refine_regular` builds them from the parent's).  They
@@ -177,6 +175,7 @@ class Mesh:
         Narrowed from the given indices once they are checked to lie in
         ``0..V-1`` (and below 2**31, so none wraps).
     boundary : (V,) bool array
+        True for the endpoints of the edges of exactly one triangle.
     edge_vertices : (E, 2) int32 array
         Sorted vertex pairs of the edges, in lexicographic order.
     triangle_edges : (T, 3) int32 array
@@ -193,14 +192,13 @@ class Mesh:
     MeshError
         If a coordinate is not finite or exceeds `MAX_COORDINATE` in
         magnitude, a triangle has nonpositive signed area, an index is out of
-        range, an edge is shared by more than two triangles, boundary flags
-        disagree with the edge topology, a vertex is unused, two vertices
-        coincide, two triangles run their shared edge the same way (they
-        overlap, so the mesh is not consistently oriented), or a given
-        `topology` is not the triangles' own.
+        range, an edge is shared by more than two triangles, a vertex is
+        unused, two vertices coincide, two triangles run their shared edge the
+        same way (they overlap, so the mesh is not consistently oriented), or
+        a given `topology` is not the triangles' own.
     """
 
-    def __init__(self, vertices, triangles, boundary, topology=None):
+    def __init__(self, vertices, triangles, topology=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles)
         if self.triangles.dtype.kind not in "iu":
@@ -208,16 +206,10 @@ class Mesh:
                 self.triangles.dtype))
         if self.triangles.dtype != np.int32:     # range-checked as int64, then narrowed
             self.triangles = np.asarray(self.triangles, dtype=np.int64)
-        self.boundary = np.asarray(boundary)
-        if self.boundary.dtype != bool and not np.isin(self.boundary, (0, 1)).all():
-            raise MeshError("boundary flags must be 0 or 1 (False or True)")
-        self.boundary = np.ascontiguousarray(self.boundary, dtype=bool)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must have shape (V, 2)")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshError("triangles must have shape (T, 3)")
-        if self.boundary.shape != (self.num_vertices,):
-            raise MeshError("boundary flags must have shape (V,)")
         self._validate(topology)
         for arr in (self.vertices, self.triangles, self.boundary, self.edge_vertices,
                     self.triangle_edges, self.edge_on_boundary):
@@ -301,12 +293,8 @@ class Mesh:
             raise MeshError("edge shared by more than two triangles (non-manifold)")
         self.edge_vertices, self.triangle_edges = edges, triangle_edges
         self.edge_on_boundary = counts == 1
-        on_bedge = np.zeros(self.num_vertices, dtype=bool)
-        on_bedge[edges[self.edge_on_boundary]] = True
-        if (on_bedge != self.boundary).any():
-            bad = np.flatnonzero(on_bedge != self.boundary)[0]
-            raise MeshError("boundary flag of vertex {} is inconsistent with the "
-                            "edge topology".format(bad))
+        self.boundary = np.zeros(self.num_vertices, dtype=bool)
+        self.boundary[edges[self.edge_on_boundary]] = True
         pair = _coincident_pair(self.vertices, 1e-12 * max(self.domain_diameter(), 1e-300))
         if pair is not None:
             raise MeshError("vertices {} and {} coincide".format(*pair))
@@ -356,9 +344,7 @@ def unit_square_mesh(h):
     lower = np.column_stack([v00, v10, v11])
     upper = np.column_stack([v00, v11, v01])
     triangles = np.vstack([lower, upper])
-
-    boundary = ((xx == 0) | (xx == 1) | (yy == 0) | (yy == 1)).ravel()
-    return Mesh(vertices, triangles, boundary)
+    return Mesh(vertices, triangles)
 
 
 def unit_square_counts(h):
@@ -418,10 +404,8 @@ def refine_regular(mesh):
     """Split every triangle into four congruent children at the edge midpoints.
 
     New vertices are deduplicated through the shared-edge index pairs, so no
-    coordinate tolerance is involved.  Midpoints of boundary edges are
-    flagged boundary; surviving vertices keep their flags.  The children's
-    edge topology is built from the parent's (`_refined_topology`) and
-    verified, not sorted for.
+    coordinate tolerance is involved.  The children's edge topology is built
+    from the parent's (`_refined_topology`) and verified, not sorted for.
 
     Returns
     -------
@@ -442,8 +426,7 @@ def refine_regular(mesh):
     # corner j keeps vertex j and the midpoints of local edges j and j-1; the
     # center child joins the three midpoints
     children = _four_children(tris, mid, mid[:, [2, 0, 1]], mid)
-    fine = Mesh(vertices, children, np.concatenate([mesh.boundary, mesh.edge_on_boundary]),
-                topology=_refined_topology(mesh))
+    fine = Mesh(vertices, children, topology=_refined_topology(mesh))
 
     # rows: surviving vertices, then one row of two 1/2 entries per edge midpoint
     ne = len(edges)
@@ -554,17 +537,20 @@ def load_mesh(path):
     Format: a header ``mesh2d <n_vertices> <n_triangles>``, then one line
     ``x y b`` per vertex (b is the boundary flag, 0 or 1), then one line
     ``i j k`` per triangle (0-based counterclockwise vertex indices).
-    ``#`` starts a comment; blank lines are ignored.
+    ``#`` starts a comment; blank lines are ignored; a leading UTF-8
+    byte-order mark is skipped.  The mesh derives its boundary from its
+    edges; each flag is checked against it.
 
     Raises
     ------
     MeshFormatError
-        On malformed content, with the offending line number.
+        On malformed content or a flag that disagrees with the derived
+        boundary, with the offending line number.
     MeshError
         When the parsed data violates mesh invariants (degenerate
-        triangles, inconsistent boundary flags, ...).
+        triangles, ...).
     """
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         raw = f.readlines()
     lines = []
     for lineno, text in enumerate(raw, start=1):
@@ -589,7 +575,7 @@ def load_mesh(path):
             nv + nt, len(lines) - 1), lines[-1][0])
 
     vertices = np.empty((nv, 2))
-    boundary = np.empty(nv, dtype=bool)
+    flags = np.empty(nv, dtype=bool)
     for i in range(nv):
         lineno, text = lines[1 + i]
         parts = text.split()
@@ -604,7 +590,7 @@ def load_mesh(path):
         if parts[2] not in ("0", "1"):
             raise MeshFormatError("boundary flag must be 0 or 1", lineno)
         vertices[i] = (x, y)
-        boundary[i] = parts[2] == "1"
+        flags[i] = parts[2] == "1"
 
     triangles = np.empty((nt, 3), dtype=np.int64)
     for i in range(nt):
@@ -622,4 +608,9 @@ def load_mesh(path):
                                       "0..{}".format(i, v, nv - 1), lineno)
         triangles[i] = idx
 
-    return Mesh(vertices, triangles, boundary)
+    mesh = Mesh(vertices, triangles)
+    wrong = np.flatnonzero(flags != mesh.boundary)
+    if len(wrong):
+        raise MeshFormatError("boundary flag of vertex {} is inconsistent with the edge "
+                              "topology".format(wrong[0]), lines[1 + wrong[0]][0])
+    return mesh

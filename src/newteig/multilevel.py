@@ -4,7 +4,7 @@ import time
 from dataclasses import dataclass
 
 from .assemble import AssembledForms, assemble_forms, free_prolongation
-from .eigen_newton import EigenpairSet, coarse_solve, newton_step_multi
+from .eigen_newton import EigenpairSet, check_eigen_count, coarse_solve, newton_step_multi
 from .linalg import DEFAULT_SOLVER_TOL, VCycle
 
 
@@ -61,13 +61,6 @@ def assemble_levels(hierarchy, coeffs, options=None):
         forms.append(assemble_forms(mesh, coeffs, quad_order))
         seconds.append(time.perf_counter() - t0)
     return forms, seconds
-
-
-def check_eigen_count(forms, m):
-    """Raise ValueError unless 1 <= `m` <= the free DOFs of the coarse pencil `forms`."""
-    if not 1 <= m <= forms.n_free:
-        raise ValueError("eigen_count must be between 1 and the {} free DOFs of the "
-                         "coarse mesh, got {}".format(forms.n_free, m))
 
 
 def run_multilevel(hierarchy, coeffs, m=1, options=None, assembled=None):

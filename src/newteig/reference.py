@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assemble import a_norm, energy_error_vs_exact
-from .eigen_newton import EigenpairSet, canonical_sign
+from .eigen_newton import EigenpairSet, canonical_sign, check_eigen_count
 from .linalg import DENSE_CUTOFF, pencil_eigs
 
 # relative eigenvalue accuracy of the direct solves, a run's `direct_tol`
@@ -91,11 +91,7 @@ def direct_solve(forms, m, tol=DEFAULT_DIRECT_TOL, max_iter=200, dense_cutoff=DE
     EigenpairSet
         b-normalized and ascending, without iteration counts.
     """
-    n = forms.n_free
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if m > n:
-        raise ValueError("requested {} eigenpairs from a {}-dimensional space".format(m, n))
+    check_eigen_count(forms, m)
     values, vectors = pencil_eigs(forms.stiffness, forms.mass, m, tol=tol, max_iter=max_iter,
                                   dense_cutoff=dense_cutoff)
     return EigenpairSet(values, canonical_sign(vectors))

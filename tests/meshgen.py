@@ -24,7 +24,7 @@ def renumbered_square(cells, seed, jitter=0.0):
     tris = tris[np.arange(len(tris))[:, None], (np.arange(3) + shifts[:, None]) % 3]
     offsets = rng.uniform(-jitter / cells, jitter / cells, vertices.shape)
     vertices += offsets * ~boundary[:, None]
-    return Mesh(vertices, tris, boundary)
+    return Mesh(vertices, tris)
 
 
 def l_shaped_mesh(cells):
@@ -32,7 +32,7 @@ def l_shaped_mesh(cells):
     criss-cross mesh with ``cells`` (even) cells per side of the square.
 
     The re-entrant corner sits at (1/2, 1/2); the two edges that meet there
-    are boundary edges.
+    are boundary edges, and the mesh finds them from its own topology.
     """
     square = unit_square_mesh(1 / cells)
     centroids = square.vertices[square.triangles].mean(axis=1)
@@ -40,6 +40,4 @@ def l_shaped_mesh(cells):
     used = np.unique(kept)
     renumber = np.full(square.num_vertices, -1)
     renumber[used] = np.arange(len(used))
-    x, y = square.vertices[used].T
-    cut = ((x == 0.5) & (y >= 0.5)) | ((y == 0.5) & (x >= 0.5))
-    return Mesh(square.vertices[used], renumber[kept], square.boundary[used] | cut)
+    return Mesh(square.vertices[used], renumber[kept])

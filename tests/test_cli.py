@@ -62,9 +62,10 @@ def test_parse_config_example2(tmp_path):
     y = np.array([0.75])
     assert coeffs.weight(x, y)[0] == pytest.approx(1 + (0.25 - 0.5) * (0.75 - 0.5))
     assert coeffs.reaction(x, y)[0] == pytest.approx(math.exp((0.25 - 0.5) * (0.75 - 0.5)))
-    diff = coeffs.diffusion(x, y)[0]
-    assert diff[0, 0] == pytest.approx(1 + (0.25 - 0.5) ** 2)
-    assert diff[0, 1] == pytest.approx((0.25 - 0.5) * (0.75 - 0.5))
+    d11, d12, d22 = coeffs.diffusion(x, y)
+    assert d11[0] == pytest.approx(1 + (0.25 - 0.5) ** 2)
+    assert d12[0] == pytest.approx((0.25 - 0.5) * (0.75 - 0.5))
+    assert d22[0] == pytest.approx(1 + (0.75 - 0.5) ** 2)
 
 
 def test_parse_config_rejects_zero_levels(tmp_path):
@@ -517,6 +518,25 @@ def test_main_bad_coefficients_exit_config(tmp_path, capsys, line):
     assert len(err.splitlines()) == 1
 
 
+def test_main_coarse_mesh_without_free_dofs_exit_config(tmp_path, capsys):
+    path = write_config(tmp_path, "mesh_h = 1/1\nlevels = 3\noutput = {}\n".format(
+        tmp_path / "empty"))
+    assert main(["solve", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: the mesh has no free DOFs: every vertex lies on the boundary\n"
+    assert not (tmp_path / "empty_levels.csv").exists()
+
+
+def test_config_with_a_byte_order_mark(tmp_path, capsys):
+    # as Notepad writes it: the mark must not turn the first key into an unknown one
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + "problem = example2\nmesh_h = 1/4\nlevels = 2\n"
+                     "output = {}\n".format(tmp_path / "bom").encode())
+    assert main(["solve", str(path)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert "problem=example2 " in (tmp_path / "bom_summary.txt").read_text()
+
+
 def test_main_eigen_count_above_coarse_space_exit_config(tmp_path, capsys):
     path = write_config(tmp_path, "mesh_h = 1/2\neigen_count = 2\noutput = {}\n".format(
         tmp_path / "big"))
@@ -728,6 +748,26 @@ def test_benchmark_reads_the_library_api(tmp_path, monkeypatch):
             unresolved.append("{}.{}".format(module, attr))
     # both were deleted from the library; the frozen table still names them
     assert unresolved == ["mesh.Mesh.edges", "eigen_newton.newton_step_single"]
+
+
+def test_benchmark_custom_path_passes_its_checks(tmp_path, monkeypatch):
+    # custom_file's seed-1 inputs at its own 3 levels: the reference takes
+    # config.coefficients() -> assemble_forms -> direct_solve, and the run must
+    # pass every output check the benchmark applies
+    inputs, child, checks = (load_perfbench(name) for name in ("inputs", "child", "checks"))
+    workload = inputs.WORKLOADS["custom_file"]
+    monkeypatch.chdir(tmp_path)
+    inputs.write_inputs(workload, 1, str(tmp_path))
+    config = parse_config("run.cfg")
+    assert config.problem == "custom" and config.levels == workload.levels
+    reference = child._reference(newteig.cli._build_hierarchy(config, config.levels),
+                                 "run.cfg")
+    code = main(["solve", "run.cfg"])
+    problems = checks.check_run(code, (tmp_path / "out_levels.csv").read_text(),
+                                (tmp_path / "out_summary.txt").read_text(),
+                                workload.expected_n_free(), workload.eigen_count,
+                                reference["values"])
+    assert problems == []
 
 
 def test_main_laplace_beyond_twenty_eigenvalues(tmp_path):

@@ -15,6 +15,7 @@ from newteig.eigen_newton import (BasinWarning, ClusterGapWarning, EigenpairSet,
                                   canonical_sign, coarse_solve, newton_step_multi)
 from newteig.linalg import SolverError, VCycle
 from newteig.mesh import build_hierarchy, refine_regular, unit_square_mesh
+from newteig.multilevel import run_multilevel
 from newteig.reference import direct_solve, exact_laplace
 
 from invariants import check_eigenpairs, rayleigh_expansion_check
@@ -69,6 +70,21 @@ def test_coarse_solve_rejects_oversized_requests():
     forms = forms_for(1 / 4)
     with pytest.raises(ValueError):
         coarse_solve(forms, forms.n_free + 1)
+
+
+@pytest.mark.parametrize("solve", [
+    coarse_solve, direct_solve,
+    lambda forms, m: run_multilevel(None, None, m, assembled=([forms], [0.0]))],
+    ids=["coarse_solve", "direct_solve", "run_multilevel"])
+def test_one_eigen_count_rule(solve):
+    forms = forms_for(1 / 4)                 # 9 free DOFs
+    for m in (0, 10):
+        with pytest.raises(ValueError, match="^eigen_count must be between 1 and the 9 free "
+                           "DOFs of the mesh, got {}$".format(m)):
+            solve(forms, m)
+    with pytest.raises(ValueError, match="^the mesh has no free DOFs: every vertex lies on "
+                       "the boundary$"):
+        solve(forms_for(1.0), 1)
 
 
 def test_coarse_solve_takes_any_size():

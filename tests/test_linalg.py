@@ -266,10 +266,7 @@ def test_vcycle_restricts_through_a_view_of_the_prolongation():
 
 def _anisotropic(a12):
     def diffusion(x, y):
-        out = np.empty((len(x), 2, 2))
-        out[:, 0, 0] = out[:, 1, 1] = 1.0
-        out[:, 0, 1] = out[:, 1, 0] = a12
-        return out
+        return np.ones_like(x), np.full_like(x, a12), np.ones_like(x)
 
     return CoefficientSet(diffusion=diffusion, reaction=lambda x, y: np.zeros_like(x),
                           weight=lambda x, y: np.ones_like(x))

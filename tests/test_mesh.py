@@ -248,7 +248,7 @@ def corrupt_topology(fine, how):
 ])
 def test_mesh_rejects_a_corrupted_topology(how, message):
     fine, _ = refine_regular(renumbered_square(3, 7, jitter=0.1))
-    args = (fine.vertices, fine.triangles, fine.boundary)
+    args = (fine.vertices, fine.triangles)
     intact = Mesh(*args, topology=(fine.edge_vertices, fine.triangle_edges))
     assert intact.edge_vertices.tobytes() == fine.edge_vertices.tobytes()
     with pytest.raises(MeshError, match=message):
@@ -318,8 +318,7 @@ def test_mesh_rejects_indices_before_narrowing(index):
     # 2**32 + 1 would wrap to 1 as int32, and -(2**32) + 1 to 1 as well
     with pytest.raises(MeshError, match="triangle 1 references a vertex index out of range"):
         Mesh(vertices=[[0, 0], [1, 0], [0, 1]],
-             triangles=[[0, 1, 2], [0, 1, index]],
-             boundary=[True, True, True])
+             triangles=[[0, 1, 2], [0, 1, index]])
 
 
 @pytest.mark.parametrize("triangles", [
@@ -328,20 +327,19 @@ def test_mesh_rejects_indices_before_narrowing(index):
 def test_mesh_rejects_non_integer_indices(triangles):
     # 2.9 would be truncated to vertex 2 and a bool read as vertex 0 or 1
     with pytest.raises(MeshError, match="triangle vertex indices must be integers"):
-        Mesh(vertices=[[0, 0], [1, 0], [0, 1]], triangles=triangles, boundary=[1, 1, 1])
+        Mesh(vertices=[[0, 0], [1, 0], [0, 1]], triangles=triangles)
 
 
-@pytest.mark.parametrize("boundary", [[1, 1, 7], [1, 1, -1], [1.0, 1.0, 0.5],
-                                      np.array([True, True, None])])
-def test_mesh_rejects_boundary_flags_other_than_zero_or_one(boundary):
-    # a flag of 7 would be read as True
-    with pytest.raises(MeshError, match="boundary flags must be 0 or 1"):
-        Mesh(vertices=[[0, 0], [1, 0], [0, 1]], triangles=[[0, 1, 2]], boundary=boundary)
-
-
-def test_mesh_accepts_zero_one_and_bool_flags():
-    for boundary in ([1, 1, 1], [True, True, True], np.ones(3, dtype=np.uint8), [1.0] * 3):
-        assert Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], boundary).boundary.all()
+def test_l_shaped_boundary_is_its_six_segments():
+    # derived from the edges alone, the re-entrant segments included
+    for cells in (2, 4, 6):
+        mesh = l_shaped_mesh(cells)
+        x, y = mesh.vertices.T
+        on_segments = ((x == 0) | (y == 0)
+                       | ((x == 1) & (y <= 0.5)) | ((y == 1) & (x <= 0.5))
+                       | ((x == 0.5) & (y >= 0.5)) | ((y == 0.5) & (x >= 0.5)))
+        assert mesh.boundary.tolist() == on_segments.tolist()
+        assert mesh.boundary[(x == 0.5) & (y == 0.5)].all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -365,8 +363,7 @@ def test_vertex_cap_beyond_int32_refused():
 def test_mesh_rejects_non_manifold_edge():
     with pytest.raises(MeshError, match="non-manifold"):
         Mesh(vertices=[[0, 0], [1, 0], [0.5, 1], [0.5, 2], [0.5, 3]],
-             triangles=[[0, 1, 2], [0, 1, 3], [0, 1, 4]],
-             boundary=[True] * 5)
+             triangles=[[0, 1, 2], [0, 1, 3], [0, 1, 4]])
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -418,8 +415,28 @@ def test_load_rejects_inconsistent_flags(tmp_path):
     path.write_text("mesh2d 3 1\n"
                     "0 0 1\n1 0 1\n0 1 0\n"   # vertex 2 is on the boundary
                     "0 1 2\n")
-    with pytest.raises(MeshError, match="boundary flag"):
+    with pytest.raises(MeshFormatError, match="^line 4: boundary flag of vertex 2 is "
+                       "inconsistent with the edge topology$"):
         load_mesh(path)
+
+
+@pytest.mark.parametrize("flag", ["7", "0.5", "-1", "True"])
+def test_load_rejects_flags_other_than_zero_or_one(tmp_path, flag):
+    # a flag of 7 is not read as True
+    path = tmp_path / "flags.mesh"
+    path.write_text("mesh2d 3 1\n# vertices\n0 0 1\n1 0 {}\n0 1 1\n0 1 2\n".format(flag))
+    with pytest.raises(MeshFormatError, match="^line 4: boundary flag must be 0 or 1$"):
+        load_mesh(path)
+
+
+def test_load_skips_a_byte_order_mark(tmp_path):
+    mesh = unit_square_mesh(1 / 2)
+    path = tmp_path / "bom.mesh"
+    save_mesh(mesh, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    back = load_mesh(path)
+    assert back.vertices.tobytes() == mesh.vertices.tobytes()
+    assert back.boundary.tolist() == mesh.boundary.tolist()
 
 
 def test_load_reports_line_numbers(tmp_path):
@@ -497,47 +514,41 @@ def test_coincident_screen_finds_a_lone_pair(dx, dy):
 def test_mesh_rejects_duplicate_vertices():
     with pytest.raises(MeshError, match="vertices 0 and 3 coincide"):
         Mesh(vertices=[[0, 0], [1, 0], [0, 1], [1e-15, 0]],
-             triangles=[[0, 1, 2], [3, 1, 2]],
-             boundary=[True, True, True, True])
+             triangles=[[0, 1, 2], [3, 1, 2]])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_mesh_rejects_non_finite_coordinates(value):
     with pytest.raises(MeshError, match="vertex 2 has non-finite coordinates"):
         Mesh(vertices=[[0, 0], [1, 0], [value, 1]],
-             triangles=[[0, 1, 2]],
-             boundary=[True, True, True])
+             triangles=[[0, 1, 2]])
 
 
 def test_mesh_rejects_coordinates_whose_squares_overflow():
     # left in, the domain diameter overflows and every vertex pair reads as coincident
     with pytest.raises(MeshError, match="vertex 2 has a coordinate beyond 1e\\+150"):
         Mesh(vertices=[[0, 0], [1, 0], [0, 1e300]],
-             triangles=[[0, 1, 2]],
-             boundary=[True, True, True])
+             triangles=[[0, 1, 2]])
 
 
 def test_mesh_rejects_clockwise_triangle():
     with pytest.raises(MeshError, match="area"):
         Mesh(vertices=[[0, 0], [1, 0], [0, 1]],
-             triangles=[[0, 2, 1]],
-             boundary=[True, True, True])
+             triangles=[[0, 2, 1]])
 
 
 def test_mesh_rejects_a_doubled_triangle():
     # every edge is shared twice, so no boundary is found and area() would read 1.0
     with pytest.raises(MeshError, match=r"edge \(0, 1\) runs the same way"):
         Mesh(vertices=[[0, 0], [1, 0], [0, 1]],
-             triangles=[[0, 1, 2], [0, 1, 2]],
-             boundary=[False, False, False])
+             triangles=[[0, 1, 2], [0, 1, 2]])
 
 
 def test_mesh_rejects_a_folded_square():
     # both triangles are counterclockwise and lie on the same side of edge 01
     with pytest.raises(MeshError, match=r"edge \(0, 1\) runs the same way"):
         Mesh(vertices=[[0, 0], [1, 0], [1, 1], [0, 1]],
-             triangles=[[0, 1, 2], [0, 1, 3]],
-             boundary=[True] * 4)
+             triangles=[[0, 1, 2], [0, 1, 3]])
 
 
 def test_mesh_is_immutable():

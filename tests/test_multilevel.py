@@ -151,7 +151,7 @@ def test_errors_propagate_with_level_index(monkeypatch):
 
 def test_eigen_count_above_coarse_space_rejected_before_solving():
     hier = build_hierarchy(unit_square_mesh(1 / 2), 2)    # one free coarse DOF
-    with pytest.raises(ValueError, match="1 free DOFs of the coarse mesh, got 2"):
+    with pytest.raises(ValueError, match="1 free DOFs of the mesh, got 2"):
         run_multilevel(hier, laplace_coefficients(), 2)
 
 
@@ -160,8 +160,7 @@ def test_unstructured_mesh_pipeline():
     from newteig.mesh import Mesh
 
     coarse = Mesh(vertices=[[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]],
-                  triangles=[[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]],
-                  boundary=[True, True, True, True, False])
+                  triangles=[[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
     hier = build_hierarchy(coarse, 4)
     record = solve_and_evaluate(hier, laplace_coefficients())
     errors = [e[0] for e in record.eigenvalue_errors]
