@@ -12,6 +12,7 @@ act on interior vertices only.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -171,12 +172,18 @@ def _weighted_coefficients(coeffs, bary, weights, px, py):
     reaction, weight = np.empty((2, len(px), len(weights)))
     for q, (w, (xq, yq)) in enumerate(zip(weights, _quadrature_points(bary, px, py))):
         with np.errstate(all="ignore"):      # non-finite values are rejected below
-            dq = np.asarray(coeffs.diffusion(xq, yq), dtype=float)
+            entries = coeffs.diffusion(xq, yq)
             rq = np.asarray(coeffs.reaction(xq, yq), dtype=float)
             wq = np.asarray(coeffs.weight(xq, yq), dtype=float)
-        if dq.shape != (3,) + xq.shape:
+        try:
+            dq = np.asarray(entries, dtype=float)
+        except ValueError:                   # entries of unequal shapes
+            dq = None
+        if dq is None or dq.shape != (3,) + xq.shape:
+            got = ("entries of shapes {}".format([np.shape(e) for e in entries]) if dq is None
+                   else "shape {}".format(dq.shape))
             raise AssemblyError("diffusion must return three entries (d11, d12, d22) shaped "
-                                "like the points {}, got shape {}".format(xq.shape, dq.shape))
+                                "like the points {}, got {}".format(xq.shape, got))
         _check_coefficients(dq, rq, wq, xq, yq)
         for total, entry in zip((d11, d12, d22), dq):
             total += w * entry
@@ -189,35 +196,65 @@ def _blocks(count):
     return [slice(start, start + ELEMENT_BLOCK) for start in range(0, count, ELEMENT_BLOCK)]
 
 
+def _block_entries(mesh, coeffs, quad_order, block):
+    """Stiffness and mass entries ``(k, m)`` of the triangles in the slice
+    `block`, as `_element_entries` yields them."""
+    bary, weights = _QUAD_RULES[quad_order]
+    outer = (bary[:, [0, 1, 2, 0, 1, 2]] * bary[:, [0, 1, 2, 1, 2, 0]]).reshape(-1, 2, 1, 3)
+    px, py, ex, ey, area = _triangle_geometry(mesh, block)
+    d11, d12, d22, reaction, weight = _weighted_coefficients(coeffs, bary, weights, px, py)
+    # summed point by point: a BLAS product rounds by the block's row count
+    k, m = np.zeros((2, 2, len(area), 3))
+    for q, row in enumerate(outer):
+        k += reaction[:, q, None] * row
+        m += weight[:, q, None] * row
+    k *= area[:, None]
+    m *= area[:, None]
+    # P1 gradients are constant: area grad_i . D grad_j = perp(e_i) . D perp(e_j) / (4 area)
+    # with perp(e) = (-ey, ex) and (dnx, dny) = D perp(e)
+    dnx, dny = d12[:, None] * ex - d11[:, None] * ey, d22[:, None] * ex - d12[:, None] * ey
+    quarter = 0.25 / area[:, None]
+    k[0] += (ex * dny - ey * dnx) * quarter
+    k[1] += (ex * dny[:, [1, 2, 0]] - ey * dnx[:, [1, 2, 0]]) * quarter
+    return k, m
+
+
 def _element_entries(mesh, coeffs, quad_order):
     """Stiffness and mass entries of the element matrices, block by block.
 
-    Yields ``(block, k, m)`` per slice `block` of `_blocks`: (2, B, 3) arrays
-    whose contiguous halves hold the diagonal entries of local vertices
-    0, 1, 2 and the entries of local edges 01, 12, 20.  No array spans the
-    whole mesh."""
+    Yields ``(block, k, m)`` per slice `block` of `_blocks`, in triangle
+    order: (2, B, 3) arrays whose contiguous halves hold the diagonal entries
+    of local vertices 0, 1, 2 and the entries of local edges 01, 12, 20.  No
+    array spans the whole mesh, and this generator drops each block's
+    entries before it computes the next block.
+
+    The odd blocks are computed on a helper thread that lives for this call,
+    one block ahead of the caller, while this thread computes the even ones;
+    numpy releases the GIL inside its array loops, so the two overlap.  A
+    block's arithmetic is the same on either thread, so the entries are too,
+    bit for bit.  With a single block no thread starts.  An error in a block
+    is raised when that block's turn comes, after the helper has stopped.
+    """
     if quad_order not in _QUAD_RULES:
         raise ValueError("quad_order must be one of {}, got {!r}".format(
             sorted(_QUAD_RULES), quad_order))
-    bary, weights = _QUAD_RULES[quad_order]
-    outer = (bary[:, [0, 1, 2, 0, 1, 2]] * bary[:, [0, 1, 2, 1, 2, 0]]).reshape(-1, 2, 1, 3)
-    for block in _blocks(mesh.num_triangles):
-        px, py, ex, ey, area = _triangle_geometry(mesh, block)
-        d11, d12, d22, reaction, weight = _weighted_coefficients(coeffs, bary, weights, px, py)
-        # summed point by point: a BLAS product rounds by the block's row count
-        k, m = np.zeros((2, 2, len(area), 3))
-        for q, row in enumerate(outer):
-            k += reaction[:, q, None] * row
-            m += weight[:, q, None] * row
-        k *= area[:, None]
-        m *= area[:, None]
-        # P1 gradients are constant: area grad_i . D grad_j = perp(e_i) . D perp(e_j) / (4 area)
-        # with perp(e) = (-ey, ex) and (dnx, dny) = D perp(e)
-        dnx, dny = d12[:, None] * ex - d11[:, None] * ey, d22[:, None] * ex - d12[:, None] * ey
-        quarter = 0.25 / area[:, None]
-        k[0] += (ex * dny - ey * dnx) * quarter
-        k[1] += (ex * dny[:, [1, 2, 0]] - ey * dnx[:, [1, 2, 0]]) * quarter
-        yield block, k, m
+    blocks = _blocks(mesh.num_triangles)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+
+        def ahead(j):
+            """The helper's computation of block j, if there is one."""
+            if j < len(blocks):
+                return helper.submit(_block_entries, mesh, coeffs, quad_order, blocks[j])
+            return None
+
+        pending = ahead(1)
+        for i, block in enumerate(blocks):
+            if i % 2:
+                entries, pending = pending.result(), ahead(i + 2)
+            else:
+                entries = _block_entries(mesh, coeffs, quad_order, block)
+            yield (block,) + entries
+            del entries
 
 
 def _pattern(edges, n):
@@ -261,6 +298,7 @@ def _assemble_pencil(mesh, coeffs, quad_order, keep):
         for sums, index, entries in ((k_vertex, at_vertex, k[0]), (k_edge, at_edge, k[1]),
                                      (m_vertex, at_vertex, m[0]), (m_edge, at_edge, m[1])):
             np.add.at(sums, index, entries.ravel())
+        del k, m, entries                      # so only the blocks in progress live
     edges = mesh.edge_vertices
     inner = keep[edges[:, 0]] & keep[edges[:, 1]]
     n = int(keep.sum())

@@ -273,23 +273,35 @@ def cmd_solve(config):
     """Run the study; returns (exit_code, record or None); a failed evaluation re-raises.
 
     The direct solves of the evaluation need only the assembled pencils, so
-    they run on one worker thread while this thread runs the Newton steps.
-    A failed level wins over them: their queued solves are cancelled, the
-    running one is joined and its result or error is dropped.
+    they run on one worker thread while this thread assembles the other
+    pencils and runs the Newton steps.  The coarse pencil is assembled and
+    its eigen count checked first, so a bad `eigen_count` starts no solve;
+    the finest pencil follows, and its solve, the longest, is submitted at
+    once.  The others are submitted as their pencils are done, in
+    `reference_levels` order.  Once the Newton steps are done, this thread
+    takes back the solves still queued and runs them itself, in that order,
+    while the worker finishes the one it is running.  A failed level wins
+    over them: the queued solves are cancelled, the running one is joined
+    and its result or error is dropped.
     """
     hierarchy = _build_hierarchy(config, config.levels)
     coeffs = config.coefficients()
     m = config.eigen_count
     options = config.solve_options()
     csv_path = config.output + "_levels.csv"
-    assembled = assemble_levels(hierarchy, coeffs, options)
-    forms = assembled[0]
-    check_eigen_count(forms[0], m)
+    wanted = reference_levels(coeffs.preset, len(hierarchy), config.compare_direct)
     pool = ThreadPoolExecutor(max_workers=1)
+    solves = {}
+
+    def submit(k, forms):
+        if k == 0:
+            check_eigen_count(forms, m)
+        elif k in wanted:
+            # through the module, so a replaced `reference.direct_solve` is the one submitted
+            solves[k] = pool.submit(reference.direct_solve, forms, m, tol=config.direct_tol)
+
     try:
-        # through the module, so a replaced `reference.direct_solve` is the one submitted
-        solves = {k: pool.submit(reference.direct_solve, forms[k], m, tol=config.direct_tol)
-                  for k in reference_levels(coeffs.preset, len(forms), config.compare_direct)}
+        assembled = assemble_levels(hierarchy, coeffs, options, done=submit)
         try:
             levels = run_multilevel(hierarchy, coeffs, m, options, assembled)
         except MultilevelError as exc:
@@ -297,10 +309,14 @@ def cmd_solve(config):
                        aborted="level={}".format(exc.level))
             print("error: {}".format(exc), file=sys.stderr)
             return EXIT_SOLVER, None
+        taken_back = [k for k, future in solves.items() if future.cancel()]
         try:
+            direct = {k: reference.direct_solve(assembled[0][k], m, tol=config.direct_tol)
+                      for k in taken_back}
+            direct.update((k, future.result()) for k, future in solves.items()
+                          if k not in direct)
             record = evaluate(hierarchy, coeffs, levels, direct_tol=config.direct_tol,
-                              compare=config.compare_direct,
-                              direct_solves={k: f.result() for k, f in solves.items()})
+                              compare=config.compare_direct, direct_solves=direct)
         except SolverError:
             _write_csv(csv_path, levels, m, config.compare_direct, aborted="evaluation")
             raise

@@ -46,20 +46,28 @@ class LevelRecord:
         return self.pairs.values
 
 
-def assemble_levels(hierarchy, coeffs, options=None):
-    """Assemble the pencil of every level of `hierarchy`, coarsest first.
+def assemble_levels(hierarchy, coeffs, options=None, done=None):
+    """Assemble the pencil of every level of `hierarchy`: the coarse one
+    first, then the others from the finest down.
+
+    `done(k, forms)`, if given, is called with each level's pencil as soon
+    as it is assembled, in that order; so the small coarse pencil can be
+    checked, and the finest one put to work, before the others are built.
 
     Returns
     -------
     (forms, seconds) : (list of AssembledForms, list of float)
-        The pencils and each one's assembly wall time.
+        The pencils, coarsest first, and each one's own assembly wall time.
     """
     quad_order = (options or SolveOptions()).effective_quad_order(coeffs)
-    forms, seconds = [], []
-    for mesh in hierarchy.levels:
+    n_levels = len(hierarchy.levels)
+    forms, seconds = [None] * n_levels, [0.0] * n_levels
+    for k in [0] + list(range(n_levels - 1, 0, -1)):
         t0 = time.perf_counter()
-        forms.append(assemble_forms(mesh, coeffs, quad_order))
-        seconds.append(time.perf_counter() - t0)
+        forms[k] = assemble_forms(hierarchy.levels[k], coeffs, quad_order)
+        seconds[k] = time.perf_counter() - t0
+        if done is not None:
+            done(k, forms[k])
     return forms, seconds
 
 

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,14 +10,16 @@ from scipy import sparse as sp
 
 import newteig.assemble
 from newteig.assemble import (_QUAD_RULES, AssembledForms, AssemblyError, CoefficientSet,
-                              _assemble_pencil, _element_entries, a_norm, assemble_forms, b_norm,
-                              energy_error_vs_exact, example2_coefficients, free_prolongation,
-                              interpolate, laplace_coefficients, rayleigh_quotient)
+                              _assemble_pencil, _blocks, _element_entries, a_norm,
+                              assemble_forms, b_norm, energy_error_vs_exact,
+                              example2_coefficients, free_prolongation, interpolate,
+                              laplace_coefficients, rayleigh_quotient)
 from newteig.cli import RunConfig
 from newteig.linalg import dense_gen_eig
 from newteig.mesh import Mesh, build_hierarchy, refine_regular, unit_square_mesh
 
 from meshgen import l_shaped_mesh, renumbered_square
+from oracle import serial_element_entries
 
 EXACT_FIRST = 2 * math.pi ** 2
 
@@ -204,7 +207,9 @@ def test_rejects_a_diffusion_in_the_matrix_layout(mesh):
         out[:, 0, 0] = out[:, 1, 1] = 1.0
         return out
 
-    for diffusion in (matrices, lambda x, y: (1.0, 0.0, 1.0)):
+    # and a scalar beside two arrays is ragged, which numpy refuses to stack
+    for diffusion in (matrices, lambda x, y: (1.0, 0.0, 1.0),
+                      lambda x, y: (1.0, 0.0 * x, np.ones_like(x))):
         bad = CoefficientSet(diffusion=diffusion, reaction=lambda x, y: np.zeros_like(x),
                              weight=lambda x, y: np.ones_like(x))
         with pytest.raises(AssemblyError, match=r"diffusion must return three entries \(d11, "
@@ -399,6 +404,51 @@ def test_element_blocks_leave_every_bit(mesh, case):
             assert np.array_equal(matrix.indices, expected.indices)
             assert np.array_equal(matrix.data, expected.data)
         assert energy == results[-1][2]
+
+
+@pytest.mark.parametrize("make_coeffs, quad_order", [
+    (laplace_coefficients, 2), (config_coefficients, 2), (config_coefficients, 5)])
+def test_two_thread_element_loop_matches_a_serial_one(make_coeffs, quad_order):
+    # 33,800 triangles: blocks of 16,384, 16,384 and 1,032, the middle one
+    # computed on the helper thread
+    mesh = renumbered_square(130, 5, jitter=0.1)
+    assert len(_blocks(mesh.num_triangles)) == 3
+    assert mesh.num_triangles % newteig.assemble.ELEMENT_BLOCK == 1032
+    before = set(threading.enumerate())
+    forms = assemble_forms(mesh, make_coeffs(), quad_order)
+    assert set(threading.enumerate()) == before
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(newteig.assemble, "_element_entries", serial_element_entries)
+        serial = assemble_forms(mesh, make_coeffs(), quad_order)
+    for matrix, expected in ((forms.stiffness, serial.stiffness), (forms.mass, serial.mass)):
+        assert np.array_equal(matrix.indptr, expected.indptr)
+        assert np.array_equal(matrix.indices, expected.indices)
+        assert matrix.data.tobytes() == expected.data.tobytes()
+
+
+@pytest.mark.parametrize("failing", [(12, 20), (20, 28)], ids=["helper block", "main block"])
+def test_element_loop_error_names_the_first_failure_and_leaves_no_thread(failing):
+    # blocks of 8 triangles: 12 lies in block 1 (the helper's), 20 in block 2 and
+    # 28 in block 3; the first failing triangle in triangle order is named
+    mesh = unit_square_mesh(1 / 4)
+    points = [_QUAD_RULES[2][0][0] @ mesh.vertices[mesh.triangles[t]] for t in failing]
+
+    def weight(x, y):
+        bad = np.zeros(len(x), dtype=bool)
+        for px, py in points:
+            bad |= (np.abs(x - px) < 1e-12) & (np.abs(y - py) < 1e-12)
+        return np.where(bad, 0.0, 1.0)
+
+    coeffs = CoefficientSet(diffusion=laplace_coefficients().diffusion,
+                            reaction=lambda x, y: np.zeros_like(x), weight=weight)
+    before = set(threading.enumerate())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(newteig.assemble, "ELEMENT_BLOCK", 8)
+        with pytest.raises(AssemblyError) as info:
+            assemble_forms(mesh, coeffs)
+    assert str(info.value) == ("weight coefficient is not positive at quadrature point "
+                               "({:.6g}, {:.6g})".format(*points[0]))
+    assert set(threading.enumerate()) == before
 
 
 def test_energy_error_memory_peak():

@@ -308,22 +308,62 @@ def test_compare_direct_reuses_the_reference_solves(tmp_path, monkeypatch):
     assert sizes == [225, 49]
 
 
-def test_reference_solves_run_beside_the_newton_steps(tmp_path, monkeypatch):
+def spy_on_direct_solves(monkeypatch, hold=None):
+    """Record ``(n_free, thread)`` of every `reference.direct_solve` call, which
+    first runs ``hold(n_free)`` when `hold` is given."""
     calls = []
     solve = newteig.reference.direct_solve
 
     def spy(forms, *args, **kwargs):
         calls.append((forms.n_free, threading.current_thread()))
+        if hold is not None:
+            hold(forms.n_free)
         return solve(forms, *args, **kwargs)
 
     monkeypatch.setattr(newteig.reference, "direct_solve", spy)
+    return calls
+
+
+def test_reference_solves_run_beside_the_newton_steps(tmp_path, monkeypatch):
+    calls = spy_on_direct_solves(monkeypatch)
     before = set(threading.enumerate())
     path = write_config(tmp_path, "problem = example2\nmesh_h = 1/4\nlevels = 4\n"
                         "compare_direct = true\noutput = {}\n".format(tmp_path / "bg"))
     assert main(["solve", str(path)]) == EXIT_OK
-    # the two finest pencils first, then the remaining level above the coarse one
-    assert [n for n, _ in calls] == [961, 225, 49]
-    assert all(thread is not threading.main_thread() for _, thread in calls)
+    # the finest pencil is solved first, on the worker, and every level above the
+    # coarse one exactly once, on whichever thread took it
+    assert calls[0][0] == 961 and calls[0][1] is not threading.main_thread()
+    assert sorted(n for n, _ in calls) == [49, 225, 961]
+    assert set(threading.enumerate()) == before
+
+
+def test_main_thread_takes_back_the_queued_reference_solves(tmp_path, monkeypatch):
+    # the finest solve is held on the worker until a solve runs on the main
+    # thread, and the Newton steps return only once it has started
+    started, taken_back = threading.Event(), threading.Event()
+
+    def hold(n_free):
+        if n_free == 961:
+            started.set()
+            taken_back.wait(timeout=10)
+        else:
+            taken_back.set()
+
+    calls = spy_on_direct_solves(monkeypatch, hold)
+    run = newteig.cli.run_multilevel
+
+    def newton_steps(*args, **kwargs):
+        levels = run(*args, **kwargs)
+        assert started.wait(timeout=10)
+        return levels
+
+    monkeypatch.setattr(newteig.cli, "run_multilevel", newton_steps)
+    before = set(threading.enumerate())
+    path = write_config(tmp_path, "problem = example2\nmesh_h = 1/4\nlevels = 4\n"
+                        "compare_direct = true\noutput = {}\n".format(tmp_path / "back"))
+    assert main(["solve", str(path)]) == EXIT_OK
+    on_main = [(n, thread is threading.main_thread()) for n, thread in calls]
+    assert on_main == [(961, False), (225, True), (49, True)]
     assert set(threading.enumerate()) == before
 
 
@@ -537,14 +577,18 @@ def test_config_with_a_byte_order_mark(tmp_path, capsys):
     assert "problem=example2 " in (tmp_path / "bom_summary.txt").read_text()
 
 
-def test_main_eigen_count_above_coarse_space_exit_config(tmp_path, capsys):
-    path = write_config(tmp_path, "mesh_h = 1/2\neigen_count = 2\noutput = {}\n".format(
-        tmp_path / "big"))
+def test_main_eigen_count_above_coarse_space_exit_config(tmp_path, capsys, monkeypatch):
+    # checked on the coarse pencil before any reference solve is started
+    calls = spy_on_direct_solves(monkeypatch)
+    path = write_config(tmp_path, "problem = example2\nmesh_h = 1/2\nlevels = 3\n"
+                        "eigen_count = 2\ncompare_direct = true\noutput = {}\n".format(
+                            tmp_path / "big"))
     assert main(["solve", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "free DOFs" in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "big_levels.csv").exists()
+    assert calls == []
 
 
 @pytest.mark.parametrize("line", [
@@ -916,6 +960,10 @@ GOLDEN = Path(__file__).resolve().parent / "data"
     ("problem = custom\nmesh_file = {mesh}\nlevels = 3\neigen_count = 2\n"
      "a11 = 1 + x1^2\na12 = 0.6*sin(pi*x1)*sin(pi*x2)\na22 = 1 + exp(-x2)/2\n"
      "phi = 4*(x1 - 1/2)^2\nrho = 1 + x1*x2\n", "custom_file12_l3_m2_levels.csv"),
+    # 73,728 finest triangles in five element blocks, the last one partial, so the
+    # element loop runs on two threads; two reference solves
+    ("problem = example2\nmesh_h = 1/12\nlevels = 5\neigen_count = 2\n",
+     "example2_h12_l5_m2_levels.csv"),
 ])
 def test_csv_matches_golden(tmp_path, config, golden):
     # tests/data holds the reference CSVs of these runs; a change that only
