@@ -8,6 +8,7 @@ eigenvalue).  ``solve`` writes ``<output>_levels.csv`` and
 
 import argparse
 import re
+import resource
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -185,9 +186,29 @@ def parse_config(path, strict=False):
     return config
 
 
+def _check_laplace_domain(config, coarse):
+    """Refuse a laplace run on a mesh file whose domain is not the unit
+    square, where the preset's exact reference modes live: its area must be 1
+    to 1e-12 and every boundary vertex must lie on a side of the square.
+    Together they make the mesh cover the square, since a polygon with its
+    vertices on a convex set's boundary lies inside it."""
+    x, y = coarse.vertices[coarse.boundary].T
+    # min(x, 1 - x, y, 1 - y) is the signed distance to the sides, negative outside
+    off = float(np.abs(np.minimum(np.minimum(x, 1 - x), np.minimum(y, 1 - y))).max())
+    area = coarse.area()
+    if abs(area - 1) > 1e-12 or off > 1e-12:
+        raise ConfigError(
+            "problem = laplace compares with the exact modes of the unit square, which mesh "
+            "file {} does not cover (area {:.12g}, a boundary vertex {:.3g} off the square's "
+            "sides); use problem = custom, whose coefficients default to the unit ones".format(
+                config.mesh_file, area, off))
+
+
 def _build_hierarchy(config, n_levels):
     if config.mesh_file:
         coarse = load_mesh(config.mesh_file)
+        if config.problem == "laplace":
+            _check_laplace_domain(config, coarse)
     else:
         # an oversized run fails before the grid is allocated
         check_vertex_cap(unit_square_counts(config.mesh_h), n_levels, config.max_vertices)
@@ -356,11 +377,18 @@ def _exponent_line(exponent, what):
             "{} over the last two doublings of N: N^{:.3f}".format(what, exponent))
 
 
+def _max_rss_bytes():
+    """The process's peak resident set so far (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+
 def cmd_bench(config):
     """Run the benchmark sweep and write ``<output>_work.txt``; returns
     (exit_code, the deepest run's records)."""
     hierarchy = _build_hierarchy(config, config.bench_max_levels)
+    built_rss = _max_rss_bytes()
     levels = run_bench(config, hierarchy)
+    run_rss = _max_rss_bytes()
     totals = np.cumsum([rec.wall_time_assemble + rec.wall_time_solve for rec in levels])
     lines = ["benchmark sweep (depth, finest N, total seconds)"]
     for n in range(2, len(levels) + 1):
@@ -377,7 +405,11 @@ def cmd_bench(config):
     build = [0.0] + hierarchy.refine_seconds
     for k, rec in enumerate(levels):
         lines.append("{:>10} {:>12}".format(rec.n_free, "{:.4f}".format(build[k]) if k else "-"))
-    lines += ["", _exponent_line(local_exponent(levels, build), "hierarchy local exponent"), ""]
+    lines += ["", _exponent_line(local_exponent(levels, build), "hierarchy local exponent"), "",
+              "peak resident set (ru_maxrss)",
+              "after the hierarchy {:>10.1f} MiB".format(built_rss / 2 ** 20),
+              "after the run       {:>10.1f} MiB".format(run_rss / 2 ** 20),
+              "per finest DOF      {:>10.0f} bytes".format(run_rss / levels[-1].n_free), ""]
     with open(config.output + "_work.txt", "w", encoding="utf-8") as f:
         f.write("\n".join(lines))
     return EXIT_OK, levels

@@ -185,7 +185,10 @@ class Mesh:
 
     Validation discovers the edge arrays by one `_edge_topology` sort, or
     verifies a given `topology` with `_verified_counts`; both give the same
-    arrays, which refinement and assembly read.
+    arrays, which refinement and assembly read.  They are a cache:
+    `release_topology` frees them, and the next read of any of them
+    rediscovers all three by `_edge_topology`, bit for bit and read-only as
+    before.  `num_edges` is kept through a release.
 
     Raises
     ------
@@ -211,8 +214,7 @@ class Mesh:
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshError("triangles must have shape (T, 3)")
         self._validate(topology)
-        for arr in (self.vertices, self.triangles, self.boundary, self.edge_vertices,
-                    self.triangle_edges, self.edge_on_boundary):
+        for arr in (self.vertices, self.triangles, self.boundary):
             arr.flags.writeable = False
 
     @property
@@ -225,7 +227,36 @@ class Mesh:
 
     @property
     def num_edges(self):
-        return self.edge_vertices.shape[0]
+        return self._num_edges
+
+    @property
+    def edge_vertices(self):
+        return self._edge_arrays()[0]
+
+    @property
+    def triangle_edges(self):
+        return self._edge_arrays()[1]
+
+    @property
+    def edge_on_boundary(self):
+        return self._edge_arrays()[2]
+
+    def _edge_arrays(self):
+        """The cached edge arrays; once released, rediscovered by `_edge_topology`."""
+        if self._topology is None:
+            edges, triangle_edges, counts = _edge_topology(self.triangles, self.num_vertices)
+            self._keep_topology(edges, triangle_edges, counts == 1)
+        return self._topology
+
+    def _keep_topology(self, *arrays):
+        for arr in arrays:
+            arr.flags.writeable = False
+        self._topology = arrays
+
+    def release_topology(self):
+        """Drop the cached edge arrays.  Reading one rebuilds all three, equal
+        bit for bit to the ones validation checked."""
+        self._topology = None
 
     def __repr__(self):
         return "Mesh({} vertices, {} triangles)".format(self.num_vertices,
@@ -291,10 +322,11 @@ class Mesh:
             counts = _verified_counts(self.triangles, self.num_vertices, edges, triangle_edges)
         if (counts > 2).any():
             raise MeshError("edge shared by more than two triangles (non-manifold)")
-        self.edge_vertices, self.triangle_edges = edges, triangle_edges
-        self.edge_on_boundary = counts == 1
+        on_boundary = counts == 1
+        self._num_edges = len(edges)
+        self._keep_topology(edges, triangle_edges, on_boundary)
         self.boundary = np.zeros(self.num_vertices, dtype=bool)
-        self.boundary[edges[self.edge_on_boundary]] = True
+        self.boundary[edges[on_boundary]] = True
         pair = _coincident_pair(self.vertices, 1e-12 * max(self.domain_diameter(), 1e-300))
         if pair is not None:
             raise MeshError("vertices {} and {} coincide".format(*pair))
@@ -302,7 +334,7 @@ class Mesh:
         # interior edge is traversed low-to-high index by exactly one of its triangles
         ascending = np.bincount(triangle_edges[self.triangles < self.triangles[:, [1, 2, 0]]],
                                 minlength=len(edges))
-        folded = ~self.edge_on_boundary & (ascending != 1)
+        folded = ~on_boundary & (ascending != 1)
         if folded.any():
             raise MeshError("edge ({}, {}) runs the same way in both its triangles: they "
                             "overlap".format(*edges[np.argmax(folded)]))
@@ -427,13 +459,20 @@ def refine_regular(mesh):
     # center child joins the three midpoints
     children = _four_children(tris, mid, mid[:, [2, 0, 1]], mid)
     fine = Mesh(vertices, children, topology=_refined_topology(mesh))
+    return fine, _prolongation(mesh)
 
-    # rows: surviving vertices, then one row of two 1/2 entries per edge midpoint
+
+def _prolongation(mesh):
+    """Nodal-value transfer from `mesh` onto the vertices of its
+    `refine_regular` refinement, as a CSR matrix: the parent's vertices, then
+    one midpoint per edge of `mesh`."""
+    nv, edges = mesh.num_vertices, mesh.edge_vertices
     ne = len(edges)
+    # rows: surviving vertices, then one row of two 1/2 entries per edge midpoint
     indptr = np.concatenate([np.arange(nv), nv + 2 * np.arange(ne + 1)])
     indices = np.concatenate([np.arange(nv), edges.ravel()])
     data = np.concatenate([np.ones(nv), np.full(2 * ne, 0.5)])
-    return fine, sp.csr_matrix((data, indices, indptr), shape=(fine.num_vertices, nv))
+    return sp.csr_matrix((data, indices, indptr), shape=(nv + ne, nv))
 
 
 class MeshHierarchy:
@@ -447,6 +486,11 @@ class MeshHierarchy:
     refine_seconds : list of float or None
         refine_seconds[k] is the wall time `build_hierarchy` took to refine
         levels[k] into levels[k+1] and validate it; None when not given.
+
+    The prolongations are a cache, like each level's edge arrays:
+    `release_caches` frees both, and reading `prolongations` rebuilds every
+    released one from its coarse mesh by the code `refine_regular` uses, bit
+    for bit.
     """
 
     def __init__(self, levels, prolongations, refine_seconds=None):
@@ -461,11 +505,25 @@ class MeshHierarchy:
                 raise MeshError("cell diameter is not halved between levels "
                                 "{} and {}".format(k, k + 1))
         self.levels = list(levels)
-        self.prolongations = list(prolongations)
+        self._prolongations = list(prolongations)
         self.refine_seconds = None if refine_seconds is None else list(refine_seconds)
 
     def __len__(self):
         return len(self.levels)
+
+    @property
+    def prolongations(self):
+        for k, prolong in enumerate(self._prolongations):
+            if prolong is None:
+                self._prolongations[k] = _prolongation(self.levels[k])
+        return self._prolongations
+
+    def release_caches(self):
+        """Free every level's edge arrays and every prolongation; each is
+        rebuilt when next read."""
+        for mesh in self.levels:
+            mesh.release_topology()
+        self._prolongations = [None] * len(self._prolongations)
 
 
 def check_vertex_cap(counts, n_levels, max_vertices):

@@ -48,16 +48,23 @@ class LevelRecord:
 
 def assemble_levels(hierarchy, coeffs, options=None, done=None):
     """Assemble the pencil of every level of `hierarchy`: the coarse one
-    first, then the others from the finest down.
+    first, then the others from the finest down; then the free-DOF
+    prolongations between them.
 
     `done(k, forms)`, if given, is called with each level's pencil as soon
     as it is assembled, in that order; so the small coarse pencil can be
     checked, and the finest one put to work, before the others are built.
 
+    Nothing after assembly reads the edge arrays or the full prolongations,
+    so this releases them (`MeshHierarchy.release_caches`); the hierarchy
+    stays valid and rebuilds either if it is read.
+
     Returns
     -------
-    (forms, seconds) : (list of AssembledForms, list of float)
-        The pencils, coarsest first, and each one's own assembly wall time.
+    (forms, seconds, prolongs) : (list of AssembledForms, list of float, list)
+        The pencils, coarsest first; each level's own assembly wall time,
+        with that of the prolongation onto it; and prolongs[k], the
+        free-DOF prolongation from level k onto level k+1.
     """
     quad_order = (options or SolveOptions()).effective_quad_order(coeffs)
     n_levels = len(hierarchy.levels)
@@ -68,7 +75,13 @@ def assemble_levels(hierarchy, coeffs, options=None, done=None):
         seconds[k] = time.perf_counter() - t0
         if done is not None:
             done(k, forms[k])
-    return forms, seconds
+    prolongs = []
+    for k, prolong in enumerate(hierarchy.prolongations):
+        t0 = time.perf_counter()
+        prolongs.append(free_prolongation(prolong, forms[k], forms[k + 1]))
+        seconds[k + 1] += time.perf_counter() - t0
+    hierarchy.release_caches()
+    return forms, seconds, prolongs
 
 
 def run_multilevel(hierarchy, coeffs, m=1, options=None, assembled=None):
@@ -103,7 +116,7 @@ def run_multilevel(hierarchy, coeffs, m=1, options=None, assembled=None):
         produced so far.
     """
     options = options or SolveOptions()
-    forms, assemble_times = assembled or assemble_levels(hierarchy, coeffs, options)
+    forms, assemble_times, prolongs = assembled or assemble_levels(hierarchy, coeffs, options)
     check_eigen_count(forms[0], m)
 
     records = []
@@ -115,10 +128,8 @@ def run_multilevel(hierarchy, coeffs, m=1, options=None, assembled=None):
                 pairs = coarse_solve(forms[0], m)
                 cycle = VCycle(forms[0].stiffness)
             else:
-                prolong = free_prolongation(hierarchy.prolongations[k - 1],
-                                            forms[k - 1], forms[k])
-                cycle = VCycle(forms[k].stiffness, prolong, cycle)
-                pairs = newton_step_multi(forms[k], pairs, prolong,
+                cycle = VCycle(forms[k].stiffness, prolongs[k - 1], cycle)
+                pairs = newton_step_multi(forms[k], pairs, prolongs[k - 1],
                                           tol=options.solver_tol, cycle=cycle)
         except Exception as exc:
             raise MultilevelError(k, exc, records) from exc

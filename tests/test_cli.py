@@ -16,15 +16,17 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import newteig
 import newteig.cli
 import newteig.eigen_newton
+import newteig.mesh
 import newteig.multilevel
 import newteig.reference
 from newteig.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, ConfigError,
                          RunConfig, cmd_bench, cmd_solve, local_exponent, main,
                          parse_config, run_bench)
 from newteig.linalg import SolverError, solve_bordered
-from newteig.mesh import MeshError, MeshFormatError, load_mesh, save_mesh, unit_square_mesh
+from newteig.mesh import (Mesh, MeshError, MeshFormatError, load_mesh, save_mesh,
+                          unit_square_mesh)
 
-from meshgen import renumbered_square
+from meshgen import l_shaped_mesh, renumbered_square
 
 EXACT_FIRST = 2 * math.pi ** 2
 
@@ -926,6 +928,81 @@ def test_fuzzed_mesh_files_fail_as_mesh_errors(tmp_path, capsys, edits):
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     else:
         assert err == ""
+
+
+def _shifted_square():
+    square = unit_square_mesh(1 / 4)
+    return Mesh(square.vertices + 0.25, square.triangles)
+
+
+@pytest.mark.parametrize("mesh, area", [(lambda: l_shaped_mesh(4), "0.75"),
+                                        (_shifted_square, "1")],
+                         ids=["l_shape", "shifted_square"])
+def test_laplace_refuses_a_mesh_off_the_unit_square(tmp_path, capsys, mesh, area):
+    # its reference values are the unit square's exact modes
+    save_mesh(mesh(), tmp_path / "other.mesh")
+    path = write_config(tmp_path, "problem = laplace\nmesh_file = {}\nlevels = 4\n"
+                        "output = {}\n".format(tmp_path / "other.mesh", tmp_path / "run"))
+    assert main(["solve", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: problem = laplace compares with the exact modes of "
+                          "the unit square") and "(area {}, ".format(area) in err
+    assert "use problem = custom" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "run_levels.csv").exists()
+    # the same file as a custom run with the default unit coefficients solves
+    path.write_text(path.read_text().replace("problem = laplace", "problem = custom"))
+    assert main(["solve", str(path)]) == EXIT_OK
+
+
+def forbid_rebuilds_after_assembly(monkeypatch):
+    """Make the rebuild of a released edge topology or prolongation raise once
+    `assemble_levels` has returned; returns the list of its calls."""
+    calls = []
+    assemble = newteig.multilevel.assemble_levels
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("a released cache was rebuilt")
+
+    def assemble_then_forbid(*args, **kwargs):
+        calls.append(args[0])
+        assembled = assemble(*args, **kwargs)
+        monkeypatch.setattr(newteig.mesh, "_edge_topology", rebuilt)
+        monkeypatch.setattr(newteig.mesh, "_prolongation", rebuilt)
+        return assembled
+
+    for module in (newteig.multilevel, newteig.cli):
+        monkeypatch.setattr(module, "assemble_levels", assemble_then_forbid)
+    return calls
+
+
+@pytest.mark.parametrize("command, config", [
+    ("solve", "problem = laplace\nmesh_file = {mesh}\nlevels = 3\n"),
+    ("solve", "problem = custom\nmesh_file = {mesh}\nlevels = 3\neigen_count = 2\n"
+              "a11 = 1 + x1^2\ncompare_direct = true\n"),
+    ("bench", "problem = laplace\nmesh_h = 1/4\nbench_max_levels = 4\n"),
+], ids=["laplace", "custom_compare_direct", "bench"])
+def test_solve_and_bench_never_rebuild_a_released_cache(tmp_path, monkeypatch, command,
+                                                         config):
+    save_mesh(renumbered_square(6, 3, jitter=0.15), tmp_path / "square.mesh")
+    path = write_config(tmp_path, config.format(mesh=tmp_path / "square.mesh")
+                        + "output = {}\n".format(tmp_path / "run"))
+    calls = forbid_rebuilds_after_assembly(monkeypatch)
+    assert main([command, str(path)]) == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_bench_work_file_reports_peak_memory(tmp_path):
+    config = parse_config(write_config(
+        tmp_path, "mesh_h = 1/4\nbench_max_levels = 3\noutput = {}\n".format(
+            tmp_path / "bench")))
+    _, levels = cmd_bench(config)
+    memory = (tmp_path / "bench_work.txt").read_text().split("\n\n")[5].splitlines()
+    assert memory[0] == "peak resident set (ru_maxrss)"
+    built, run, per_dof = (float(line.split()[-2]) for line in memory[1:])
+    assert [line.split()[-1] for line in memory[1:]] == ["MiB", "MiB", "bytes"]
+    assert 0 < built <= run
+    # both figures are rounded as printed, the MiB to 1e-3 relative at most
+    assert per_dof == pytest.approx(run * 2 ** 20 / levels[-1].n_free, rel=1e-3)
 
 
 def test_solve_from_mesh_file(tmp_path):

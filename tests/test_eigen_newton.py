@@ -74,7 +74,7 @@ def test_coarse_solve_rejects_oversized_requests():
 
 @pytest.mark.parametrize("solve", [
     coarse_solve, direct_solve,
-    lambda forms, m: run_multilevel(None, None, m, assembled=([forms], [0.0]))],
+    lambda forms, m: run_multilevel(None, None, m, assembled=([forms], [0.0], []))],
     ids=["coarse_solve", "direct_solve", "run_multilevel"])
 def test_one_eigen_count_rule(solve):
     forms = forms_for(1 / 4)                 # 9 free DOFs

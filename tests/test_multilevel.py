@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
@@ -15,7 +16,7 @@ from newteig.cli import RunConfig
 from newteig.eigen_newton import BasinWarning, ClusterGapWarning, coarse_solve
 from newteig.linalg import MINRES_MAX_ITERATIONS, SolverError, dense_gen_eig
 from newteig.mesh import build_hierarchy, unit_square_mesh
-from newteig.multilevel import MultilevelError, SolveOptions, run_multilevel
+from newteig.multilevel import MultilevelError, SolveOptions, assemble_levels, run_multilevel
 from newteig.reference import direct_solve, evaluate, exact_laplace
 
 from meshgen import l_shaped_mesh, renumbered_square
@@ -38,6 +39,29 @@ def test_package_exports_resolve():
     import newteig
 
     assert [name for name in newteig.__all__ if not hasattr(newteig, name)] == []
+
+
+def held_bytes(value):
+    """Bytes of the arrays and sparse matrices `value` holds in its attributes,
+    lists and tuples, read without a property (so nothing is rebuilt)."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if sp.issparse(value):
+        return sum(getattr(value, name).nbytes for name in ("data", "indices", "indptr"))
+    if isinstance(value, (list, tuple)):
+        return sum(held_bytes(item) for item in value)
+    return sum(held_bytes(item) for item in getattr(value, "__dict__", {}).values())
+
+
+def test_assemble_levels_releases_topology_and_prolongations():
+    hier = build_hierarchy(unit_square_mesh(1 / 4), 4)
+    forms, _, prolongs = assemble_levels(hier, laplace_coefficients())
+    # only the vertices, triangles and boundary flags of every level stay
+    kept = sum(mesh.vertices.nbytes + mesh.triangles.nbytes + mesh.boundary.nbytes
+               for mesh in hier.levels)
+    assert held_bytes(hier) == kept
+    assert [p.shape for p in prolongs] == [(f.n_free, c.n_free)
+                                          for c, f in zip(forms, forms[1:])]
 
 
 def test_single_level_equals_coarse_solve():
