@@ -18,7 +18,6 @@ from typing import Callable
 
 import numpy as np
 from scipy import sparse as sp
-from scipy.linalg.blas import ddot
 
 
 class AssemblyError(ValueError):
@@ -343,13 +342,7 @@ def assemble_forms(mesh, coeffs, quad_order=2):
 
 
 def _quadratic_form(matrix, x):
-    """``x . (matrix @ x)`` by scipy's ddot, the BLAS of the bordered solves
-    (see `linalg`), for a contiguous `x`.  A strided `x`, such as a column of
-    a C-ordered block, stays on numpy's dot: numpy's OpenBLAS sums it in an
-    order scipy's ddot does not reproduce.  So does an empty one, which ddot
-    refuses."""
-    product = matrix @ x
-    return float(ddot(x, product) if len(x) and x.flags.c_contiguous else x @ product)
+    return float(x @ (matrix @ x))
 
 
 def rayleigh_quotient(forms, x):

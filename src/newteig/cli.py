@@ -378,8 +378,9 @@ def _exponent_line(exponent, what):
 
 
 def _max_rss_bytes():
-    """The process's peak resident set so far (Linux reports KiB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    """The process's peak resident set so far (macOS reports bytes, Linux KiB)."""
+    unit = 1 if sys.platform == "darwin" else 1024
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit
 
 
 def cmd_bench(config):

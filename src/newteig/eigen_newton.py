@@ -18,9 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .assemble import b_norm, rayleigh_quotient
-from .linalg import (DEFAULT_SOLVER_TOL, BorderedMatrix, SolverError, VCycle, _product,
-                     _transpose_product, block_preconditioner, dense_gen_eig, pencil_eigs,
-                     solve_bordered)
+from .linalg import (DEFAULT_SOLVER_TOL, BorderedMatrix, SolverError, VCycle,
+                     block_preconditioner, dense_gen_eig, pencil_eigs, solve_bordered)
 
 
 class ClusterGapWarning(RuntimeWarning):
@@ -141,13 +140,13 @@ def newton_step_multi(forms_fine, prev_set, prolong, tol=DEFAULT_SOLVER_TOL, cyc
                                         rhs_bottom=rhs_bottom, tol=tol,
                                         preconditioner=preconditioner, stats=stats[i])
 
-    gram = _transpose_product(trial, mass @ trial)
+    gram = trial.T @ (mass @ trial)
     if np.linalg.cond(gram) > 1e12:
         raise SolverError("Newton solutions are numerically rank deficient; use a "
                           "smaller eigenpair count or a finer coarse mesh")
-    _, small_vecs = dense_gen_eig(_transpose_product(trial, stiffness @ trial), gram)
+    _, small_vecs = dense_gen_eig(trial.T @ (stiffness @ trial), gram)
     # an (n, 1) by (1, 1) matmul takes 4-8x a scalar multiply, which gives the same bits
-    ritz = trial * small_vecs[0, 0] if m == 1 else _product(trial, small_vecs)
+    ritz = trial * small_vecs[0, 0] if m == 1 else trial @ small_vecs
     ritz = canonical_sign(ritz / [b_norm(forms_fine, ritz[:, i]) for i in range(m)])
     # on contiguous copies, so the dot products sum in the same order for every m
     values = np.array([rayleigh_quotient(forms_fine, ritz[:, i].copy()) for i in range(m)])

@@ -9,10 +9,10 @@ from scipy import sparse as sp
 from scipy.linalg.blas import daxpy, ddot, dgemm, dgemv
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, splu
 
-# The bordered solves and a Newton step's Rayleigh-Ritz take every dense
-# product from scipy's BLAS library.  numpy bundles a second copy with its
-# own thread pool, and alternating between two pools of spinning threads
-# stalls each call for milliseconds once BLAS runs multi-threaded on two cores.
+# The bordered solves take every dense product from scipy's BLAS library.
+# numpy bundles a second copy with its own thread pool, and alternating
+# between two pools of spinning threads stalls each call for milliseconds
+# once BLAS runs multi-threaded on two cores.
 
 # pencils below this many free DOFs are solved densely by `pencil_eigs`
 DENSE_CUTOFF = 300
@@ -88,13 +88,6 @@ def _transpose_product(border, x):
     if x.ndim == 1:
         return dgemv(1.0, border.T, x)
     return dgemm(1.0, x.T, border.T, trans_b=1).T
-
-
-def _product(a, b):
-    """``a @ b`` for a C-ordered (n, k) `a` and a (k, m) `b`, by gemm on
-    the transposes, as numpy's matmul calls it for C-ordered operands, so
-    the sums run in its order."""
-    return dgemm(1.0, b.T, a.T).T
 
 
 class VCycle:

@@ -487,10 +487,12 @@ class MeshHierarchy:
         refine_seconds[k] is the wall time `build_hierarchy` took to refine
         levels[k] into levels[k+1] and validate it; None when not given.
 
-    The prolongations are a cache, like each level's edge arrays:
-    `release_caches` frees both, and reading `prolongations` rebuilds every
-    released one from its coarse mesh by the code `refine_regular` uses, bit
-    for bit.
+    Each level's edge arrays are a cache, and so are the prolongations of
+    a hierarchy `build_hierarchy` refined: `release_caches` frees them, and
+    reading `prolongations` rebuilds every released one from its coarse mesh
+    by the code `refine_regular` uses, bit for bit.  Prolongations given to
+    the constructor are kept: nothing shows that they number the fine
+    vertices as `refine_regular` would.
     """
 
     def __init__(self, levels, prolongations, refine_seconds=None):
@@ -506,6 +508,7 @@ class MeshHierarchy:
                                 "{} and {}".format(k, k + 1))
         self.levels = list(levels)
         self._prolongations = list(prolongations)
+        self._regular = False           # set by `build_hierarchy`
         self.refine_seconds = None if refine_seconds is None else list(refine_seconds)
 
     def __len__(self):
@@ -519,11 +522,12 @@ class MeshHierarchy:
         return self._prolongations
 
     def release_caches(self):
-        """Free every level's edge arrays and every prolongation; each is
-        rebuilt when next read."""
+        """Free every level's edge arrays and, if `build_hierarchy` refined
+        this hierarchy, every prolongation; each is rebuilt when next read."""
         for mesh in self.levels:
             mesh.release_topology()
-        self._prolongations = [None] * len(self._prolongations)
+        if self._regular:
+            self._prolongations = [None] * len(self._prolongations)
 
 
 def check_vertex_cap(counts, n_levels, max_vertices):
@@ -576,7 +580,9 @@ def build_hierarchy(coarse, n_levels, max_vertices=DEFAULT_VERTEX_CAP):
         seconds.append(time.perf_counter() - start)
         levels.append(fine)
         prolongations.append(prolong)
-    return MeshHierarchy(levels, prolongations, seconds)
+    hierarchy = MeshHierarchy(levels, prolongations, seconds)
+    hierarchy._regular = True
+    return hierarchy
 
 
 def save_mesh(mesh, path):

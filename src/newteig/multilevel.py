@@ -56,8 +56,9 @@ def assemble_levels(hierarchy, coeffs, options=None, done=None):
     checked, and the finest one put to work, before the others are built.
 
     Nothing after assembly reads the edge arrays or the full prolongations,
-    so this releases them (`MeshHierarchy.release_caches`); the hierarchy
-    stays valid and rebuilds either if it is read.
+    so this releases them (`MeshHierarchy.release_caches`, which keeps
+    prolongations a caller built by hand); the hierarchy stays valid and
+    rebuilds either if it is read.
 
     Returns
     -------

@@ -7,13 +7,13 @@ from numpy.testing import assert_allclose
 from scipy import sparse as sp
 from scipy.optimize import brentq
 
-from newteig.assemble import (CoefficientSet, _quadratic_form, assemble_forms,
-                              example2_coefficients, free_prolongation, interpolate,
-                              laplace_coefficients, rayleigh_quotient)
+from newteig.assemble import (CoefficientSet, assemble_forms, example2_coefficients,
+                              free_prolongation, interpolate, laplace_coefficients,
+                              rayleigh_quotient)
 import newteig.linalg
 from newteig.linalg import (JACOBI_L1_CAP, JACOBI_WEIGHT, BorderedMatrix, SolverError, VCycle,
-                            _product, _transpose_product, block_preconditioner, dense_gen_eig,
-                            pencil_eigs, solve_bordered)
+                            _transpose_product, block_preconditioner, dense_gen_eig, pencil_eigs,
+                            solve_bordered)
 from newteig.mesh import refine_regular, unit_square_mesh
 
 from meshgen import renumbered_square
@@ -185,24 +185,15 @@ def test_one_pass_solve_makes_one_residual_product(monkeypatch):
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_transpose_product_sums_in_matmul_order(m):
-    # scipy's BLAS computes the border's and the Rayleigh-Ritz products by the
-    # routine numpy's matmul picks (dot, gemv or gemm), so both give the same
-    # bits; at 1500 rows OpenBLAS runs none of them threaded
+    # scipy's BLAS computes the border's products by the routine numpy's
+    # matmul picks (dot, gemv or gemm), so both give the same bits; at 1500
+    # rows OpenBLAS runs none of them threaded
     rng = np.random.default_rng(m)
     border = rng.standard_normal((1500, m))
     vector = rng.standard_normal(1500)
     columns = np.column_stack([rng.standard_normal(1500) for _ in range(m)])
     assert _transpose_product(border, vector).tobytes() == (border.T @ vector).tobytes()
     assert _transpose_product(border, columns).tobytes() == (border.T @ columns).tobytes()
-    small = np.asfortranarray(rng.standard_normal((m, m)))     # as `dense_gen_eig` returns
-    for right in (small, np.ascontiguousarray(small)):
-        assert _product(columns, right).tobytes() == (columns @ right).tobytes()
-    # the quadratic forms of `b_norm` and `rayleigh_quotient`, on contiguous,
-    # strided (a column of a C-ordered block) and empty vectors
-    matrix = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(1500, 1500), format="csr")
-    for x in (vector, columns[:, -1], np.zeros(0)):
-        size = len(x)
-        assert _quadratic_form(matrix[:size, :size], x) == float(x @ (matrix[:size, :size] @ x))
 
 
 def test_minres_stops_at_the_first_iterate_that_meets_the_gate(monkeypatch):
