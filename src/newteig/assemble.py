@@ -19,6 +19,8 @@ from typing import Callable
 import numpy as np
 from scipy import sparse as sp
 
+from .mesh import MeshError, prolongation
+
 
 class AssemblyError(ValueError):
     """Coefficient or quadrature data violates the assembly contract."""
@@ -404,14 +406,27 @@ def interpolate(f, mesh):
     return vals
 
 
-def free_prolongation(prolongation, coarse_forms, fine_forms):
-    """Restriction of a nodal prolongation matrix to free DOFs on both levels.
+def free_prolongation(coarse, fine):
+    """Free-DOF prolongation from mesh `coarse` onto its refinement `fine`.
 
-    Exact for homogeneous Dirichlet data: a coarse function vanishing on the
-    coarse boundary prolongates to a fine function vanishing on the fine
-    boundary, so dropping boundary rows and columns loses nothing.
+    Builds `mesh.prolongation(coarse)` and keeps the rows and columns of the
+    free (non-boundary) vertices.  Exact for homogeneous Dirichlet data: a
+    coarse function vanishing on the coarse boundary prolongates to a fine
+    function vanishing on the fine boundary, so dropping boundary rows and
+    columns loses nothing.
+
+    Raises
+    ------
+    MeshError
+        If the transfer does not carry the coarse vertices onto the fine ones
+        exactly, i.e. `fine` is not numbered as `refine_regular` numbers the
+        refinement of `coarse`.
     """
-    return prolongation[fine_forms.free_to_full][:, coarse_forms.free_to_full].tocsr()
+    prolong = prolongation(coarse)
+    if not np.array_equal(prolong @ coarse.vertices, fine.vertices):
+        raise MeshError("the fine mesh is not the regular refinement of the coarse one, "
+                        "numbered as refine_regular numbers it")
+    return prolong[~fine.boundary][:, ~coarse.boundary].tocsr()
 
 
 def energy_error_vs_exact(forms, mesh, x, u_exact, grad_exact):

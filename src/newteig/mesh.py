@@ -436,16 +436,14 @@ def refine_regular(mesh):
     """Split every triangle into four congruent children at the edge midpoints.
 
     New vertices are deduplicated through the shared-edge index pairs, so no
-    coordinate tolerance is involved.  The children's edge topology is built
+    coordinate tolerance is involved: the fine vertices are the parent's,
+    then one midpoint per parent edge, in edge order, the numbering
+    `prolongation` transfers onto.  The children's edge topology is built
     from the parent's (`_refined_topology`) and verified, not sorted for.
 
     Returns
     -------
-    (Mesh, csr_matrix)
-        The refined mesh and the nodal-value transfer onto it: surviving
-        vertices carry weight 1, edge midpoints average the two endpoints
-        with weight 1/2 each, so coarse piecewise-linear functions are
-        reproduced exactly.
+    Mesh
     """
     tris = mesh.triangles
     nv = mesh.num_vertices
@@ -458,17 +456,20 @@ def refine_regular(mesh):
     # corner j keeps vertex j and the midpoints of local edges j and j-1; the
     # center child joins the three midpoints
     children = _four_children(tris, mid, mid[:, [2, 0, 1]], mid)
-    fine = Mesh(vertices, children, topology=_refined_topology(mesh))
-    return fine, _prolongation(mesh)
+    return Mesh(vertices, children, topology=_refined_topology(mesh))
 
 
-def _prolongation(mesh):
-    """Nodal-value transfer from `mesh` onto the vertices of its
-    `refine_regular` refinement, as a CSR matrix: the parent's vertices, then
-    one midpoint per edge of `mesh`."""
-    nv, edges = mesh.num_vertices, mesh.edge_vertices
+def prolongation(coarse):
+    """Nodal-value transfer from `coarse` onto the vertices of its
+    `refine_regular` refinement, as a CSR matrix.
+
+    Rows are the fine vertices as refinement numbers them: the parent's
+    vertices, each with weight 1, then one midpoint per edge of `coarse`, in
+    edge order, averaging the edge's two endpoints with weight 1/2 each.  So
+    coarse piecewise-linear functions are reproduced exactly.
+    """
+    nv, edges = coarse.num_vertices, coarse.edge_vertices
     ne = len(edges)
-    # rows: surviving vertices, then one row of two 1/2 entries per edge midpoint
     indptr = np.concatenate([np.arange(nv), nv + 2 * np.arange(ne + 1)])
     indices = np.concatenate([np.arange(nv), edges.ravel()])
     data = np.concatenate([np.ones(nv), np.full(2 * ne, 0.5)])
@@ -478,26 +479,21 @@ def _prolongation(mesh):
 class MeshHierarchy:
     """Nested meshes produced by regular refinement (coarsest first).
 
+    The transfer between two levels is not stored: `prolongation` derives it
+    from the coarser mesh, and `assemble.free_prolongation` checks that the
+    finer one is numbered as `refine_regular` numbers it.
+
     Attributes
     ----------
     levels : list of Mesh
-    prolongations : list of csr_matrix
-        prolongations[k] maps nodal values from levels[k] to levels[k+1].
     refine_seconds : list of float or None
         refine_seconds[k] is the wall time `build_hierarchy` took to refine
         levels[k] into levels[k+1] and validate it; None when not given.
-
-    Each level's edge arrays are a cache, and so are the prolongations of
-    a hierarchy `build_hierarchy` refined: `release_caches` frees them, and
-    reading `prolongations` rebuilds every released one from its coarse mesh
-    by the code `refine_regular` uses, bit for bit.  Prolongations given to
-    the constructor are kept: nothing shows that they number the fine
-    vertices as `refine_regular` would.
     """
 
-    def __init__(self, levels, prolongations, refine_seconds=None):
-        if len(levels) < 1 or len(prolongations) != len(levels) - 1:
-            raise ValueError("need one prolongation per refinement step")
+    def __init__(self, levels, refine_seconds=None):
+        if len(levels) < 1:
+            raise ValueError("a hierarchy needs at least one level")
         for k in range(len(levels) - 1):
             if levels[k + 1].num_triangles != 4 * levels[k].num_triangles:
                 raise MeshError("level {} does not have 4x the triangles of "
@@ -507,27 +503,10 @@ class MeshHierarchy:
                 raise MeshError("cell diameter is not halved between levels "
                                 "{} and {}".format(k, k + 1))
         self.levels = list(levels)
-        self._prolongations = list(prolongations)
-        self._regular = False           # set by `build_hierarchy`
         self.refine_seconds = None if refine_seconds is None else list(refine_seconds)
 
     def __len__(self):
         return len(self.levels)
-
-    @property
-    def prolongations(self):
-        for k, prolong in enumerate(self._prolongations):
-            if prolong is None:
-                self._prolongations[k] = _prolongation(self.levels[k])
-        return self._prolongations
-
-    def release_caches(self):
-        """Free every level's edge arrays and, if `build_hierarchy` refined
-        this hierarchy, every prolongation; each is rebuilt when next read."""
-        for mesh in self.levels:
-            mesh.release_topology()
-        if self._regular:
-            self._prolongations = [None] * len(self._prolongations)
 
 
 def check_vertex_cap(counts, n_levels, max_vertices):
@@ -572,17 +551,12 @@ def build_hierarchy(coarse, n_levels, max_vertices=DEFAULT_VERTEX_CAP):
     check_vertex_cap((coarse.num_vertices, coarse.num_edges, coarse.num_triangles), n_levels,
                      max_vertices)
     levels = [coarse]
-    prolongations = []
     seconds = []
     for _ in range(n_levels - 1):
         start = time.perf_counter()
-        fine, prolong = refine_regular(levels[-1])
+        levels.append(refine_regular(levels[-1]))
         seconds.append(time.perf_counter() - start)
-        levels.append(fine)
-        prolongations.append(prolong)
-    hierarchy = MeshHierarchy(levels, prolongations, seconds)
-    hierarchy._regular = True
-    return hierarchy
+    return MeshHierarchy(levels, seconds)
 
 
 def save_mesh(mesh, path):

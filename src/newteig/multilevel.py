@@ -55,10 +55,9 @@ def assemble_levels(hierarchy, coeffs, options=None, done=None):
     as it is assembled, in that order; so the small coarse pencil can be
     checked, and the finest one put to work, before the others are built.
 
-    Nothing after assembly reads the edge arrays or the full prolongations,
-    so this releases them (`MeshHierarchy.release_caches`, which keeps
-    prolongations a caller built by hand); the hierarchy stays valid and
-    rebuilds either if it is read.
+    Nothing after the last prolongation reads a mesh's edge arrays, so this
+    releases them (`Mesh.release_topology`); a mesh rebuilds them if they
+    are read again.
 
     Returns
     -------
@@ -66,22 +65,30 @@ def assemble_levels(hierarchy, coeffs, options=None, done=None):
         The pencils, coarsest first; each level's own assembly wall time,
         with that of the prolongation onto it; and prolongs[k], the
         free-DOF prolongation from level k onto level k+1.
+
+    Raises
+    ------
+    MeshError
+        If a level is not numbered as `refine_regular` refines the one
+        before it (see `free_prolongation`).
     """
     quad_order = (options or SolveOptions()).effective_quad_order(coeffs)
-    n_levels = len(hierarchy.levels)
+    levels = hierarchy.levels
+    n_levels = len(levels)
     forms, seconds = [None] * n_levels, [0.0] * n_levels
     for k in [0] + list(range(n_levels - 1, 0, -1)):
         t0 = time.perf_counter()
-        forms[k] = assemble_forms(hierarchy.levels[k], coeffs, quad_order)
+        forms[k] = assemble_forms(levels[k], coeffs, quad_order)
         seconds[k] = time.perf_counter() - t0
         if done is not None:
             done(k, forms[k])
     prolongs = []
-    for k, prolong in enumerate(hierarchy.prolongations):
+    for k in range(n_levels - 1):
         t0 = time.perf_counter()
-        prolongs.append(free_prolongation(prolong, forms[k], forms[k + 1]))
+        prolongs.append(free_prolongation(levels[k], levels[k + 1]))
         seconds[k + 1] += time.perf_counter() - t0
-    hierarchy.release_caches()
+    for mesh in levels:
+        mesh.release_topology()
     return forms, seconds, prolongs
 
 

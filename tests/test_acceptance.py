@@ -156,8 +156,7 @@ def contraction_references(laplace_hierarchy):
     eigenpairs on levels 1..3 that criterion 5 measures errors against."""
     coeffs = nt.laplace_coefficients()
     forms = [nt.assemble_forms(m, coeffs) for m in laplace_hierarchy.levels]
-    prolongs = [free_prolongation(laplace_hierarchy.prolongations[k - 1],
-                                  forms[k - 1], forms[k]) for k in (1, 2, 3)]
+    prolongs = [free_prolongation(*laplace_hierarchy.levels[k - 1:k + 1]) for k in (1, 2, 3)]
     directs = [direct_solve(forms[k], 1, tol=1e-13, dense_cutoff=10 ** 9)
                for k in (1, 2, 3)]
     return forms, prolongs, directs

@@ -955,7 +955,7 @@ def test_laplace_refuses_a_mesh_off_the_unit_square(tmp_path, capsys, mesh, area
 
 
 def forbid_rebuilds_after_assembly(monkeypatch):
-    """Make the rebuild of a released edge topology or prolongation raise once
+    """Make the rebuild of a released edge topology raise once
     `assemble_levels` has returned; returns the list of its calls."""
     calls = []
     assemble = newteig.multilevel.assemble_levels
@@ -967,7 +967,6 @@ def forbid_rebuilds_after_assembly(monkeypatch):
         calls.append(args[0])
         assembled = assemble(*args, **kwargs)
         monkeypatch.setattr(newteig.mesh, "_edge_topology", rebuilt)
-        monkeypatch.setattr(newteig.mesh, "_prolongation", rebuilt)
         return assembled
 
     for module in (newteig.multilevel, newteig.cli):

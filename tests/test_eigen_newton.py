@@ -29,11 +29,11 @@ def forms_for(h, coeffs=None):
 
 def two_level(h):
     coarse = unit_square_mesh(h)
-    fine, prolong = refine_regular(coarse)
+    fine = refine_regular(coarse)
     coeffs = laplace_coefficients()
     cf = assemble_forms(coarse, coeffs)
     ff = assemble_forms(fine, coeffs)
-    return cf, ff, free_prolongation(prolong, cf, ff)
+    return cf, ff, free_prolongation(coarse, fine)
 
 
 def test_coarse_solve_first_value_bracket():
@@ -143,7 +143,7 @@ def test_newton_two_steps_error_decay():
     gaps = []
     errors = [prev.values[0] - EXACT[0]]
     for k in (1, 2):
-        op = free_prolongation(hier.prolongations[k - 1], forms[k - 1], forms[k])
+        op = free_prolongation(hier.levels[k - 1], hier.levels[k])
         new = newton_step_multi(forms[k], prev, op)
         direct = direct_solve(forms[k], 1).values[0]
         gaps.append(abs(new.values[0] - direct))
@@ -162,7 +162,7 @@ def test_newton_contraction_constant_bounded():
     prev = coarse_solve(forms[0], 1)
     constants = []
     for k in (1, 2, 3):
-        op = free_prolongation(hier.prolongations[k - 1], forms[k - 1], forms[k])
+        op = free_prolongation(hier.levels[k - 1], hier.levels[k])
         new = newton_step_multi(forms[k], prev, op)
         ubar = direct_solve(forms[k], 1).vectors[:, 0]
         lifted = op @ prev.vectors[:, 0]
@@ -217,7 +217,7 @@ def test_newton_multi_degenerate_pair_consistency():
         warnings.simplefilter("ignore", ClusterGapWarning)
         pairs = coarse_solve(forms[0], 6)
     for k in (1, 2):
-        op = free_prolongation(hier.prolongations[k - 1], forms[k - 1], forms[k])
+        op = free_prolongation(hier.levels[k - 1], hier.levels[k])
         pairs = newton_step_multi(forms[k], pairs, op)
     direct = direct_solve(forms[-1], 6)
     errors = np.abs(pairs.values - np.array(EXACT[:6]))
@@ -278,7 +278,7 @@ def test_finest_newton_step_memory_peak():
     forms = [assemble_forms(mesh, coeffs, 5) for mesh in hier.levels]
     pairs, cycle = coarse_solve(forms[0], 3), VCycle(forms[0].stiffness)
     for k in range(1, 4):
-        prolong = free_prolongation(hier.prolongations[k - 1], forms[k - 1], forms[k])
+        prolong = free_prolongation(hier.levels[k - 1], hier.levels[k])
         cycle = VCycle(forms[k].stiffness, prolong, cycle)
         if k < 3:
             pairs = newton_step_multi(forms[k], pairs, prolong, cycle=cycle)

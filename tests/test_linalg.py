@@ -132,7 +132,7 @@ def _shifted_pencil(mesh):
 def test_preconditioned_solve_matches_dense(cells, seed):
     # the coarse mesh gets an exact cycle, its refinement a two-level one
     coarse = renumbered_square(cells, seed, jitter=0.15)
-    fine, prolongation = refine_regular(coarse)
+    fine = refine_regular(coarse)
     rng = np.random.default_rng(seed)
     coarse_forms = None
     for mesh in (coarse, fine):
@@ -143,7 +143,7 @@ def test_preconditioned_solve_matches_dense(cells, seed):
             cycle = VCycle(forms.stiffness)
         else:
             cycle = VCycle(forms.stiffness,
-                           free_prolongation(prolongation, coarse_forms, forms),
+                           free_prolongation(coarse, fine),
                            VCycle(coarse_forms.stiffness))
         coarse_forms = forms
         n = forms.n_free
@@ -242,11 +242,11 @@ def test_minres_stops_at_the_first_iterate_that_meets_the_gate(monkeypatch):
 def test_smoother_weights_match_the_absolute_row_sums(coarse, case):
     # the row sums of |K| come from K's data, without an absolute copy of K
     make_coeffs, quad_order = case
-    fine, prolongation = refine_regular(coarse)
+    fine = refine_regular(coarse)
     coarse_forms, forms = (assemble_forms(mesh, make_coeffs(), quad_order)
                            for mesh in (coarse, fine))
     stiffness = forms.stiffness
-    cycle = VCycle(stiffness, free_prolongation(prolongation, coarse_forms, forms),
+    cycle = VCycle(stiffness, free_prolongation(coarse, fine),
                    VCycle(coarse_forms.stiffness))
     l1 = np.asarray(abs(stiffness).sum(axis=1)).ravel()
     expected = np.minimum(JACOBI_WEIGHT / stiffness.diagonal(), JACOBI_L1_CAP / l1)
@@ -255,9 +255,9 @@ def test_smoother_weights_match_the_absolute_row_sums(coarse, case):
 
 def test_vcycle_restricts_through_a_view_of_the_prolongation():
     coarse = unit_square_mesh(1 / 4)
-    fine, prolongation = refine_regular(coarse)
+    fine = refine_regular(coarse)
     coarse_forms, forms = (assemble_forms(mesh, laplace_coefficients()) for mesh in (coarse, fine))
-    prolong = free_prolongation(prolongation, coarse_forms, forms)
+    prolong = free_prolongation(coarse, fine)
     cycle = VCycle(forms.stiffness, prolong, VCycle(coarse_forms.stiffness))
     assert cycle._restrict.format == "csc"
     for array in ("data", "indices", "indptr"):
@@ -280,10 +280,10 @@ def _anisotropic(a12):
 def test_smoother_weights_keep_the_cycle_spd(coarse, a12):
     # damped Jacobi with weights w converges, and the V-cycle stays SPD, when
     # 2 diag(1/w) - K is SPD; 0.8 / k_ii alone fails on distorted anisotropic meshes
-    fine, prolongation = refine_regular(coarse)
+    fine = refine_regular(coarse)
     coeffs = _anisotropic(a12)
     coarse_forms, forms = assemble_forms(coarse, coeffs), assemble_forms(fine, coeffs)
-    cycle = VCycle(forms.stiffness, free_prolongation(prolongation, coarse_forms, forms),
+    cycle = VCycle(forms.stiffness, free_prolongation(coarse, fine),
                    VCycle(coarse_forms.stiffness))
     margin = np.diag(2.0 / cycle._weights) - forms.stiffness.toarray()
     assert np.linalg.eigvalsh(margin)[0] > 0

@@ -12,10 +12,10 @@ from numpy.testing import assert_allclose
 from scipy.spatial import cKDTree
 
 import newteig.mesh
-from newteig.assemble import assemble_forms, laplace_coefficients
-from newteig.mesh import (Mesh, MeshError, MeshFormatError, _coincident_pair, _edge_keys,
-                          _edge_topology, build_hierarchy, load_mesh, refine_regular, save_mesh,
-                          unit_square_counts, unit_square_mesh)
+from newteig.assemble import assemble_forms, free_prolongation, laplace_coefficients
+from newteig.mesh import (Mesh, MeshError, MeshFormatError, MeshHierarchy, _coincident_pair,
+                          _edge_keys, _edge_topology, build_hierarchy, load_mesh, prolongation,
+                          refine_regular, save_mesh, unit_square_counts, unit_square_mesh)
 from newteig.multilevel import run_multilevel
 
 from meshgen import l_shaped_mesh, renumbered_square
@@ -51,12 +51,12 @@ def test_unit_square_rejects_bad_h(h):
 def test_refine_euler_counts():
     # V_new = V + E with E = V + T - 1 for a simply connected triangulation
     coarse = unit_square_mesh(1.0)          # V=4, T=2, E=5
-    fine, _ = refine_regular(coarse)
+    fine = refine_regular(coarse)
     assert fine.num_vertices == 9
     assert fine.num_triangles == 8
 
     coarse = unit_square_mesh(1 / 2)        # V=9, T=8, E=16
-    fine, _ = refine_regular(coarse)
+    fine = refine_regular(coarse)
     assert fine.num_vertices == 25
     assert fine.num_triangles == 32
 
@@ -64,7 +64,7 @@ def test_refine_euler_counts():
 def test_refine_preserves_area_and_quadruples_triangles():
     mesh = unit_square_mesh(1 / 3)
     for _ in range(3):
-        fine, _ = refine_regular(mesh)
+        fine = refine_regular(mesh)
         assert fine.num_triangles == 4 * mesh.num_triangles
         assert abs(fine.area() - mesh.area()) <= 1e-12 * mesh.area()
         mesh = fine
@@ -76,7 +76,7 @@ def test_refine_preserves_area_and_quadruples_triangles():
                  st.builds(l_shaped_mesh, st.sampled_from([2, 4, 6, 8]))),
        st.integers(0, 2 ** 32 - 1))
 def test_prolongation_reproduces_affine(mesh, seed):
-    fine, prolong = refine_regular(mesh)
+    fine, prolong = refine_regular(mesh), prolongation(mesh)
     assert prolong.format == "csr" and prolong.shape == (fine.num_vertices, mesh.num_vertices)
     assert (np.asarray(prolong.sum(axis=1)).ravel() == 1.0).all()
     assert np.isin(prolong.data, [0.5, 1.0]).all()
@@ -88,7 +88,7 @@ def test_prolongation_reproduces_affine(mesh, seed):
 
 def test_refined_boundary_edges_nest_in_coarse_boundary():
     mesh = unit_square_mesh(1 / 2)
-    fine, _ = refine_regular(mesh)
+    fine = refine_regular(mesh)
     edges, _, counts = _edge_topology(mesh.triangles, mesh.num_vertices)
     coarse_edges = edges[counts == 1]
     fine_edges, _, fine_counts = _edge_topology(fine.triangles, fine.num_vertices)
@@ -120,7 +120,7 @@ def test_hierarchy_single_level():
     hier = build_hierarchy(coarse, 1)
     assert len(hier) == 1
     assert hier.levels[0] is coarse
-    assert hier.prolongations == [] and hier.refine_seconds == []
+    assert hier.refine_seconds == []
 
 
 def test_hierarchy_times_each_refinement(monkeypatch):
@@ -143,6 +143,22 @@ def test_hierarchy_h_halves():
     hs = [m.max_diameter() for m in hier.levels]
     for k in range(2):
         assert_allclose(hs[k] / hs[k + 1], 2.0, rtol=1e-12)
+
+
+def test_hierarchy_refuses_a_level_without_four_times_the_triangles():
+    coarse = unit_square_mesh(1 / 2)
+    with pytest.raises(MeshError, match="level 1 does not have 4x the triangles of level 0"):
+        MeshHierarchy([coarse, unit_square_mesh(1 / 3)])
+
+
+def test_hierarchy_refuses_a_diameter_not_halved():
+    # four times the triangles, but the refined level is then stretched by 3/2
+    coarse = unit_square_mesh(1 / 2)
+    fine = refine_regular(coarse)
+    stretched = Mesh(fine.vertices * [1.5, 1.0], fine.triangles)
+    with pytest.raises(MeshError, match="cell diameter is not halved between levels 0 and 1"):
+        MeshHierarchy([coarse, stretched])
+    assert len(MeshHierarchy([coarse, fine])) == 2
 
 
 def test_hierarchy_memory_guard():
@@ -177,7 +193,7 @@ def test_unit_square_counts_match_the_grid(cells):
 @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
 def test_edge_topology_matches_lexicographic_unique(cells, seed):
     mesh = renumbered_square(cells, seed)
-    for m in (mesh, refine_regular(mesh)[0]):
+    for m in (mesh, refine_regular(mesh)):
         pairs = np.sort(m.triangles[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
         ref_edges, ref_inverse, ref_counts = np.unique(
             pairs, axis=0, return_inverse=True, return_counts=True)
@@ -215,7 +231,7 @@ def test_edge_topology_once_per_validation_and_refinement(monkeypatch):
                  st.builds(l_shaped_mesh, st.sampled_from([2, 4, 6]))))
 def test_refined_topology_equals_discovery(mesh):
     for _ in range(2):
-        mesh, _ = refine_regular(mesh)
+        mesh = refine_regular(mesh)
         edges, triangle_edges, counts = _edge_topology(mesh.triangles, mesh.num_vertices)
         for name, expected in (("edge_vertices", edges), ("triangle_edges", triangle_edges),
                                ("edge_on_boundary", counts == 1)):
@@ -247,22 +263,23 @@ def assert_same_csr(got, want):
 def test_released_caches_rebuild_bit_for_bit(coarse, n_levels):
     hier = build_hierarchy(coarse, n_levels)
     topology = [[getattr(mesh, name) for name in EDGE_ARRAYS] for mesh in hier.levels]
-    prolongs = list(hier.prolongations)
-    # a prolongation rebuilds first here, so it reads a rebuilt coarse topology
-    hier.release_caches()
-    for got, want in zip(hier.prolongations, prolongs):
+    prolongs = list(map(free_prolongation, hier.levels, hier.levels[1:]))
+    # a free prolongation reads the topology first here, so it reads a rebuilt one
+    for mesh in hier.levels:
+        mesh.release_topology()
+    for got, want in zip(map(free_prolongation, hier.levels, hier.levels[1:]), prolongs):
         assert_same_csr(got, want)
     for mesh, arrays in zip(hier.levels, topology):
         for name, want in zip(EDGE_ARRAYS, arrays):
             assert_same_array(getattr(mesh, name), want, name)
         assert mesh.num_edges == len(arrays[0])
-    # refinement of a released mesh gives the same child and prolongation
-    hier.release_caches()
-    for k, parent in enumerate(hier.levels[:-1]):
-        child, prolong = refine_regular(parent)
-        assert_same_csr(prolong, prolongs[k])
+    # refinement of a released mesh gives the same child
+    for mesh in hier.levels:
+        mesh.release_topology()
+    for parent, child in zip(hier.levels, hier.levels[1:]):
+        rebuilt = refine_regular(parent)
         for name in ("vertices", "triangles", "boundary") + EDGE_ARRAYS:
-            assert_same_array(getattr(child, name), getattr(hier.levels[k + 1], name), name)
+            assert_same_array(getattr(rebuilt, name), getattr(child, name), name)
 
 
 def corrupt_topology(fine, how):
@@ -291,7 +308,7 @@ def corrupt_topology(fine, how):
     ("unused edge", "belongs to no triangle"),
 ])
 def test_mesh_rejects_a_corrupted_topology(how, message):
-    fine, _ = refine_regular(renumbered_square(3, 7, jitter=0.1))
+    fine = refine_regular(renumbered_square(3, 7, jitter=0.1))
     args = (fine.vertices, fine.triangles)
     intact = Mesh(*args, topology=(fine.edge_vertices, fine.triangle_edges))
     assert intact.edge_vertices.tobytes() == fine.edge_vertices.tobytes()
@@ -336,7 +353,7 @@ def test_hierarchy_live_size():
 
 def test_triangles_stored_as_int32(tmp_path):
     mesh = unit_square_mesh(1 / 3)
-    fine, _ = refine_regular(mesh)
+    fine = refine_regular(mesh)
     save_mesh(fine, tmp_path / "fine.mesh")
     for m in (mesh, fine, load_mesh(tmp_path / "fine.mesh")):
         assert m.triangles.dtype == np.int32

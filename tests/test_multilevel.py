@@ -15,7 +15,7 @@ from newteig.assemble import (assemble_forms, example2_coefficients,
 from newteig.cli import RunConfig
 from newteig.eigen_newton import BasinWarning, ClusterGapWarning, coarse_solve
 from newteig.linalg import MINRES_MAX_ITERATIONS, SolverError, dense_gen_eig
-from newteig.mesh import Mesh, MeshHierarchy, build_hierarchy, unit_square_mesh
+from newteig.mesh import Mesh, MeshError, MeshHierarchy, build_hierarchy, unit_square_mesh
 from newteig.multilevel import MultilevelError, SolveOptions, assemble_levels, run_multilevel
 from newteig.reference import direct_solve, evaluate, exact_laplace
 
@@ -64,29 +64,19 @@ def test_assemble_levels_releases_topology_and_prolongations():
                                           for c, f in zip(forms, forms[1:])]
 
 
-def test_hand_built_hierarchy_keeps_its_prolongations():
-    # fine vertices numbered otherwise than `refine_regular` numbers them, with
-    # prolongations to match: they cannot be rebuilt from the coarse meshes
+def test_renumbered_hierarchy_is_refused():
+    # fine vertices numbered otherwise than `refine_regular` numbers them: the
+    # transfer derived from each coarse mesh would be the wrong one
     built = build_hierarchy(renumbered_square(4, 5, jitter=0.1), 3)
     rng = np.random.default_rng(5)
-    perms = [np.arange(built.levels[0].num_vertices)]
     levels = [built.levels[0]]
     for mesh in built.levels[1:]:
-        perms.append(rng.permutation(mesh.num_vertices))
-        inverse = np.argsort(perms[-1])
-        levels.append(Mesh(mesh.vertices[perms[-1]], inverse[mesh.triangles]))
-    given = [p[fine][:, coarse].tocsr()
-             for p, coarse, fine in zip(built.prolongations, perms, perms[1:])]
-    hand = MeshHierarchy(levels, given)
-    hand_run = run_multilevel(hand, laplace_coefficients())
-    assert all(got is want for got, want in zip(hand.prolongations, given))
-    kept = sum(mesh.vertices.nbytes + mesh.triangles.nbytes + mesh.boundary.nbytes
-               for mesh in hand.levels)
-    assert held_bytes(hand) == kept + held_bytes(given)
-    # the same problem, solved on the numbering `build_hierarchy` gives
-    built_run = run_multilevel(built, laplace_coefficients())
-    assert_allclose([r.eigenvalues[0] for r in hand_run],
-                    [r.eigenvalues[0] for r in built_run], rtol=1e-10)
+        perm = rng.permutation(mesh.num_vertices)
+        inverse = np.argsort(perm)
+        levels.append(Mesh(mesh.vertices[perm], inverse[mesh.triangles]))
+    hand = MeshHierarchy(levels)
+    with pytest.raises(MeshError, match="not the regular refinement of the coarse one"):
+        run_multilevel(hand, laplace_coefficients())
 
 
 def test_single_level_equals_coarse_solve():
