@@ -22,8 +22,7 @@ from .expressions import ExpressionError, parse_expression
 from .linalg import DEFAULT_SOLVER_TOL, SolverError
 from .mesh import (DEFAULT_VERTEX_CAP, MeshError, build_hierarchy, check_vertex_cap,
                    load_mesh, unit_square_counts, unit_square_mesh)
-from .eigen_newton import check_eigen_count
-from .multilevel import MultilevelError, SolveOptions, assemble_levels, run_multilevel
+from .multilevel import MultilevelError, SolveOptions, run_multilevel
 from .reference import DEFAULT_DIRECT_TOL, evaluate, reference_levels
 
 EXIT_OK = 0
@@ -294,16 +293,16 @@ def cmd_solve(config):
     """Run the study; returns (exit_code, record or None); a failed evaluation re-raises.
 
     The direct solves of the evaluation need only the assembled pencils, so
-    they run on one worker thread while this thread assembles the other
-    pencils and runs the Newton steps.  The coarse pencil is assembled and
-    its eigen count checked first, so a bad `eigen_count` starts no solve;
-    the finest pencil follows, and its solve, the longest, is submitted at
-    once.  The others are submitted as their pencils are done, in
-    `reference_levels` order.  Once the Newton steps are done, this thread
-    takes back the solves still queued and runs them itself, in that order,
-    while the worker finishes the one it is running.  A failed level wins
-    over them: the queued solves are cancelled, the running one is joined
-    and its result or error is dropped.
+    they run on one worker thread while `run_multilevel` assembles the other
+    pencils and runs the Newton steps on this one.  It assembles the coarse
+    pencil and checks the eigen count on it first, so a bad `eigen_count`
+    starts no solve; the finest pencil follows, and its solve, the longest,
+    is submitted at once from its `done` hook.  The others are submitted as
+    their pencils are done, in `reference_levels` order.  Once the Newton
+    steps are done, this thread takes back the solves still queued and runs
+    them itself, in that order, while the worker finishes the one it is
+    running.  A failed level wins over them: the queued solves are
+    cancelled, the running one is joined and its result or error is dropped.
     """
     hierarchy = _build_hierarchy(config, config.levels)
     coeffs = config.coefficients()
@@ -315,16 +314,13 @@ def cmd_solve(config):
     solves = {}
 
     def submit(k, forms):
-        if k == 0:
-            check_eigen_count(forms, m)
-        elif k in wanted:
+        if k in wanted:
             # through the module, so a replaced `reference.direct_solve` is the one submitted
             solves[k] = pool.submit(reference.direct_solve, forms, m, tol=config.direct_tol)
 
     try:
-        assembled = assemble_levels(hierarchy, coeffs, options, done=submit)
         try:
-            levels = run_multilevel(hierarchy, coeffs, m, options, assembled)
+            levels = run_multilevel(hierarchy, coeffs, m, options, done=submit)
         except MultilevelError as exc:
             _write_csv(csv_path, exc.records, m, config.compare_direct,
                        aborted="level={}".format(exc.level))
@@ -332,7 +328,7 @@ def cmd_solve(config):
             return EXIT_SOLVER, None
         taken_back = [k for k, future in solves.items() if future.cancel()]
         try:
-            direct = {k: reference.direct_solve(assembled[0][k], m, tol=config.direct_tol)
+            direct = {k: reference.direct_solve(levels[k].forms, m, tol=config.direct_tol)
                       for k in taken_back}
             direct.update((k, future.result()) for k, future in solves.items()
                           if k not in direct)

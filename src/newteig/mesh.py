@@ -180,14 +180,12 @@ class Mesh:
         Sorted vertex pairs of the edges, in lexicographic order.
     triangle_edges : (T, 3) int32 array
         Edge index of the local edges (01, 12, 20) of every triangle.
-    edge_on_boundary : (E,) bool array
-        True for edges of exactly one triangle.
 
     Validation discovers the edge arrays by one `_edge_topology` sort, or
     verifies a given `topology` with `_verified_counts`; both give the same
     arrays, which refinement and assembly read.  They are a cache:
-    `release_topology` frees them, and the next read of any of them
-    rediscovers all three by `_edge_topology`, bit for bit and read-only as
+    `release_topology` frees them, and the next read of either of them
+    rediscovers both by `_edge_topology`, bit for bit and read-only as
     before.  `num_edges` is kept through a release.
 
     Raises
@@ -237,15 +235,10 @@ class Mesh:
     def triangle_edges(self):
         return self._edge_arrays()[1]
 
-    @property
-    def edge_on_boundary(self):
-        return self._edge_arrays()[2]
-
     def _edge_arrays(self):
         """The cached edge arrays; once released, rediscovered by `_edge_topology`."""
         if self._topology is None:
-            edges, triangle_edges, counts = _edge_topology(self.triangles, self.num_vertices)
-            self._keep_topology(edges, triangle_edges, counts == 1)
+            self._keep_topology(*_edge_topology(self.triangles, self.num_vertices)[:2])
         return self._topology
 
     def _keep_topology(self, *arrays):
@@ -254,7 +247,7 @@ class Mesh:
         self._topology = arrays
 
     def release_topology(self):
-        """Drop the cached edge arrays.  Reading one rebuilds all three, equal
+        """Drop the cached edge arrays.  Reading one rebuilds both, equal
         bit for bit to the ones validation checked."""
         self._topology = None
 
@@ -324,7 +317,7 @@ class Mesh:
             raise MeshError("edge shared by more than two triangles (non-manifold)")
         on_boundary = counts == 1
         self._num_edges = len(edges)
-        self._keep_topology(edges, triangle_edges, on_boundary)
+        self._keep_topology(edges, triangle_edges)
         self.boundary = np.zeros(self.num_vertices, dtype=bool)
         self.boundary[edges[on_boundary]] = True
         pair = _coincident_pair(self.vertices, 1e-12 * max(self.domain_diameter(), 1e-300))

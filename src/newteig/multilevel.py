@@ -46,59 +46,17 @@ class LevelRecord:
         return self.pairs.values
 
 
-def assemble_levels(hierarchy, coeffs, options=None, done=None):
-    """Assemble the pencil of every level of `hierarchy`: the coarse one
-    first, then the others from the finest down; then the free-DOF
-    prolongations between them.
-
-    `done(k, forms)`, if given, is called with each level's pencil as soon
-    as it is assembled, in that order; so the small coarse pencil can be
-    checked, and the finest one put to work, before the others are built.
-
-    Nothing after the last prolongation reads a mesh's edge arrays, so this
-    releases them (`Mesh.release_topology`); a mesh rebuilds them if they
-    are read again.
-
-    Returns
-    -------
-    (forms, seconds, prolongs) : (list of AssembledForms, list of float, list)
-        The pencils, coarsest first; each level's own assembly wall time,
-        with that of the prolongation onto it; and prolongs[k], the
-        free-DOF prolongation from level k onto level k+1.
-
-    Raises
-    ------
-    MeshError
-        If a level is not numbered as `refine_regular` refines the one
-        before it (see `free_prolongation`).
-    """
-    quad_order = (options or SolveOptions()).effective_quad_order(coeffs)
-    levels = hierarchy.levels
-    n_levels = len(levels)
-    forms, seconds = [None] * n_levels, [0.0] * n_levels
-    for k in [0] + list(range(n_levels - 1, 0, -1)):
-        t0 = time.perf_counter()
-        forms[k] = assemble_forms(levels[k], coeffs, quad_order)
-        seconds[k] = time.perf_counter() - t0
-        if done is not None:
-            done(k, forms[k])
-    prolongs = []
-    for k in range(n_levels - 1):
-        t0 = time.perf_counter()
-        prolongs.append(free_prolongation(levels[k], levels[k + 1]))
-        seconds[k + 1] += time.perf_counter() - t0
-    for mesh in levels:
-        mesh.release_topology()
-    return forms, seconds, prolongs
-
-
-def run_multilevel(hierarchy, coeffs, m=1, options=None, assembled=None):
+def run_multilevel(hierarchy, coeffs, m=1, options=None, done=None):
     """Run the full multilevel Newton iteration over a mesh hierarchy.
 
-    Solves the coarse eigenvalue problem once, then performs exactly one
-    Newton step per refinement level, whose multigrid cycle extends the
-    previous level's.  Errors are not evaluated here (see
-    `reference.evaluate`).
+    Assembles the coarse pencil and checks `m` against it, then assembles
+    the other levels' pencils from the finest down, then the free-DOF
+    prolongations between them.  Nothing after that reads a mesh's edge
+    arrays, so every mesh releases them (`Mesh.release_topology`); a mesh
+    rebuilds them if they are read again.  Then solves the coarse eigenvalue
+    problem once and performs exactly one Newton step per refinement level,
+    whose multigrid cycle extends the previous level's.  Errors are not
+    evaluated here (see `reference.evaluate`).
 
     Parameters
     ----------
@@ -107,29 +65,53 @@ def run_multilevel(hierarchy, coeffs, m=1, options=None, assembled=None):
     m : int
         Number of eigenpairs to track, at most the coarse free-DOF count.
     options : SolveOptions, optional
-    assembled : optional
-        The output of `assemble_levels` for the same hierarchy, coefficients
-        and options; assembled here when omitted.
+    done : callable, optional
+        `done(k, forms)` is called with each level's pencil as soon as it is
+        assembled, in the order above (level 0, then the finest down to 1);
+        so the finest one can be put to work before the others are built.
 
     Returns
     -------
     list of LevelRecord, coarsest first
+        A record's `wall_time_assemble` includes the time of the
+        prolongation onto its level.
 
     Raises
     ------
     ValueError
-        If `m` is outside 1..n_free of the coarse level.
+        If `m` is outside 1..n_free of the coarse level; nothing but the
+        coarse pencil is assembled then.
+    MeshError
+        If a level is not numbered as `refine_regular` refines the one
+        before it (see `free_prolongation`).
     MultilevelError
         If a level fails; carries the failing level and the records
         produced so far.
     """
     options = options or SolveOptions()
-    forms, assemble_times, prolongs = assembled or assemble_levels(hierarchy, coeffs, options)
-    check_eigen_count(forms[0], m)
+    quad_order = options.effective_quad_order(coeffs)
+    levels = hierarchy.levels
+    n_levels = len(levels)
+    forms, assemble_times = [None] * n_levels, [0.0] * n_levels
+    for k in [0] + list(range(n_levels - 1, 0, -1)):
+        t0 = time.perf_counter()
+        forms[k] = assemble_forms(levels[k], coeffs, quad_order)
+        assemble_times[k] = time.perf_counter() - t0
+        if k == 0:
+            check_eigen_count(forms[0], m)
+        if done is not None:
+            done(k, forms[k])
+    prolongs = []
+    for k in range(n_levels - 1):
+        t0 = time.perf_counter()
+        prolongs.append(free_prolongation(levels[k], levels[k + 1]))
+        assemble_times[k + 1] += time.perf_counter() - t0
+    for mesh in levels:
+        mesh.release_topology()
 
     records = []
     pairs = cycle = None
-    for k in range(len(hierarchy)):
+    for k in range(n_levels):
         t0 = time.perf_counter()
         try:
             if k == 0:
@@ -144,7 +126,7 @@ def run_multilevel(hierarchy, coeffs, m=1, options=None, assembled=None):
         solve_time = time.perf_counter() - t0
         records.append(LevelRecord(
             level=k,
-            h=hierarchy.levels[k].max_diameter(),
+            h=levels[k].max_diameter(),
             n_free=forms[k].n_free,
             pairs=pairs,
             forms=forms[k],

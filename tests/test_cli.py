@@ -157,6 +157,34 @@ def test_readme_config_table_names_every_key():
     assert ["a11", "a12", "a22", "phi", "rho"] in rows
 
 
+def _resolve(obj, parts):
+    for part in parts:
+        if inspect.ismodule(obj) and not hasattr(obj, part):
+            importlib.import_module(obj.__name__ + "." + part)
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_readme_names_resolve():
+    # every backticked dotted name the README gives, the class ones read on an
+    # instance, since `vertices`, `levels` and others are instance attributes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    hierarchy = newteig.build_hierarchy(unit_square_mesh(1 / 2), 2)
+    record = newteig.run_multilevel(hierarchy, newteig.laplace_coefficients())[0]
+    instances = {"newteig": newteig, "Mesh": hierarchy.levels[0], "MeshHierarchy": hierarchy,
+                 "LevelRecord": record}
+    names = re.findall(r"`((?:newteig|Mesh|MeshHierarchy|LevelRecord)(?:\.\w+)+)", readme)
+    assert {name.split(".")[0] for name in names} == set(instances)
+    unresolved = []
+    for name in names:
+        head, *parts = name.split(".")
+        try:
+            _resolve(instances[head], parts)
+        except (AttributeError, ImportError):
+            unresolved.append(name)
+    assert unresolved == []
+
+
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library use\n", 1)[1]
@@ -954,40 +982,56 @@ def test_laplace_refuses_a_mesh_off_the_unit_square(tmp_path, capsys, mesh, area
     assert main(["solve", str(path)]) == EXIT_OK
 
 
-def forbid_rebuilds_after_assembly(monkeypatch):
-    """Make the rebuild of a released edge topology raise once
-    `assemble_levels` has returned; returns the list of its calls."""
-    calls = []
-    assemble = newteig.multilevel.assemble_levels
+def forbid_rebuilds_after_release(monkeypatch):
+    """Make the rebuild of a released edge topology raise once the first
+    `Mesh.release_topology` has run; returns the list of released meshes."""
+    released = []
+    release = newteig.mesh.Mesh.release_topology
 
     def rebuilt(*args, **kwargs):
         raise AssertionError("a released cache was rebuilt")
 
-    def assemble_then_forbid(*args, **kwargs):
-        calls.append(args[0])
-        assembled = assemble(*args, **kwargs)
+    def release_then_forbid(mesh):
+        released.append(mesh)
+        release(mesh)
         monkeypatch.setattr(newteig.mesh, "_edge_topology", rebuilt)
-        return assembled
 
-    for module in (newteig.multilevel, newteig.cli):
-        monkeypatch.setattr(module, "assemble_levels", assemble_then_forbid)
-    return calls
+    monkeypatch.setattr(newteig.mesh.Mesh, "release_topology", release_then_forbid)
+    return released
 
 
-@pytest.mark.parametrize("command, config", [
-    ("solve", "problem = laplace\nmesh_file = {mesh}\nlevels = 3\n"),
+@pytest.mark.parametrize("command, config, n_levels", [
+    ("solve", "problem = laplace\nmesh_file = {mesh}\nlevels = 3\n", 3),
     ("solve", "problem = custom\nmesh_file = {mesh}\nlevels = 3\neigen_count = 2\n"
-              "a11 = 1 + x1^2\ncompare_direct = true\n"),
-    ("bench", "problem = laplace\nmesh_h = 1/4\nbench_max_levels = 4\n"),
+              "a11 = 1 + x1^2\ncompare_direct = true\n", 3),
+    ("bench", "problem = laplace\nmesh_h = 1/4\nbench_max_levels = 4\n", 4),
 ], ids=["laplace", "custom_compare_direct", "bench"])
 def test_solve_and_bench_never_rebuild_a_released_cache(tmp_path, monkeypatch, command,
-                                                         config):
+                                                         config, n_levels):
     save_mesh(renumbered_square(6, 3, jitter=0.15), tmp_path / "square.mesh")
     path = write_config(tmp_path, config.format(mesh=tmp_path / "square.mesh")
                         + "output = {}\n".format(tmp_path / "run"))
-    calls = forbid_rebuilds_after_assembly(monkeypatch)
+    released = forbid_rebuilds_after_release(monkeypatch)
     assert main([command, str(path)]) == EXIT_OK
-    assert len(calls) == 1
+    # every level released once
+    assert len(released) == len(set(map(id, released))) == n_levels
+
+
+def test_bench_refuses_eigen_count_after_the_coarse_pencil(tmp_path, monkeypatch, capsys):
+    # h = 1/4: 9 coarse free DOFs; no finer level is assembled before the refusal
+    calls = []
+    assemble = newteig.multilevel.assemble_forms
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(newteig.multilevel, "assemble_forms", counted)
+    path = write_config(tmp_path, "mesh_h = 1/4\nbench_max_levels = 4\neigen_count = 10\n"
+                        "output = {}\n".format(tmp_path / "bench"))
+    assert main(["bench", str(path)]) == EXIT_CONFIG
+    assert "eigen_count must be between 1 and the 9 free DOFs" in capsys.readouterr().err
+    assert len(calls) == 1 and calls[0].num_vertices == 25
 
 
 def test_bench_work_file_reports_peak_memory(tmp_path):

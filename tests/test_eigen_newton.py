@@ -73,18 +73,19 @@ def test_coarse_solve_rejects_oversized_requests():
 
 
 @pytest.mark.parametrize("solve", [
-    coarse_solve, direct_solve,
-    lambda forms, m: run_multilevel(None, None, m, assembled=([forms], [0.0], []))],
+    lambda h, m: coarse_solve(forms_for(h), m),
+    lambda h, m: direct_solve(forms_for(h), m),
+    lambda h, m: run_multilevel(build_hierarchy(unit_square_mesh(h), 1),
+                                laplace_coefficients(), m)],
     ids=["coarse_solve", "direct_solve", "run_multilevel"])
 def test_one_eigen_count_rule(solve):
-    forms = forms_for(1 / 4)                 # 9 free DOFs
-    for m in (0, 10):
+    for m in (0, 10):                        # h = 1/4: 9 free DOFs
         with pytest.raises(ValueError, match="^eigen_count must be between 1 and the 9 free "
                            "DOFs of the mesh, got {}$".format(m)):
-            solve(forms, m)
+            solve(1 / 4, m)
     with pytest.raises(ValueError, match="^the mesh has no free DOFs: every vertex lies on "
                        "the boundary$"):
-        solve(forms_for(1.0), 1)
+        solve(1.0, 1)
 
 
 def test_coarse_solve_takes_any_size():

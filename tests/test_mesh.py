@@ -233,14 +233,16 @@ def test_refined_topology_equals_discovery(mesh):
     for _ in range(2):
         mesh = refine_regular(mesh)
         edges, triangle_edges, counts = _edge_topology(mesh.triangles, mesh.num_vertices)
+        boundary = np.zeros(mesh.num_vertices, dtype=bool)
+        boundary[edges[counts == 1]] = True
         for name, expected in (("edge_vertices", edges), ("triangle_edges", triangle_edges),
-                               ("edge_on_boundary", counts == 1)):
+                               ("boundary", boundary)):
             built = getattr(mesh, name)
             assert built.dtype == expected.dtype and built.shape == expected.shape, name
             assert built.tobytes() == expected.tobytes(), name
 
 
-EDGE_ARRAYS = ("edge_vertices", "triangle_edges", "edge_on_boundary")
+EDGE_ARRAYS = ("edge_vertices", "triangle_edges")
 
 
 def assert_same_array(got, want, name):
@@ -445,8 +447,7 @@ def test_save_load_roundtrip_is_bit_identical(tmp_path, cells, seed, jitter):
     path = tmp_path / "renumbered.mesh"
     save_mesh(mesh, path)
     back = load_mesh(path)
-    for name in ("vertices", "triangles", "boundary", "edge_vertices", "triangle_edges",
-                 "edge_on_boundary"):
+    for name in ("vertices", "triangles", "boundary", "edge_vertices", "triangle_edges"):
         original, loaded = getattr(mesh, name), getattr(back, name)
         assert loaded.dtype == original.dtype and loaded.shape == original.shape, name
         assert loaded.tobytes() == original.tobytes(), name

@@ -16,7 +16,7 @@ from newteig.cli import RunConfig
 from newteig.eigen_newton import BasinWarning, ClusterGapWarning, coarse_solve
 from newteig.linalg import MINRES_MAX_ITERATIONS, SolverError, dense_gen_eig
 from newteig.mesh import Mesh, MeshError, MeshHierarchy, build_hierarchy, unit_square_mesh
-from newteig.multilevel import MultilevelError, SolveOptions, assemble_levels, run_multilevel
+from newteig.multilevel import MultilevelError, SolveOptions, run_multilevel
 from newteig.reference import direct_solve, evaluate, exact_laplace
 
 from meshgen import l_shaped_mesh, renumbered_square
@@ -53,15 +53,23 @@ def held_bytes(value):
     return sum(held_bytes(item) for item in getattr(value, "__dict__", {}).values())
 
 
-def test_assemble_levels_releases_topology_and_prolongations():
+def test_run_multilevel_releases_topology_and_prolongations():
     hier = build_hierarchy(unit_square_mesh(1 / 4), 4)
-    forms, _, prolongs = assemble_levels(hier, laplace_coefficients())
+    run_multilevel(hier, laplace_coefficients())
     # only the vertices, triangles and boundary flags of every level stay
     kept = sum(mesh.vertices.nbytes + mesh.triangles.nbytes + mesh.boundary.nbytes
                for mesh in hier.levels)
     assert held_bytes(hier) == kept
-    assert [p.shape for p in prolongs] == [(f.n_free, c.n_free)
-                                          for c, f in zip(forms, forms[1:])]
+
+
+def test_done_sees_each_pencil_as_assembled():
+    hier = build_hierarchy(unit_square_mesh(1 / 4), 4)
+    seen = []
+    records = run_multilevel(hier, laplace_coefficients(), 2,
+                             done=lambda k, forms: seen.append((k, forms)))
+    # the coarse pencil first, then the finest down to level 1
+    assert [k for k, _ in seen] == [0, 3, 2, 1]
+    assert all(forms is records[k].forms for k, forms in seen)
 
 
 def test_renumbered_hierarchy_is_refused():
