@@ -12,7 +12,6 @@ act on interior vertices only.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -200,7 +199,8 @@ def _blocks(count):
 
 def _block_entries(mesh, coeffs, quad_order, block):
     """Stiffness and mass entries ``(k, m)`` of the triangles in the slice
-    `block`, as `_element_entries` yields them."""
+    `block`: (2, B, 3) arrays whose contiguous halves hold the diagonal
+    entries of local vertices 0, 1, 2 and the entries of local edges 01, 12, 20."""
     bary, weights = _QUAD_RULES[quad_order]
     outer = (bary[:, [0, 1, 2, 0, 1, 2]] * bary[:, [0, 1, 2, 1, 2, 0]]).reshape(-1, 2, 1, 3)
     px, py, ex, ey, area = _triangle_geometry(mesh, block)
@@ -219,44 +219,6 @@ def _block_entries(mesh, coeffs, quad_order, block):
     k[0] += (ex * dny - ey * dnx) * quarter
     k[1] += (ex * dny[:, [1, 2, 0]] - ey * dnx[:, [1, 2, 0]]) * quarter
     return k, m
-
-
-def _element_entries(mesh, coeffs, quad_order):
-    """Stiffness and mass entries of the element matrices, block by block.
-
-    Yields ``(block, k, m)`` per slice `block` of `_blocks`, in triangle
-    order: (2, B, 3) arrays whose contiguous halves hold the diagonal entries
-    of local vertices 0, 1, 2 and the entries of local edges 01, 12, 20.  No
-    array spans the whole mesh, and this generator drops each block's
-    entries before it computes the next block.
-
-    The odd blocks are computed on a helper thread that lives for this call,
-    one block ahead of the caller, while this thread computes the even ones;
-    numpy releases the GIL inside its array loops, so the two overlap.  A
-    block's arithmetic is the same on either thread, so the entries are too,
-    bit for bit.  With a single block no thread starts.  An error in a block
-    is raised when that block's turn comes, after the helper has stopped.
-    """
-    if quad_order not in _QUAD_RULES:
-        raise ValueError("quad_order must be one of {}, got {!r}".format(
-            sorted(_QUAD_RULES), quad_order))
-    blocks = _blocks(mesh.num_triangles)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-
-        def ahead(j):
-            """The helper's computation of block j, if there is one."""
-            if j < len(blocks):
-                return helper.submit(_block_entries, mesh, coeffs, quad_order, blocks[j])
-            return None
-
-        pending = ahead(1)
-        for i, block in enumerate(blocks):
-            if i % 2:
-                entries, pending = pending.result(), ahead(i + 2)
-            else:
-                entries = _block_entries(mesh, coeffs, quad_order, block)
-            yield (block,) + entries
-            del entries
 
 
 def _pattern(edges, n):
@@ -286,21 +248,27 @@ def _pattern(edges, n):
 def _assemble_pencil(mesh, coeffs, quad_order, keep):
     """Stiffness and mass CSR matrices over the vertices flagged in `keep`.
 
-    `np.add.at` sums each block of `_element_entries` per vertex and per edge
-    of the mesh's stored edge topology, in triangle order, so the sums are
-    those of one `np.bincount` over the whole mesh, bit for bit.  The sums
+    `np.add.at` sums each block's `_block_entries` per vertex and per edge of
+    the mesh's stored edge topology, block after block in triangle order, so
+    the sums are those of one `np.bincount` over the whole mesh, bit for bit;
+    no array of entries spans the whole mesh, and each block's entries are
+    dropped before the next block is computed.  The sums
     fill the int32 slots of one CSR pattern shared by both matrices; an
     edge's sum fills both mirror slots, so both are exactly symmetric.  The
     stiffness drops its exact zeros (e.g. the diagonals of a criss-cross mesh).
     """
+    if quad_order not in _QUAD_RULES:
+        raise ValueError("quad_order must be one of {}, got {!r}".format(
+            sorted(_QUAD_RULES), quad_order))
     k_vertex, m_vertex = np.zeros(mesh.num_vertices), np.zeros(mesh.num_vertices)
     k_edge, m_edge = np.zeros(mesh.num_edges), np.zeros(mesh.num_edges)
-    for block, k, m in _element_entries(mesh, coeffs, quad_order):
+    for block in _blocks(mesh.num_triangles):
+        k, m = _block_entries(mesh, coeffs, quad_order, block)
         at_vertex, at_edge = mesh.triangles[block].ravel(), mesh.triangle_edges[block].ravel()
         for sums, index, entries in ((k_vertex, at_vertex, k[0]), (k_edge, at_edge, k[1]),
                                      (m_vertex, at_vertex, m[0]), (m_edge, at_edge, m[1])):
             np.add.at(sums, index, entries.ravel())
-        del k, m, entries                      # so only the blocks in progress live
+        del k, m, entries                      # so only one block's entries live
     edges = mesh.edge_vertices
     inner = keep[edges[:, 0]] & keep[edges[:, 1]]
     n = int(keep.sum())

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import reference
 from .assemble import CoefficientSet, example2_coefficients, laplace_coefficients
+from .eigen_newton import check_eigen_count
 from .expressions import ExpressionError, parse_expression
 from .linalg import DEFAULT_SOLVER_TOL, SolverError
 from .mesh import (DEFAULT_VERTEX_CAP, MeshError, build_hierarchy, check_vertex_cap,
@@ -212,6 +213,8 @@ def _build_hierarchy(config, n_levels):
         # an oversized run fails before the grid is allocated
         check_vertex_cap(unit_square_counts(config.mesh_h), n_levels, config.max_vertices)
         coarse = unit_square_mesh(config.mesh_h)
+    # a bad eigen_count fails before anything is refined
+    check_eigen_count(int((~coarse.boundary).sum()), config.eigen_count)
     return build_hierarchy(coarse, n_levels, max_vertices=config.max_vertices)
 
 
@@ -292,17 +295,18 @@ def _write_summary(path, config, record):
 def cmd_solve(config):
     """Run the study; returns (exit_code, record or None); a failed evaluation re-raises.
 
-    The direct solves of the evaluation need only the assembled pencils, so
-    they run on one worker thread while `run_multilevel` assembles the other
-    pencils and runs the Newton steps on this one.  It assembles the coarse
-    pencil and checks the eigen count on it first, so a bad `eigen_count`
-    starts no solve; the finest pencil follows, and its solve, the longest,
-    is submitted at once from its `done` hook.  The others are submitted as
-    their pencils are done, in `reference_levels` order.  Once the Newton
-    steps are done, this thread takes back the solves still queued and runs
-    them itself, in that order, while the worker finishes the one it is
-    running.  A failed level wins over them: the queued solves are
-    cancelled, the running one is joined and its result or error is dropped.
+    A bad `eigen_count` is refused on the coarse mesh, before anything is
+    refined or assembled.  The direct solves of the evaluation need only the
+    assembled pencils, so they run on one worker thread, the run's only extra
+    thread, while `run_multilevel` assembles the other pencils and runs the
+    Newton steps on this one.  It assembles the coarse pencil first, then the
+    finest, whose solve, the longest, is submitted at once from its `done`
+    hook.  The others are submitted as their pencils are done, in
+    `reference_levels` order.  Once the Newton steps are done, this thread
+    takes back the solves still queued and runs them itself, in that order,
+    while the worker finishes the one it is running.  A failed level wins
+    over them: the queued solves are cancelled, the running one is joined
+    and its result or error is dropped.
     """
     hierarchy = _build_hierarchy(config, config.levels)
     coeffs = config.coefficients()

@@ -71,13 +71,13 @@ class EigenpairSet:
         return len(self.values)
 
 
-def check_eigen_count(forms, m):
-    """Raise ValueError unless 1 <= `m` <= the free DOFs of the pencil `forms`."""
-    if forms.n_free == 0:
+def check_eigen_count(n_free, m):
+    """Raise ValueError unless 1 <= `m` <= `n_free`, a mesh's free DOF count."""
+    if n_free == 0:
         raise ValueError("the mesh has no free DOFs: every vertex lies on the boundary")
-    if not 1 <= m <= forms.n_free:
+    if not 1 <= m <= n_free:
         raise ValueError("eigen_count must be between 1 and the {} free DOFs of the mesh, "
-                         "got {}".format(forms.n_free, m))
+                         "got {}".format(n_free, m))
 
 
 def coarse_solve(forms, m):
@@ -86,7 +86,7 @@ def coarse_solve(forms, m):
     Warns when the cut between m and m+1 splits a near-degenerate cluster
     (relative gap below 1e-8).
     """
-    check_eigen_count(forms, m)
+    check_eigen_count(forms.n_free, m)
     values, vectors = pencil_eigs(forms.stiffness, forms.mass, m + 1)
     if m < forms.n_free and values[m] - values[m - 1] < 1e-8 * abs(values[m - 1]):
         warnings.warn("eigenvalues {} and {} differ by less than 1e-8 relative; "
@@ -145,8 +145,7 @@ def newton_step_multi(forms_fine, prev_set, prolong, tol=DEFAULT_SOLVER_TOL, cyc
         raise SolverError("Newton solutions are numerically rank deficient; use a "
                           "smaller eigenpair count or a finer coarse mesh")
     _, small_vecs = dense_gen_eig(trial.T @ (stiffness @ trial), gram)
-    # an (n, 1) by (1, 1) matmul takes 4-8x a scalar multiply, which gives the same bits
-    ritz = trial * small_vecs[0, 0] if m == 1 else trial @ small_vecs
+    ritz = trial @ small_vecs
     ritz = canonical_sign(ritz / [b_norm(forms_fine, ritz[:, i]) for i in range(m)])
     # on contiguous copies, so the dot products sum in the same order for every m
     values = np.array([rayleigh_quotient(forms_fine, ritz[:, i].copy()) for i in range(m)])

@@ -35,11 +35,14 @@ class LevelRecord:
 
     level: int
     h: float
-    n_free: int
     pairs: EigenpairSet
     forms: AssembledForms
     wall_time_assemble: float
     wall_time_solve: float
+
+    @property
+    def n_free(self):
+        return self.forms.n_free
 
     @property
     def eigenvalues(self):
@@ -49,11 +52,12 @@ class LevelRecord:
 def run_multilevel(hierarchy, coeffs, m=1, options=None, done=None):
     """Run the full multilevel Newton iteration over a mesh hierarchy.
 
-    Assembles the coarse pencil and checks `m` against it, then assembles
-    the other levels' pencils from the finest down, then the free-DOF
-    prolongations between them.  Nothing after that reads a mesh's edge
-    arrays, so every mesh releases them (`Mesh.release_topology`); a mesh
-    rebuilds them if they are read again.  Then solves the coarse eigenvalue
+    Checks `m` against the coarse mesh's free DOFs before anything is
+    assembled, then assembles the coarse pencil, the other levels' pencils
+    from the finest down, then the free-DOF prolongations between them.
+    Nothing after that reads a mesh's edge arrays, so every mesh releases
+    them (`Mesh.release_topology`); a mesh rebuilds them if they are read
+    again.  Then solves the coarse eigenvalue
     problem once and performs exactly one Newton step per refinement level,
     whose multigrid cycle extends the previous level's.  Errors are not
     evaluated here (see `reference.evaluate`).
@@ -79,8 +83,8 @@ def run_multilevel(hierarchy, coeffs, m=1, options=None, done=None):
     Raises
     ------
     ValueError
-        If `m` is outside 1..n_free of the coarse level; nothing but the
-        coarse pencil is assembled then.
+        If `m` is outside 1..n_free of the coarse level; nothing is
+        assembled then.
     MeshError
         If a level is not numbered as `refine_regular` refines the one
         before it (see `free_prolongation`).
@@ -92,13 +96,12 @@ def run_multilevel(hierarchy, coeffs, m=1, options=None, done=None):
     quad_order = options.effective_quad_order(coeffs)
     levels = hierarchy.levels
     n_levels = len(levels)
+    check_eigen_count(int((~levels[0].boundary).sum()), m)
     forms, assemble_times = [None] * n_levels, [0.0] * n_levels
     for k in [0] + list(range(n_levels - 1, 0, -1)):
         t0 = time.perf_counter()
         forms[k] = assemble_forms(levels[k], coeffs, quad_order)
         assemble_times[k] = time.perf_counter() - t0
-        if k == 0:
-            check_eigen_count(forms[0], m)
         if done is not None:
             done(k, forms[k])
     prolongs = []
@@ -127,7 +130,6 @@ def run_multilevel(hierarchy, coeffs, m=1, options=None, done=None):
         records.append(LevelRecord(
             level=k,
             h=levels[k].max_diameter(),
-            n_free=forms[k].n_free,
             pairs=pairs,
             forms=forms[k],
             wall_time_assemble=assemble_times[k],

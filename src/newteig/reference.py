@@ -91,7 +91,7 @@ def direct_solve(forms, m, tol=DEFAULT_DIRECT_TOL, max_iter=200, dense_cutoff=DE
     EigenpairSet
         b-normalized and ascending, without iteration counts.
     """
-    check_eigen_count(forms, m)
+    check_eigen_count(forms.n_free, m)
     values, vectors = pencil_eigs(forms.stiffness, forms.mass, m, tol=tol, max_iter=max_iter,
                                   dense_cutoff=dense_cutoff)
     return EigenpairSet(values, canonical_sign(vectors))

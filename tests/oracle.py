@@ -1,11 +1,10 @@
-"""Oracles the tests hold the program to: the sparse-LU bordered solve for the
-MINRES one, and a serial element loop for the two-thread one of assembly."""
+"""Oracle the tests hold the program to: the sparse-LU bordered solve for the
+MINRES one."""
 
 import numpy as np
 from scipy import sparse as sp
 from scipy.sparse.linalg import splu
 
-from newteig.assemble import _block_entries, _blocks
 from newteig.linalg import DEFAULT_SOLVER_TOL, SolverError
 
 
@@ -37,9 +36,3 @@ def lu_solve_bordered(matrix, rhs_top, rhs_bottom, tol=DEFAULT_SOLVER_TOL, stats
         stats.update(iterations=0, residual=achieved / (rhs_norm or 1.0))
     return z[:n], z[n:]
 
-
-def serial_element_entries(mesh, coeffs, quad_order):
-    """`assemble._element_entries` on the calling thread alone: every block of
-    element entries in triangle order, one after another."""
-    for block in _blocks(mesh.num_triangles):
-        yield (block,) + _block_entries(mesh, coeffs, quad_order, block)

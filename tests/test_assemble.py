@@ -10,7 +10,7 @@ from scipy import sparse as sp
 
 import newteig.assemble
 from newteig.assemble import (_QUAD_RULES, AssembledForms, AssemblyError, CoefficientSet,
-                              _assemble_pencil, _blocks, _element_entries, a_norm,
+                              _assemble_pencil, _block_entries, _blocks, a_norm,
                               assemble_forms, b_norm, energy_error_vs_exact,
                               example2_coefficients, free_prolongation, interpolate,
                               laplace_coefficients, rayleigh_quotient)
@@ -19,7 +19,6 @@ from newteig.linalg import dense_gen_eig
 from newteig.mesh import Mesh, build_hierarchy, prolongation, refine_regular, unit_square_mesh
 
 from meshgen import l_shaped_mesh, renumbered_square
-from oracle import serial_element_entries
 
 EXACT_FIRST = 2 * math.pi ** 2
 
@@ -338,8 +337,9 @@ def test_matrices_own_exactly_their_entries(make_coeffs, quad_order):
 def whole_mesh_entries(mesh, coeffs, quad_order):
     """The element entries of the whole mesh, stiffness and mass each as one
     (2, T, 3) array of contiguous vertex and edge halves."""
-    blocks = list(_element_entries(mesh, coeffs, quad_order))
-    return [np.concatenate([entries[i] for entries in blocks], axis=1) for i in (1, 2)]
+    blocks = [_block_entries(mesh, coeffs, quad_order, block)
+              for block in _blocks(mesh.num_triangles)]
+    return [np.concatenate([entries[i] for entries in blocks], axis=1) for i in (0, 1)]
 
 
 def sorted_pencil(mesh, coeffs, quad_order, keep):
@@ -411,30 +411,10 @@ def test_element_blocks_leave_every_bit(mesh, case):
         assert energy == results[-1][2]
 
 
-@pytest.mark.parametrize("make_coeffs, quad_order", [
-    (laplace_coefficients, 2), (config_coefficients, 2), (config_coefficients, 5)])
-def test_two_thread_element_loop_matches_a_serial_one(make_coeffs, quad_order):
-    # 33,800 triangles: blocks of 16,384, 16,384 and 1,032, the middle one
-    # computed on the helper thread
-    mesh = renumbered_square(130, 5, jitter=0.1)
-    assert len(_blocks(mesh.num_triangles)) == 3
-    assert mesh.num_triangles % newteig.assemble.ELEMENT_BLOCK == 1032
-    before = set(threading.enumerate())
-    forms = assemble_forms(mesh, make_coeffs(), quad_order)
-    assert set(threading.enumerate()) == before
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(newteig.assemble, "_element_entries", serial_element_entries)
-        serial = assemble_forms(mesh, make_coeffs(), quad_order)
-    for matrix, expected in ((forms.stiffness, serial.stiffness), (forms.mass, serial.mass)):
-        assert np.array_equal(matrix.indptr, expected.indptr)
-        assert np.array_equal(matrix.indices, expected.indices)
-        assert matrix.data.tobytes() == expected.data.tobytes()
-
-
-@pytest.mark.parametrize("failing", [(12, 20), (20, 28)], ids=["helper block", "main block"])
+@pytest.mark.parametrize("failing", [(12, 20), (20, 28)], ids=["second block", "third block"])
 def test_element_loop_error_names_the_first_failure_and_leaves_no_thread(failing):
-    # blocks of 8 triangles: 12 lies in block 1 (the helper's), 20 in block 2 and
-    # 28 in block 3; the first failing triangle in triangle order is named
+    # blocks of 8 triangles: 12 lies in block 1, 20 in block 2 and 28 in block 3;
+    # the first failing triangle in triangle order is named
     mesh = unit_square_mesh(1 / 4)
     points = [_QUAD_RULES[2][0][0] @ mesh.vertices[mesh.triangles[t]] for t in failing]
 

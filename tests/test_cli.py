@@ -608,7 +608,7 @@ def test_config_with_a_byte_order_mark(tmp_path, capsys):
 
 
 def test_main_eigen_count_above_coarse_space_exit_config(tmp_path, capsys, monkeypatch):
-    # checked on the coarse pencil before any reference solve is started
+    # checked on the coarse mesh before anything is refined or a reference solve started
     calls = spy_on_direct_solves(monkeypatch)
     path = write_config(tmp_path, "problem = example2\nmesh_h = 1/2\nlevels = 3\n"
                         "eigen_count = 2\ncompare_direct = true\noutput = {}\n".format(
@@ -1017,21 +1017,16 @@ def test_solve_and_bench_never_rebuild_a_released_cache(tmp_path, monkeypatch, c
     assert len(released) == len(set(map(id, released))) == n_levels
 
 
-def test_bench_refuses_eigen_count_after_the_coarse_pencil(tmp_path, monkeypatch, capsys):
-    # h = 1/4: 9 coarse free DOFs; no finer level is assembled before the refusal
+def test_bench_refuses_eigen_count_before_refining(tmp_path, monkeypatch, capsys):
+    # h = 1/4: 9 coarse free DOFs; nothing is refined or assembled before the refusal
     calls = []
-    assemble = newteig.multilevel.assemble_forms
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return assemble(*args, **kwargs)
-
-    monkeypatch.setattr(newteig.multilevel, "assemble_forms", counted)
+    for module, name in ((newteig.mesh, "refine_regular"), (newteig.multilevel, "assemble_forms")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: calls.append(name))
     path = write_config(tmp_path, "mesh_h = 1/4\nbench_max_levels = 4\neigen_count = 10\n"
                         "output = {}\n".format(tmp_path / "bench"))
     assert main(["bench", str(path)]) == EXIT_CONFIG
     assert "eigen_count must be between 1 and the 9 free DOFs" in capsys.readouterr().err
-    assert len(calls) == 1 and calls[0].num_vertices == 25
+    assert calls == []
 
 
 def test_bench_work_file_reports_peak_memory(tmp_path):

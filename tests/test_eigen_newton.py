@@ -11,6 +11,7 @@ import newteig.eigen_newton
 import newteig.linalg
 from newteig.assemble import (assemble_forms, b_norm, example2_coefficients, free_prolongation,
                               laplace_coefficients, rayleigh_quotient)
+from newteig.cli import RunConfig, cmd_solve
 from newteig.eigen_newton import (BasinWarning, ClusterGapWarning, EigenpairSet,
                                   canonical_sign, coarse_solve, newton_step_multi)
 from newteig.linalg import SolverError, VCycle
@@ -76,8 +77,9 @@ def test_coarse_solve_rejects_oversized_requests():
     lambda h, m: coarse_solve(forms_for(h), m),
     lambda h, m: direct_solve(forms_for(h), m),
     lambda h, m: run_multilevel(build_hierarchy(unit_square_mesh(h), 1),
-                                laplace_coefficients(), m)],
-    ids=["coarse_solve", "direct_solve", "run_multilevel"])
+                                laplace_coefficients(), m),
+    lambda h, m: cmd_solve(RunConfig(mesh_h=h, eigen_count=m))],
+    ids=["coarse_solve", "direct_solve", "run_multilevel", "cmd_solve"])
 def test_one_eigen_count_rule(solve):
     for m in (0, 10):                        # h = 1/4: 9 free DOFs
         with pytest.raises(ValueError, match="^eigen_count must be between 1 and the 9 free "
