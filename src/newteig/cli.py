@@ -51,7 +51,6 @@ class RunConfig:
     mesh_file: str = ""
     levels: int = 3
     eigen_count: int = 1
-    quad_order: int = 0                  # 0 = auto, see SolveOptions.effective_quad_order
     solver_tol: float = DEFAULT_SOLVER_TOL
     direct_tol: float = DEFAULT_DIRECT_TOL
     max_vertices: int = DEFAULT_VERTEX_CAP
@@ -73,8 +72,6 @@ class RunConfig:
             raise ConfigError("levels must be at least 1")
         if self.eigen_count < 1:
             raise ConfigError("eigen_count must be at least 1")
-        if self.quad_order not in (0, 2, 5):
-            raise ConfigError("quad_order must be 2, 5 or auto")
         eps = float(np.finfo(float).eps)
         for key in ("solver_tol", "direct_tol"):
             if not eps <= getattr(self, key) < 1:
@@ -115,7 +112,7 @@ class RunConfig:
                               preset="custom")
 
     def solve_options(self):
-        return SolveOptions(quad_order=self.quad_order, solver_tol=self.solver_tol)
+        return SolveOptions(solver_tol=self.solver_tol)
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "on": True,
@@ -173,8 +170,6 @@ def parse_config(path, strict=False):
         if "=" not in stripped:
             raise ConfigError("expected 'key = value', got {!r}".format(stripped), lineno)
         key, raw_value = (part.strip() for part in stripped.split("=", 1))
-        if key == "quad_order" and raw_value == "auto":
-            raw_value = "0"
         if key not in types:
             message = "unknown key {!r}".format(key)
             if strict:
@@ -293,7 +288,11 @@ def _write_summary(path, config, record):
 
 
 def cmd_solve(config):
-    """Run the study; returns (exit_code, record or None); a failed evaluation re-raises.
+    """Run the study and return its `ConvergenceRecord`.
+
+    A failed level or a failed evaluation writes the rows solved so far with
+    an ``# ABORTED level=k`` or ``# ABORTED evaluation`` trailer and
+    re-raises; `main` turns it into the exit code.
 
     A bad `eigen_count` is refused on the coarse mesh, before anything is
     refined or assembled.  The direct solves of the evaluation need only the
@@ -328,8 +327,7 @@ def cmd_solve(config):
         except MultilevelError as exc:
             _write_csv(csv_path, exc.records, m, config.compare_direct,
                        aborted="level={}".format(exc.level))
-            print("error: {}".format(exc), file=sys.stderr)
-            return EXIT_SOLVER, None
+            raise
         taken_back = [k for k, future in solves.items() if future.cancel()]
         try:
             direct = {k: reference.direct_solve(levels[k].forms, m, tol=config.direct_tol)
@@ -345,7 +343,7 @@ def cmd_solve(config):
         pool.shutdown(cancel_futures=True)
     _write_csv(csv_path, levels, m, config.compare_direct, record)
     _write_summary(config.output + "_summary.txt", config, record)
-    return EXIT_OK, record
+    return record
 
 
 def local_exponent(levels, seconds=None):
@@ -384,8 +382,8 @@ def _max_rss_bytes():
 
 
 def cmd_bench(config):
-    """Run the benchmark sweep and write ``<output>_work.txt``; returns
-    (exit_code, the deepest run's records)."""
+    """Run the benchmark sweep, write ``<output>_work.txt`` and return the
+    deepest run's `LevelRecord`s; a failed level raises `MultilevelError`."""
     hierarchy = _build_hierarchy(config, config.bench_max_levels)
     built_rss = _max_rss_bytes()
     levels = run_bench(config, hierarchy)
@@ -413,7 +411,7 @@ def cmd_bench(config):
               "per finest DOF      {:>10.0f} bytes".format(run_rss / levels[-1].n_free), ""]
     with open(config.output + "_work.txt", "w", encoding="utf-8") as f:
         f.write("\n".join(lines))
-    return EXIT_OK, levels
+    return levels
 
 
 def cmd_meshinfo(path):
@@ -424,7 +422,6 @@ def cmd_meshinfo(path):
     print("interior nodes:  {}".format(int((~mesh.boundary).sum())))
     print("max diameter:    {:.12g}".format(mesh.max_diameter()))
     print("total area:      {:.12g}".format(mesh.area()))
-    return EXIT_OK
 
 
 def main(argv=None):
@@ -444,13 +441,11 @@ def main(argv=None):
 
     try:
         if args.command == "meshinfo":
-            return cmd_meshinfo(args.meshfile)
-        config = parse_config(args.config, strict=args.strict)
-        if args.command == "bench":
-            code, _ = cmd_bench(config)
+            cmd_meshinfo(args.meshfile)
+        elif args.command == "bench":
+            cmd_bench(parse_config(args.config, strict=args.strict))
         else:
-            code, _ = cmd_solve(config)
-        return code
+            cmd_solve(parse_config(args.config, strict=args.strict))
     except ConfigError as exc:
         print("config error: {}".format(exc), file=sys.stderr)
         return EXIT_CONFIG
@@ -463,6 +458,7 @@ def main(argv=None):
     except OSError as exc:
         print("i/o error: {}".format(exc), file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -21,6 +21,8 @@ JACOBI_WEIGHT = 0.8
 JACOBI_L1_CAP = 1.9
 SMOOTHING_STEPS = 2
 MINRES_MAX_ITERATIONS = 500
+# restart bound of `pencil_eigs`' shift-invert Lanczos, read at call time
+ARPACK_MAX_RESTARTS = 200
 # verified relative residual of the bordered solves, a run's `solver_tol`
 DEFAULT_SOLVER_TOL = 1e-8
 
@@ -304,7 +306,7 @@ def dense_gen_eig(a, b, count=None):
         raise SolverError("b is not positive definite (mass matrix bug?)") from exc
 
 
-def pencil_eigs(stiffness, mass, count, tol=0.0, max_iter=200, dense_cutoff=DENSE_CUTOFF):
+def pencil_eigs(stiffness, mass, count, tol=0.0, dense_cutoff=DENSE_CUTOFF):
     """The lowest `count` eigenpairs of the sparse SPD pencil (stiffness, mass).
 
     Below `dense_cutoff` free DOFs, or for the whole space, `dense_gen_eig`
@@ -312,7 +314,7 @@ def pencil_eigs(stiffness, mass, count, tol=0.0, max_iter=200, dense_cutoff=DENS
     symmetric-mode sparse LU of the stiffness, from a seeded random start
     (a constant one is b-orthogonal to every mode odd about a symmetry line
     of the mesh).  `tol` is the relative accuracy of the eigenvalues (0:
-    machine precision) and `max_iter` bounds the Lanczos restarts.
+    machine precision) and `ARPACK_MAX_RESTARTS` bounds the Lanczos restarts.
     `stiffness` must be exactly symmetric (assembled pencils are).
 
     Returns
@@ -324,7 +326,7 @@ def pencil_eigs(stiffness, mass, count, tol=0.0, max_iter=200, dense_cutoff=DENS
     ------
     SolverError
         If the factorization or ARPACK fails, or ARPACK does not converge
-        (``iterations`` is then `max_iter`).
+        (``iterations`` is then `ARPACK_MAX_RESTARTS`).
     """
     n = stiffness.shape[0]
     if n < dense_cutoff or count >= n:
@@ -343,10 +345,10 @@ def pencil_eigs(stiffness, mass, count, tol=0.0, max_iter=200, dense_cutoff=DENS
         values, vectors = eigsh(stiffness, k=count, M=mass, sigma=0,
                                 OPinv=LinearOperator((n, n), matvec=factor.solve, dtype=float),
                                 v0=np.random.default_rng(0).standard_normal(n), tol=tol,
-                                maxiter=max_iter)
+                                maxiter=ARPACK_MAX_RESTARTS)
     except ArpackNoConvergence as exc:
-        raise SolverError("shift-invert Lanczos did not converge in {} iterations"
-                          .format(max_iter), iterations=max_iter) from exc
+        raise SolverError("shift-invert Lanczos did not converge in {} iterations".format(
+            ARPACK_MAX_RESTARTS), iterations=ARPACK_MAX_RESTARTS) from exc
     except ArpackError as exc:
         raise SolverError("shift-invert Lanczos failed: {}".format(exc)) from exc
     order = np.argsort(values, kind="stable")

@@ -14,19 +14,18 @@ class MultilevelError(Exception):
     def __init__(self, level, cause, records):
         super().__init__("level {}: {}".format(level, cause))
         self.level = level
-        self.cause = cause
         self.records = records
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs of the multilevel pipeline."""
+    """Knobs of the multilevel pipeline: the gate of the Newton steps' solves."""
 
-    quad_order: int = 0                      # 0 = auto: 2 for laplace, else 5
     solver_tol: float = DEFAULT_SOLVER_TOL
 
     def effective_quad_order(self, coeffs):
-        return self.quad_order or (2 if coeffs.preset == "laplace" else 5)
+        """2, exact for the laplace preset's constant coefficients, else 5."""
+        return 2 if coeffs.preset == "laplace" else 5
 
 
 @dataclass

@@ -79,12 +79,12 @@ def richardson(lambda_h, lambda_h2):
     return (4.0 * lambda_h2 - lambda_h) / 3.0
 
 
-def direct_solve(forms, m, tol=DEFAULT_DIRECT_TOL, max_iter=200, dense_cutoff=DENSE_CUTOFF):
+def direct_solve(forms, m, tol=DEFAULT_DIRECT_TOL, dense_cutoff=DENSE_CUTOFF):
     """First `m` eigenpairs of the assembled pencil by direct solving.
 
     Shift-invert Lanczos on one sparse LU of the stiffness matrix, dense
     below `dense_cutoff` free DOFs (see `linalg.pencil_eigs`); `tol` is the
-    relative accuracy of the eigenvalues and `max_iter` bounds the restarts.
+    relative accuracy of the eigenvalues; `linalg.ARPACK_MAX_RESTARTS` bounds the restarts.
 
     Returns
     -------
@@ -92,7 +92,7 @@ def direct_solve(forms, m, tol=DEFAULT_DIRECT_TOL, max_iter=200, dense_cutoff=DE
         b-normalized and ascending, without iteration counts.
     """
     check_eigen_count(forms.n_free, m)
-    values, vectors = pencil_eigs(forms.stiffness, forms.mass, m, tol=tol, max_iter=max_iter,
+    values, vectors = pencil_eigs(forms.stiffness, forms.mass, m, tol=tol,
                                   dense_cutoff=dense_cutoff)
     return EigenpairSet(values, canonical_sign(vectors))
 

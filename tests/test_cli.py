@@ -25,6 +25,7 @@ from newteig.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, ConfigError
 from newteig.linalg import SolverError, solve_bordered
 from newteig.mesh import (Mesh, MeshError, MeshFormatError, load_mesh, save_mesh,
                           unit_square_mesh)
+from newteig.multilevel import MultilevelError
 
 from meshgen import l_shaped_mesh, renumbered_square
 
@@ -197,8 +198,7 @@ def test_readme_library_example_runs(capsys):
 def test_solve_minimal_run(tmp_path):
     config = parse_config(write_config(
         tmp_path, "mesh_h = 1/2\nlevels = 1\noutput = {}\n".format(tmp_path / "mini")))
-    code, record = cmd_solve(config)
-    assert code == EXIT_OK
+    cmd_solve(config)
     header, rows = read_csv(tmp_path / "mini_levels.csv")
     assert len(rows) == 1
     assert header[:5] == ["level", "h", "n_free", "time_assemble_s", "time_solve_s"]
@@ -211,8 +211,7 @@ def test_solve_six_eigenvalues_shrinking_errors(tmp_path):
         tmp_path,
         "mesh_h = 1/6\nlevels = 4\neigen_count = 6\noutput = {}\n".format(
             tmp_path / "six")))
-    code, record = cmd_solve(config)
-    assert code == EXIT_OK
+    record = cmd_solve(config)
     header, rows = read_csv(tmp_path / "six_levels.csv")
     assert len(rows) == 4
     assert sum(1 for c in header if c.startswith("lambda_")) == 6
@@ -241,8 +240,7 @@ def test_solve_compare_direct_columns(tmp_path):
         tmp_path,
         "problem = example2\nlevels = 2\neigen_count = 2\ncompare_direct = true\n"
         "output = {}\n".format(tmp_path / "cmp")))
-    code, _ = cmd_solve(config)
-    assert code == EXIT_OK
+    cmd_solve(config)
     header, rows = read_csv(tmp_path / "cmp_levels.csv")
     assert "lambda_dir_1" in header and "diff_dir_2" in header
     assert float(rows[0][header.index("diff_dir_1")]) == 0.0
@@ -252,8 +250,8 @@ def test_solve_deterministic_apart_from_timings(tmp_path):
     text = "mesh_h = 1/4\nlevels = 3\neigen_count = 2\noutput = {}\n"
     config_a = parse_config(write_config(tmp_path, text.format(tmp_path / "a"), "a.cfg"))
     config_b = parse_config(write_config(tmp_path, text.format(tmp_path / "b"), "b.cfg"))
-    assert cmd_solve(config_a)[0] == EXIT_OK
-    assert cmd_solve(config_b)[0] == EXIT_OK
+    cmd_solve(config_a)
+    cmd_solve(config_b)
     header, rows_a = read_csv(tmp_path / "a_levels.csv")
     _, rows_b = read_csv(tmp_path / "b_levels.csv")
     time_cols = {header.index("time_assemble_s"), header.index("time_solve_s")}
@@ -286,8 +284,8 @@ def test_solve_aborts_with_partial_csv(tmp_path, monkeypatch):
         config = parse_config(write_config(
             tmp_path, "mesh_h = 1/4\nlevels = 3\neigen_count = 2\ncompare_direct = {}\n"
             "output = {}\n".format(compare, tmp_path / "abort")))
-        code, record = cmd_solve(config)
-        assert code == EXIT_SOLVER
+        with pytest.raises(MultilevelError, match="^level 1: synthetic failure$"):
+            cmd_solve(config)
         text = (tmp_path / "abort_levels.csv").read_text()
         assert text.rstrip().endswith("# ABORTED level=1")
         header, rows = read_csv(tmp_path / "abort_levels.csv")
@@ -300,6 +298,20 @@ def test_solve_aborts_with_partial_csv(tmp_path, monkeypatch):
         if compare:
             for name in ("lambda_dir_1", "diff_dir_1", "lambda_dir_2", "diff_dir_2"):
                 assert math.isnan(float(rows[0][header.index(name)]))
+
+
+def test_main_reports_a_failed_level_alike_for_solve_and_bench(tmp_path, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise SolverError("synthetic failure")
+
+    monkeypatch.setattr(newteig.multilevel, "newton_step_multi", boom)
+    path = write_config(tmp_path, "mesh_h = 1/4\nlevels = 3\nbench_max_levels = 3\n"
+                        "output = {}\n".format(tmp_path / "fail"))
+    for command in ("solve", "bench"):
+        assert main([command, str(path)]) == EXIT_SOLVER
+        assert capsys.readouterr().err == "solver error: level 1: synthetic failure\n"
+    text = (tmp_path / "fail_levels.csv").read_text()
+    assert text.rstrip().endswith("# ABORTED level=1")
 
 
 def test_main_failed_evaluation_keeps_the_solved_rows(tmp_path, monkeypatch):
@@ -461,8 +473,7 @@ def test_bench_two_depths_lists_iterations_per_level(tmp_path):
     config = parse_config(write_config(
         tmp_path, "mesh_h = 1/4\nbench_max_levels = 3\noutput = {}\n".format(
             tmp_path / "bench")))
-    code, levels = cmd_bench(config)
-    assert code == EXIT_OK
+    levels = cmd_bench(config)
     assert math.isfinite(local_exponent(levels))
     text = (tmp_path / "bench_work.txt").read_text()
     assert "last two doublings of N: N^{:.3f}".format(local_exponent(levels)) in text
@@ -490,7 +501,7 @@ def test_bench_work_file_agrees_with_itself(tmp_path):
     config = parse_config(write_config(
         tmp_path, "mesh_h = 1/4\nbench_max_levels = 4\noutput = {}\n".format(
             tmp_path / "bench")))
-    _, levels = cmd_bench(config)
+    levels = cmd_bench(config)
     sweep, table, exponent = (tmp_path / "bench_work.txt").read_text().split("\n\n")[:3]
     sweep = [line.split() for line in sweep.splitlines()[1:]]
     table = [line.split() for line in table.splitlines()[1:]]
@@ -527,7 +538,7 @@ def test_bench_work_file_times_the_hierarchy(tmp_path, monkeypatch):
     config = parse_config(write_config(
         tmp_path, "mesh_h = 1/4\nbench_max_levels = 4\noutput = {}\n".format(
             tmp_path / "bench")))
-    _, levels = cmd_bench(config)
+    levels = cmd_bench(config)
     (hierarchy,) = built
     assert len(hierarchy.refine_seconds) == 3 and min(hierarchy.refine_seconds) > 0
     table, exponent = (tmp_path / "bench_work.txt").read_text().split("\n\n")[3:5]
@@ -575,6 +586,27 @@ def test_main_exit_codes(tmp_path, capsys):
         assert main(["solve", str(unknown)]) == EXIT_OK
         name = key.split()[0]
         assert "warning: unknown key '{}' (line 1)".format(name) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem, order", [("laplace", 5), ("example2", 2)])
+def test_quad_order_is_an_unknown_key(tmp_path, capsys, problem, order):
+    # the quadrature follows the preset whatever a config says
+    text = "problem = {}\nmesh_h = 1/4\nlevels = 3\n{}output = {}\n"
+    plain = write_config(tmp_path, text.format(problem, "", tmp_path / "plain"), "plain.cfg")
+    old = write_config(tmp_path, text.format(problem, "quad_order = {}\n".format(order),
+                                             tmp_path / "old"), "old.cfg")
+    assert main(["--strict", "solve", str(old)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: line 4: unknown key 'quad_order'\n"
+    assert main(["solve", str(plain)]) == EXIT_OK
+    assert main(["solve", str(old)]) == EXIT_OK
+    assert capsys.readouterr().err == "warning: unknown key 'quad_order' (line 4)\n"
+
+    def cells(name):
+        header, rows = read_csv(tmp_path / "{}_levels.csv".format(name))
+        keep = [j for j, col in enumerate(header) if not col.startswith("time_")]
+        return [[row[j] for j in keep] for row in [header] + rows]
+
+    assert cells("old") == cells("plain")
 
 
 @pytest.mark.parametrize("line", [
@@ -1033,7 +1065,7 @@ def test_bench_work_file_reports_peak_memory(tmp_path):
     config = parse_config(write_config(
         tmp_path, "mesh_h = 1/4\nbench_max_levels = 3\noutput = {}\n".format(
             tmp_path / "bench")))
-    _, levels = cmd_bench(config)
+    levels = cmd_bench(config)
     memory = (tmp_path / "bench_work.txt").read_text().split("\n\n")[5].splitlines()
     assert memory[0] == "peak resident set (ru_maxrss)"
     built, run, per_dof = (float(line.split()[-2]) for line in memory[1:])
@@ -1050,8 +1082,7 @@ def test_solve_from_mesh_file(tmp_path):
     config = parse_config(write_config(
         tmp_path, "mesh_file = {}\nlevels = 2\noutput = {}\n".format(
             mesh_path, tmp_path / "file")))
-    code, record = cmd_solve(config)
-    assert code == EXIT_OK
+    record = cmd_solve(config)
     assert record.levels[0].n_free == 4
 
 
