@@ -22,7 +22,9 @@ from .mesh import MeshError, prolongation
 
 
 class AssemblyError(ValueError):
-    """Coefficient or quadrature data violates the assembly contract."""
+    """A coefficient breaks the assembly contract: its values have the wrong
+    shape, or are not finite, not positive definite (diffusion), negative
+    (reaction) or not positive (weight) at a quadrature point."""
 
 
 # triangles per pass of the element kernels, whose (block, 3) temporaries then
@@ -30,29 +32,17 @@ class AssemblyError(ValueError):
 ELEMENT_BLOCK = 16384
 
 
-# Gauss rules on the reference triangle: barycentric coordinates and weights
-# normalized to sum to 1 (scaled by the physical triangle area on use).
-_W15 = math.sqrt(15.0)
-_QUAD_RULES = {
-    2: (
-        np.array([
-            [2 / 3, 1 / 6, 1 / 6],
-            [1 / 6, 2 / 3, 1 / 6],
-            [1 / 6, 1 / 6, 2 / 3],
-        ]),
-        np.array([1 / 3, 1 / 3, 1 / 3]),
-    ),
-    5: (
-        np.array(
-            [[1 / 3, 1 / 3, 1 / 3]]
-            + [np.roll([1 - 2 * a, a, a], s).tolist()
-               for a in ((6 - _W15) / 21, (6 + _W15) / 21) for s in range(3)]
-        ),
-        np.array([9 / 40]
-                 + [(155 - _W15) / 1200] * 3
-                 + [(155 + _W15) / 1200] * 3),
-    ),
-}
+# the degree-2 Gauss rule on the reference triangle: barycentric coordinates of
+# its three points and weights normalized to sum to 1 (scaled by the physical
+# triangle area on use)
+_QUAD_RULE = (
+    np.array([
+        [2 / 3, 1 / 6, 1 / 6],
+        [1 / 6, 2 / 3, 1 / 6],
+        [1 / 6, 1 / 6, 2 / 3],
+    ]),
+    np.array([1 / 3, 1 / 3, 1 / 3]),
+)
 
 
 @dataclass(frozen=True)
@@ -116,8 +106,10 @@ class AssembledForms:
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
     free_to_full: np.ndarray
-    n_free: int
-    quad_order: int = 2
+
+    @property
+    def n_free(self):
+        return self.stiffness.shape[0]
 
 
 def _triangle_geometry(mesh, block):
@@ -135,11 +127,11 @@ def _triangle_geometry(mesh, block):
     return px, py, ex, ey, 0.5 * (ex[:, 1] * ey[:, 2] - ey[:, 1] * ex[:, 2])
 
 
-def _quadrature_points(bary, px, py):
-    """Coordinates ``(x, y)`` of every triangle's quadrature point per row of
-    barycentric coordinates `bary`, summed term by term in vertex order (a
+def _quadrature_points(px, py):
+    """Coordinates ``(x, y)`` of every triangle's quadrature points, one point
+    of `_QUAD_RULE` after the other, summed term by term in vertex order (a
     BLAS product may fuse or reorder the terms and round differently)."""
-    for b in bary:
+    for b in _QUAD_RULE[0]:
         yield (b[0] * px[:, 0] + b[1] * px[:, 1] + b[2] * px[:, 2],
                b[0] * py[:, 0] + b[1] * py[:, 1] + b[2] * py[:, 2])
 
@@ -165,13 +157,14 @@ def _check_coefficients(dq, rq, wq, x, y):
                 message, x[first], y[first]))
 
 
-def _weighted_coefficients(coeffs, bary, weights, px, py):
+def _weighted_coefficients(coeffs, px, py):
     """The weight-averaged entries ``(d11, d12, d22)`` of D on every
     triangle, and its reaction and weight coefficients at each quadrature
     point times the point's weight, (T, n_points) each."""
+    weights = _QUAD_RULE[1]
     d11, d12, d22 = np.zeros((3, len(px)))
     reaction, weight = np.empty((2, len(px), len(weights)))
-    for q, (w, (xq, yq)) in enumerate(zip(weights, _quadrature_points(bary, px, py))):
+    for q, (w, (xq, yq)) in enumerate(zip(weights, _quadrature_points(px, py))):
         with np.errstate(all="ignore"):      # non-finite values are rejected below
             entries = coeffs.diffusion(xq, yq)
             rq = np.asarray(coeffs.reaction(xq, yq), dtype=float)
@@ -197,14 +190,14 @@ def _blocks(count):
     return [slice(start, start + ELEMENT_BLOCK) for start in range(0, count, ELEMENT_BLOCK)]
 
 
-def _block_entries(mesh, coeffs, quad_order, block):
+def _block_entries(mesh, coeffs, block):
     """Stiffness and mass entries ``(k, m)`` of the triangles in the slice
     `block`: (2, B, 3) arrays whose contiguous halves hold the diagonal
     entries of local vertices 0, 1, 2 and the entries of local edges 01, 12, 20."""
-    bary, weights = _QUAD_RULES[quad_order]
+    bary = _QUAD_RULE[0]
     outer = (bary[:, [0, 1, 2, 0, 1, 2]] * bary[:, [0, 1, 2, 1, 2, 0]]).reshape(-1, 2, 1, 3)
     px, py, ex, ey, area = _triangle_geometry(mesh, block)
-    d11, d12, d22, reaction, weight = _weighted_coefficients(coeffs, bary, weights, px, py)
+    d11, d12, d22, reaction, weight = _weighted_coefficients(coeffs, px, py)
     # summed point by point: a BLAS product rounds by the block's row count
     k, m = np.zeros((2, 2, len(area), 3))
     for q, row in enumerate(outer):
@@ -245,7 +238,7 @@ def _pattern(edges, n):
     return indptr, indices, (lower_slots, diagonal, upper_slots)
 
 
-def _assemble_pencil(mesh, coeffs, quad_order, keep):
+def _assemble_pencil(mesh, coeffs, keep):
     """Stiffness and mass CSR matrices over the vertices flagged in `keep`.
 
     `np.add.at` sums each block's `_block_entries` per vertex and per edge of
@@ -257,13 +250,10 @@ def _assemble_pencil(mesh, coeffs, quad_order, keep):
     edge's sum fills both mirror slots, so both are exactly symmetric.  The
     stiffness drops its exact zeros (e.g. the diagonals of a criss-cross mesh).
     """
-    if quad_order not in _QUAD_RULES:
-        raise ValueError("quad_order must be one of {}, got {!r}".format(
-            sorted(_QUAD_RULES), quad_order))
     k_vertex, m_vertex = np.zeros(mesh.num_vertices), np.zeros(mesh.num_vertices)
     k_edge, m_edge = np.zeros(mesh.num_edges), np.zeros(mesh.num_edges)
     for block in _blocks(mesh.num_triangles):
-        k, m = _block_entries(mesh, coeffs, quad_order, block)
+        k, m = _block_entries(mesh, coeffs, block)
         at_vertex, at_edge = mesh.triangles[block].ravel(), mesh.triangle_edges[block].ravel()
         for sums, index, entries in ((k_vertex, at_vertex, k[0]), (k_edge, at_edge, k[1]),
                                      (m_vertex, at_vertex, m[0]), (m_edge, at_edge, m[1])):
@@ -292,23 +282,27 @@ def _assemble_pencil(mesh, coeffs, quad_order, keep):
 
 
 def assemble_forms(mesh, coeffs, quad_order=2):
-    """Assemble the stiffness/mass pencil of `mesh` for the given coefficients.
+    """Assemble the stiffness/mass pencil of `mesh` for the given coefficients,
+    with the degree-2 Gauss rule on every triangle.
 
     Parameters
     ----------
     mesh : Mesh
     coeffs : CoefficientSet
-    quad_order : {2, 5}
-        Polynomial degree up to which the triangle Gauss rule is exact.
+    quad_order : 2
+        Any other value raises `ValueError`.  Kept for
+        `perfbench/child.py::_reference`, its only caller that passes it;
+        ROADMAP item 1c removes it.
 
     Returns
     -------
     AssembledForms
     """
-    free = np.flatnonzero(~mesh.boundary)
-    stiffness, mass = _assemble_pencil(mesh, coeffs, quad_order, ~mesh.boundary)
-    return AssembledForms(stiffness=stiffness, mass=mass, free_to_full=free,
-                          n_free=len(free), quad_order=quad_order)
+    if quad_order != 2:
+        raise ValueError("quad_order must be 2, got {!r}".format(quad_order))
+    stiffness, mass = _assemble_pencil(mesh, coeffs, ~mesh.boundary)
+    return AssembledForms(stiffness=stiffness, mass=mass,
+                          free_to_full=np.flatnonzero(~mesh.boundary))
 
 
 def _quadratic_form(matrix, x):
@@ -401,15 +395,15 @@ def energy_error_vs_exact(forms, mesh, x, u_exact, grad_exact):
     """Laplace energy-norm distance between a discrete function and an exact one.
 
     Evaluates ``sqrt( integral of |grad(e)|^2 )`` with ``e = u_exact - u_h``
-    by elementwise quadrature, after flipping the sign of `x` when its
-    b-inner product with the interpolant of `u_exact` is negative
-    (eigenfunctions are only defined up to sign).  This is the energy norm
+    by the assembly's degree-2 rule on every triangle, after flipping the
+    sign of `x` when its b-inner product with the interpolant of `u_exact` is
+    negative (eigenfunctions are only defined up to sign).  This is the energy norm
     of the laplace preset (identity diffusion, no reaction).
 
     Parameters
     ----------
     forms : AssembledForms
-        Pencil assembled on `mesh`; supplies the quadrature order.
+        Pencil assembled on `mesh`.
     mesh : Mesh
     x : (n_free,) array
         b-normalized coefficient vector.
@@ -424,7 +418,7 @@ def energy_error_vs_exact(forms, mesh, x, u_exact, grad_exact):
     if float(x @ (forms.mass @ ref)) < 0.0:
         x = -x
 
-    bary, weights = _QUAD_RULES[forms.quad_order]
+    weights = _QUAD_RULE[1]
     full = np.zeros(mesh.num_vertices)
     full[forms.free_to_full] = x
     # area |grad(e)|^2 per quadrature point and triangle, summed point by point below
@@ -436,7 +430,7 @@ def energy_error_vs_exact(forms, mesh, x, u_exact, grad_exact):
         scale = 0.5 / area
         sx = (u[:, 0] * ex[:, 0] + u[:, 1] * ex[:, 1] + u[:, 2] * ex[:, 2]) * scale
         sy = (u[:, 0] * ey[:, 0] + u[:, 1] * ey[:, 1] + u[:, 2] * ey[:, 2]) * scale
-        for q, (xq, yq) in enumerate(_quadrature_points(bary, px, py)):
+        for q, (xq, yq) in enumerate(_quadrature_points(px, py)):
             g = np.asarray(grad_exact(xq, yq), dtype=float)
             gx, gy = g[:, 0] + sy, g[:, 1] - sx
             integrand[q, block] = area * (gx * gx + gy * gy)

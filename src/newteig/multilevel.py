@@ -24,8 +24,11 @@ class SolveOptions:
     solver_tol: float = DEFAULT_SOLVER_TOL
 
     def effective_quad_order(self, coeffs):
-        """2, exact for the laplace preset's constant coefficients, else 5."""
-        return 2 if coeffs.preset == "laplace" else 5
+        """2, the degree of the one triangle rule, whatever `coeffs`.
+
+        Kept for `perfbench/child.py::_reference`, its only caller, which
+        passes it to `assemble_forms`; ROADMAP item 1c removes it."""
+        return 2
 
 
 @dataclass
@@ -92,14 +95,13 @@ def run_multilevel(hierarchy, coeffs, m=1, options=None, done=None):
         produced so far.
     """
     options = options or SolveOptions()
-    quad_order = options.effective_quad_order(coeffs)
     levels = hierarchy.levels
     n_levels = len(levels)
     check_eigen_count(int((~levels[0].boundary).sum()), m)
     forms, assemble_times = [None] * n_levels, [0.0] * n_levels
     for k in [0] + list(range(n_levels - 1, 0, -1)):
         t0 = time.perf_counter()
-        forms[k] = assemble_forms(levels[k], coeffs, quad_order)
+        forms[k] = assemble_forms(levels[k], coeffs)
         assemble_times[k] = time.perf_counter() - t0
         if done is not None:
             done(k, forms[k])

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from scipy import sparse as sp
 
 import newteig.assemble
-from newteig.assemble import (_QUAD_RULES, AssembledForms, AssemblyError, CoefficientSet,
+from newteig.assemble import (_QUAD_RULE, AssembledForms, AssemblyError, CoefficientSet,
                               _assemble_pencil, _block_entries, _blocks, a_norm,
                               assemble_forms, b_norm, energy_error_vs_exact,
                               example2_coefficients, free_prolongation, interpolate,
@@ -22,10 +22,15 @@ from meshgen import l_shaped_mesh, renumbered_square
 
 EXACT_FIRST = 2 * math.pi ** 2
 
+# the constant-coefficient preset and a variable one; each id keeps the name
+# its case had when the variable one assembled with a degree-5 rule
+PRESET_CASES = [pytest.param(laplace_coefficients, id="laplace_coefficients-2"),
+                pytest.param(example2_coefficients, id="example2_coefficients-5")]
 
-def assemble_all_vertices(mesh, coeffs, quad_order=2):
+
+def assemble_all_vertices(mesh, coeffs):
     """Stiffness and mass over every vertex, boundary included."""
-    return _assemble_pencil(mesh, coeffs, quad_order, np.ones(mesh.num_vertices, dtype=bool))
+    return _assemble_pencil(mesh, coeffs, np.ones(mesh.num_vertices, dtype=bool))
 
 
 def single_triangle_mesh():
@@ -91,8 +96,9 @@ def test_mass_sums_to_domain_area(h):
 
 
 def test_example2_mass_sums_to_weight_integral():
-    # integral of 1 + (x-1/2)(y-1/2) over the unit square is exactly 1
-    _, mass = assemble_all_vertices(unit_square_mesh(1 / 6), example2_coefficients(), 5)
+    # integral of 1 + (x-1/2)(y-1/2) over the unit square is exactly 1, and the
+    # degree-2 rule integrates the weight, a quadratic, exactly
+    _, mass = assemble_all_vertices(unit_square_mesh(1 / 6), example2_coefficients())
     assert abs(mass.sum() - 1.0) <= 1e-12
 
 
@@ -102,10 +108,10 @@ def test_stiffness_row_sums_vanish_without_reaction():
     assert np.abs(rows).max() <= 1e-13
 
 
-def element_loop_oracle(mesh, coeffs, quad_order):
+def element_loop_oracle(mesh, coeffs):
     """Free-DOF stiffness and mass from a plain loop over the triangles, with
     the barycentric gradients read off the inverse of each vertex matrix."""
-    bary, weights = _QUAD_RULES[quad_order]
+    bary, weights = _QUAD_RULE
     n = mesh.num_vertices
     stiffness, mass = np.zeros((n, n)), np.zeros((n, n))
     for tri in mesh.triangles:
@@ -135,11 +141,10 @@ def config_coefficients():
 @given(st.one_of(st.builds(renumbered_square, st.integers(2, 6), st.integers(0, 2 ** 32 - 1),
                            st.floats(0.0, 0.15)),
                  st.builds(l_shaped_mesh, st.sampled_from([4, 6]))),
-       st.sampled_from([2, 5]),
        st.sampled_from([laplace_coefficients, example2_coefficients, config_coefficients]))
-def test_edge_scatter_matches_element_loop(mesh, quad_order, make_coeffs):
-    forms = assemble_forms(mesh, make_coeffs(), quad_order)
-    oracle = element_loop_oracle(mesh, make_coeffs(), quad_order)
+def test_edge_scatter_matches_element_loop(mesh, make_coeffs):
+    forms = assemble_forms(mesh, make_coeffs())
+    oracle = element_loop_oracle(mesh, make_coeffs())
     for matrix, dense in zip((forms.stiffness, forms.mass), oracle):
         assert np.abs(matrix.toarray() - dense).max() <= 1e-14 * np.abs(dense).max()
         assert np.array_equal(matrix.toarray(), matrix.toarray().T)
@@ -151,7 +156,7 @@ def test_edge_scatter_matches_element_loop(mesh, quad_order, make_coeffs):
 
 
 def test_matrices_symmetric():
-    forms = assemble_forms(unit_square_mesh(1 / 5), example2_coefficients(), quad_order=5)
+    forms = assemble_forms(unit_square_mesh(1 / 5), example2_coefficients())
     for mat in (forms.stiffness, forms.mass):
         assert np.abs((mat - mat.T).toarray()).max() <= 1e-14
 
@@ -163,14 +168,6 @@ def test_pencil_positive_definite():
         x = rng.standard_normal(forms.n_free)
         assert x @ (forms.mass @ x) > 0
         assert x @ (forms.stiffness @ x) > 0
-
-
-def test_quad_order_immaterial_for_laplace():
-    mesh = unit_square_mesh(1 / 4)
-    low = assemble_forms(mesh, laplace_coefficients(), quad_order=2)
-    high = assemble_forms(mesh, laplace_coefficients(), quad_order=5)
-    assert np.abs((low.stiffness - high.stiffness).toarray()).max() < 1e-13
-    assert np.abs((low.mass - high.mass).toarray()).max() < 1e-13
 
 
 @settings(max_examples=40, deadline=None)
@@ -265,7 +262,7 @@ def test_rejects_negative_reaction():
 def test_failure_at_last_quadrature_point_is_named(broken, message):
     # every other point passes, so the cheap all-fine pass must still catch it
     mesh = unit_square_mesh(1 / 4)
-    last = _QUAD_RULES[5][0][-1] @ mesh.vertices[mesh.triangles[-1]]
+    last = _QUAD_RULE[0][-1] @ mesh.vertices[mesh.triangles[-1]]
     good = example2_coefficients()
 
     def at_last(x, y):
@@ -284,49 +281,46 @@ def test_failure_at_last_quadrature_point_is_named(broken, message):
         weight=lambda x, y: np.where(at_last(x, y) & (broken == "weight"), 0.0,
                                      good.weight(x, y)))
     with pytest.raises(AssemblyError) as info:
-        assemble_forms(mesh, coeffs, quad_order=5)
+        assemble_forms(mesh, coeffs)
     assert str(info.value) == "{} at quadrature point ({:.6g}, {:.6g})".format(message, *last)
 
 
-@pytest.mark.parametrize("make_coeffs, quad_order",
-                         [(laplace_coefficients, 2), (example2_coefficients, 5)])
-def test_assembly_memory_peak(make_coeffs, quad_order):
+@pytest.mark.parametrize("make_coeffs", PRESET_CASES)
+def test_assembly_memory_peak(make_coeffs):
     # the element temporaries are gone before the scatter, and stiffness and
     # mass are filled onto one pattern
     mesh = unit_square_mesh(1 / 128)
     coeffs = make_coeffs()
     tracemalloc.start()
     try:
-        assemble_forms(mesh, coeffs, quad_order)
+        assemble_forms(mesh, coeffs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 24 * 2 ** 20
 
 
-@pytest.mark.parametrize("make_coeffs, quad_order",
-                         [(laplace_coefficients, 2), (example2_coefficients, 5)])
-def test_finest_assembly_memory_peak(make_coeffs, quad_order):
+@pytest.mark.parametrize("make_coeffs", PRESET_CASES)
+def test_finest_assembly_memory_peak(make_coeffs):
     # 131,072 triangles: the element entries are summed block by block, so no
     # (T, 3) array of the whole mesh lives, and the pattern is built from int32 slots
     mesh = unit_square_mesh(1 / 256)
     coeffs = make_coeffs()
     tracemalloc.start()
     try:
-        assemble_forms(mesh, coeffs, quad_order)
+        assemble_forms(mesh, coeffs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 21 * 2 ** 20
 
 
-@pytest.mark.parametrize("make_coeffs, quad_order",
-                         [(laplace_coefficients, 2), (example2_coefficients, 5)])
-def test_matrices_own_exactly_their_entries(make_coeffs, quad_order):
+@pytest.mark.parametrize("make_coeffs", PRESET_CASES)
+def test_matrices_own_exactly_their_entries(make_coeffs):
     # the stiffness drops the zeros of the criss-cross diagonals in place and
     # then keeps copies of its nnz entries, not views of the mass-sized buffers
     for mesh in (unit_square_mesh(1 / 16), renumbered_square(9, 3, jitter=0.1)):
-        forms = assemble_forms(mesh, make_coeffs(), quad_order)
+        forms = assemble_forms(mesh, make_coeffs())
         for matrix in (forms.stiffness, forms.mass):
             for array in (matrix.data, matrix.indices):
                 while isinstance(array.base, np.ndarray):
@@ -334,20 +328,20 @@ def test_matrices_own_exactly_their_entries(make_coeffs, quad_order):
                 assert array.size == matrix.nnz
 
 
-def whole_mesh_entries(mesh, coeffs, quad_order):
+def whole_mesh_entries(mesh, coeffs):
     """The element entries of the whole mesh, stiffness and mass each as one
     (2, T, 3) array of contiguous vertex and edge halves."""
-    blocks = [_block_entries(mesh, coeffs, quad_order, block)
+    blocks = [_block_entries(mesh, coeffs, block)
               for block in _blocks(mesh.num_triangles)]
     return [np.concatenate([entries[i] for entries in blocks], axis=1) for i in (0, 1)]
 
 
-def sorted_pencil(mesh, coeffs, quad_order, keep):
+def sorted_pencil(mesh, coeffs, keep):
     """Stiffness and mass built by a stable sort of every entry's row, from
     concatenated lower, diagonal and upper entries, each a sum of one
     `np.bincount` over the whole mesh: the oracle of the slots and of the
     blockwise sums."""
-    k_entries, m_entries = whole_mesh_entries(mesh, coeffs, quad_order)
+    k_entries, m_entries = whole_mesh_entries(mesh, coeffs)
     edges = mesh.edge_vertices
     inner = keep[edges[:, 0]] & keep[edges[:, 1]]
     lo, hi = (np.cumsum(keep) - 1)[edges[inner].T]
@@ -370,18 +364,17 @@ def sorted_pencil(mesh, coeffs, quad_order, keep):
 @settings(max_examples=25, deadline=None)
 @given(st.builds(renumbered_square, st.integers(2, 12), st.integers(0, 2 ** 32 - 1),
                  st.one_of(st.just(0.0), st.floats(0.0, 0.2))),
-       st.sampled_from([(laplace_coefficients, 2), (example2_coefficients, 5)]),
+       st.sampled_from([laplace_coefficients, example2_coefficients]),
        st.booleans(), st.sampled_from([1, 7, 16384]))
-def test_slot_pattern_matches_sorted_construction(mesh, case, free_only, block):
+def test_slot_pattern_matches_sorted_construction(mesh, make_coeffs, free_only, block):
     # every pattern array and every data bit, with and without the boundary rows;
     # np.add.at per block of `block` triangles adds each vertex's and edge's
     # terms in the order of the oracle's one bincount over the whole mesh
-    make_coeffs, quad_order = case
     keep = ~mesh.boundary if free_only else np.ones(mesh.num_vertices, dtype=bool)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(newteig.assemble, "ELEMENT_BLOCK", block)
-        got = _assemble_pencil(mesh, make_coeffs(), quad_order, keep)
-    for matrix, expected in zip(got, sorted_pencil(mesh, make_coeffs(), quad_order, keep)):
+        got = _assemble_pencil(mesh, make_coeffs(), keep)
+    for matrix, expected in zip(got, sorted_pencil(mesh, make_coeffs(), keep)):
         assert np.array_equal(matrix.indptr, expected.indptr)
         assert matrix.indices.dtype == np.int32
         assert np.array_equal(matrix.indices, expected.indices)
@@ -391,15 +384,14 @@ def test_slot_pattern_matches_sorted_construction(mesh, case, free_only, block):
 @settings(max_examples=25, deadline=None)
 @given(st.builds(renumbered_square, st.integers(2, 12), st.integers(0, 2 ** 32 - 1),
                  st.floats(0.0, 0.2)),
-       st.sampled_from([(laplace_coefficients, 2), (example2_coefficients, 5)]))
-def test_element_blocks_leave_every_bit(mesh, case):
+       st.sampled_from([laplace_coefficients, example2_coefficients]))
+def test_element_blocks_leave_every_bit(mesh, make_coeffs):
     # each triangle's arithmetic is blockwise; the scatter and the sums see whole arrays
-    make_coeffs, quad_order = case
     results = []
     for block in (1, 7, newteig.assemble.ELEMENT_BLOCK):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(newteig.assemble, "ELEMENT_BLOCK", block)
-            forms = assemble_forms(mesh, make_coeffs(), quad_order)
+            forms = assemble_forms(mesh, make_coeffs())
             x = np.random.default_rng(mesh.num_triangles).standard_normal(forms.n_free)
             energy = energy_error_vs_exact(forms, mesh, x, first_mode, first_mode_grad)
         results.append((forms.stiffness, forms.mass, energy))
@@ -416,7 +408,7 @@ def test_element_loop_error_names_the_first_failure_and_leaves_no_thread(failing
     # blocks of 8 triangles: 12 lies in block 1, 20 in block 2 and 28 in block 3;
     # the first failing triangle in triangle order is named
     mesh = unit_square_mesh(1 / 4)
-    points = [_QUAD_RULES[2][0][0] @ mesh.vertices[mesh.triangles[t]] for t in failing]
+    points = [_QUAD_RULE[0][0] @ mesh.vertices[mesh.triangles[t]] for t in failing]
 
     def weight(x, y):
         bad = np.zeros(len(x), dtype=bool)
@@ -510,7 +502,7 @@ def test_norms_copy_no_matrix():
 def test_norm_rejects_indefinite_form():
     forms = assemble_forms(unit_square_mesh(1 / 4), laplace_coefficients())
     negated = AssembledForms(stiffness=-forms.stiffness, mass=forms.mass,
-                             free_to_full=forms.free_to_full, n_free=forms.n_free)
+                             free_to_full=forms.free_to_full)
     with pytest.raises(ArithmeticError, match="negative stiffness quadratic form"):
         a_norm(negated, np.ones(forms.n_free))
 

@@ -3,11 +3,13 @@ import inspect
 import math
 import re
 import signal
+import tempfile
 import threading
 import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from newteig.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, ConfigError
 from newteig.linalg import SolverError, solve_bordered
 from newteig.mesh import (Mesh, MeshError, MeshFormatError, load_mesh, save_mesh,
                           unit_square_mesh)
-from newteig.multilevel import MultilevelError
+from newteig.multilevel import MultilevelError, run_multilevel
 
 from meshgen import l_shaped_mesh, renumbered_square
 
@@ -590,7 +592,7 @@ def test_main_exit_codes(tmp_path, capsys):
 
 @pytest.mark.parametrize("problem, order", [("laplace", 5), ("example2", 2)])
 def test_quad_order_is_an_unknown_key(tmp_path, capsys, problem, order):
-    # the quadrature follows the preset whatever a config says
+    # every pencil is assembled with the one degree-2 rule, whatever a config says
     text = "problem = {}\nmesh_h = 1/4\nlevels = 3\n{}output = {}\n"
     plain = write_config(tmp_path, text.format(problem, "", tmp_path / "plain"), "plain.cfg")
     old = write_config(tmp_path, text.format(problem, "quad_order = {}\n".format(order),
@@ -876,6 +878,33 @@ def test_benchmark_custom_path_passes_its_checks(tmp_path, monkeypatch):
     assert problems == []
 
 
+def test_benchmark_reference_assembles_the_runs_finest_pencil(tmp_path, monkeypatch):
+    # child._reference passes `solve_options().effective_quad_order(coeffs)` to
+    # assemble_forms; on custom_file's seed-1 inputs that must give the finest
+    # pencil of the run bit for bit, and any degree but 2 is refused
+    inputs, child = (load_perfbench(name) for name in ("inputs", "child"))
+    monkeypatch.chdir(tmp_path)
+    inputs.write_inputs(inputs.WORKLOADS["custom_file"], 1, str(tmp_path), levels=3)
+    config = parse_config("run.cfg")
+    hierarchy = newteig.cli._build_hierarchy(config, config.levels)
+    assembled = []
+
+    def keep_forms(forms, m, tol):                # the pencil, without its solve
+        assembled.append(forms)
+        return SimpleNamespace(values=[])
+
+    monkeypatch.setattr(newteig, "direct_solve", keep_forms)
+    child._reference(hierarchy, "run.cfg")
+    finest = run_multilevel(hierarchy, config.coefficients(), config.eigen_count,
+                            config.solve_options())[-1].forms
+    for got, want in ((assembled[0].stiffness, finest.stiffness),
+                      (assembled[0].mass, finest.mass)):
+        for array in ("indptr", "indices", "data"):
+            assert getattr(got, array).tobytes() == getattr(want, array).tobytes()
+    with pytest.raises(ValueError, match="^quad_order must be 2, got 5$"):
+        newteig.assemble_forms(hierarchy.levels[0], config.coefficients(), quad_order=5)
+
+
 def test_main_laplace_beyond_twenty_eigenvalues(tmp_path):
     path = write_config(tmp_path, "mesh_h = 1/8\nlevels = 2\neigen_count = 21\n"
                         "output = {}\n".format(tmp_path / "many"))
@@ -1088,8 +1117,14 @@ def test_solve_from_mesh_file(tmp_path):
 
 GOLDEN = Path(__file__).resolve().parent / "data"
 
-
-@pytest.mark.parametrize("config, golden", [
+# To rewrite one golden from its config below, run from the repository root
+#   OPENBLAS_NUM_THREADS=1 PYTHONPATH=src:tests python -c \
+#       "import test_cli; test_cli.write_golden('example2_h6_l3_m3_levels.csv')"
+# A change of discretization rewrites only the goldens it moves, and its
+# CHANGES.md line says by how much on each level.  The two laplace goldens stay
+# byte-identical: the degree-2 rule integrates their constant coefficients
+# exactly, so no change of quadrature may move them.
+GOLDEN_RUNS = [
     ("problem = laplace\nmesh_h = 1/8\nlevels = 4\neigen_count = 1\n",
      "laplace_h8_l4_m1_levels.csv"),
     ("problem = example2\nmesh_h = 1/6\nlevels = 3\neigen_count = 3\n",
@@ -1102,25 +1137,41 @@ GOLDEN = Path(__file__).resolve().parent / "data"
     ("problem = laplace\nmesh_file = {mesh}\nlevels = 3\neigen_count = 3\n"
      "compare_direct = true\n", "laplace_file12_l3_m3_levels.csv"),
     # all five coefficient expressions (anisotropic, reaction, varying weight)
-    # at quadrature order 5 on the same kind of mesh file
+    # on the same kind of mesh file
     ("problem = custom\nmesh_file = {mesh}\nlevels = 3\neigen_count = 2\n"
      "a11 = 1 + x1^2\na12 = 0.6*sin(pi*x1)*sin(pi*x2)\na22 = 1 + exp(-x2)/2\n"
      "phi = 4*(x1 - 1/2)^2\nrho = 1 + x1*x2\n", "custom_file12_l3_m2_levels.csv"),
-    # 73,728 finest triangles in five element blocks, the last one partial, so the
-    # element loop runs on two threads; two reference solves
+    # 73,728 finest triangles in five element blocks, the last one partial;
+    # two reference solves
     ("problem = example2\nmesh_h = 1/12\nlevels = 5\neigen_count = 2\n",
      "example2_h12_l5_m2_levels.csv"),
-])
+]
+
+
+def run_golden_config(directory, config):
+    """Run a `GOLDEN_RUNS` config in `directory`; return its levels CSV path."""
+    directory = Path(directory)
+    if "{mesh}" in config:
+        save_mesh(renumbered_square(12, 5, jitter=0.15), directory / "square.mesh")
+        config = config.format(mesh=directory / "square.mesh")
+    path = write_config(directory, config + "output = {}\n".format(directory / "run"))
+    assert main(["solve", str(path)]) == EXIT_OK
+    return directory / "run_levels.csv"
+
+
+def write_golden(golden):
+    """Rewrite ``tests/data/<golden>`` from its config in `GOLDEN_RUNS`."""
+    config = {name: text for text, name in GOLDEN_RUNS}[golden]
+    with tempfile.TemporaryDirectory() as directory:
+        (GOLDEN / golden).write_bytes(run_golden_config(directory, config).read_bytes())
+
+
+@pytest.mark.parametrize("config, golden", GOLDEN_RUNS)
 def test_csv_matches_golden(tmp_path, config, golden):
     # tests/data holds the reference CSVs of these runs; a change that only
     # reorders floating-point work keeps every non-timing cell within 1e-12
     # relative (eigenvalues) or 1e-12 * lambda (errors and differences)
-    if "{mesh}" in config:
-        save_mesh(renumbered_square(12, 5, jitter=0.15), tmp_path / "square.mesh")
-        config = config.format(mesh=tmp_path / "square.mesh")
-    path = write_config(tmp_path, config + "output = {}\n".format(tmp_path / "run"))
-    assert main(["solve", str(path)]) == EXIT_OK
-    header, rows = read_csv(tmp_path / "run_levels.csv")
+    header, rows = read_csv(run_golden_config(tmp_path, config))
     gold_header, gold_rows = read_csv(GOLDEN / golden)
     assert header == gold_header and len(rows) == len(gold_rows)
     for row, gold in zip(rows, gold_rows):

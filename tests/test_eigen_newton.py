@@ -122,8 +122,7 @@ def test_coarse_solve_warns_on_cluster_split():
 
     diag = sp.diags([1.0, 2.0, 2.0, 3.0]).tocsr()
     eye = sp.identity(4, format="csr")
-    forms = AssembledForms(stiffness=diag, mass=eye, free_to_full=np.arange(4), n_free=4,
-                           quad_order=2)
+    forms = AssembledForms(stiffness=diag, mass=eye, free_to_full=np.arange(4))
     with pytest.warns(ClusterGapWarning):
         coarse_solve(forms, 2)
 
@@ -278,7 +277,7 @@ def test_finest_newton_step_memory_peak():
     # 3.93 with one core array on the mass pattern)
     coeffs = example2_coefficients()
     hier = build_hierarchy(unit_square_mesh(1 / 16), 4)
-    forms = [assemble_forms(mesh, coeffs, 5) for mesh in hier.levels]
+    forms = [assemble_forms(mesh, coeffs) for mesh in hier.levels]
     pairs, cycle = coarse_solve(forms[0], 3), VCycle(forms[0].stiffness)
     for k in range(1, 4):
         prolong = free_prolongation(hier.levels[k - 1], hier.levels[k])
